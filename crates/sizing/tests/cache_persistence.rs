@@ -13,7 +13,7 @@
 use losac_obs::metrics::snapshot;
 use losac_sizing::eval::{evaluate_with, EvalCache, EvalOptions};
 use losac_sizing::{FoldedCascodePlan, OtaSpecs, ParasiticMode};
-use losac_tech::Technology;
+use losac_tech::{Corner, Pvt, Scenario, Technology};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -35,6 +35,19 @@ fn entry_files(dir: &PathBuf) -> Vec<PathBuf> {
         .collect();
     files.sort();
     files
+}
+
+/// Entry file names (`e{key hash}-{key bytes hash}.lsec`) of the paper
+/// example's evaluation, at nominal and at {ss, 125 °C}: content
+/// addresses of the exact key bytes, so a change of either name means
+/// entries cached by earlier builds no longer hit.
+const NOMINAL_ENTRY: &str = "ee70db76ffcd28b08-11a67f14636fbdc8.lsec";
+const CORNER_ENTRY: &str = "e1203a8336fbe6d71-6b578972b5695f31.lsec";
+
+fn file_name(path: &std::path::Path) -> &str {
+    path.file_name()
+        .and_then(|n| n.to_str())
+        .expect("utf-8 entry name")
 }
 
 fn deltas<R>(f: impl FnOnce() -> R) -> (R, std::collections::BTreeMap<&'static str, u64>) {
@@ -65,6 +78,12 @@ fn disk_cache_survives_restart_and_tolerates_crashes() {
     assert_eq!(get(&d, "sizing.eval.cache_disk_write_error"), 0);
     let files = entry_files(&dir);
     assert_eq!(files.len(), 1, "cold store must leave exactly one entry");
+    assert_eq!(
+        file_name(&files[0]),
+        NOMINAL_ENTRY,
+        "the key bytes of a nominal evaluation changed: entries written by \
+         earlier builds would stop hitting"
+    );
     assert!(
         !files[0]
             .file_name()
@@ -149,6 +168,24 @@ fn disk_cache_survives_restart_and_tolerates_crashes() {
     assert_eq!(get(&d, "sizing.eval.cache_disk_hit"), 1);
     assert_eq!(get(&d, "sizing.eval.cache_disk_corrupt"), 0);
 
+    // --- Key stability under a corner: the non-nominal key bytes (the
+    // scenario marker and coordinates) are pinned too.
+    let corner_dir = fresh_dir("corner");
+    let cache = Arc::new(EvalCache::persistent(&corner_dir).expect("open corner dir"));
+    let opts = EvalOptions::default()
+        .with_cache(cache)
+        .with_scenario(Scenario::at(Pvt::new(Corner::Slow, 125.0, 1.0)));
+    evaluate_with(&ota, &tech, &mode, &opts).expect("corner eval");
+    let files = entry_files(&corner_dir);
+    assert_eq!(files.len(), 1);
+    assert_eq!(
+        file_name(&files[0]),
+        CORNER_ENTRY,
+        "the key bytes of a corner evaluation changed: entries written by \
+         earlier builds would stop hitting"
+    );
+
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&crash_dir);
+    let _ = fs::remove_dir_all(&corner_dir);
 }

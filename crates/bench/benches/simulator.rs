@@ -34,32 +34,27 @@ fn bench_simulator(c: &mut Criterion) {
                     fstart: 1e2,
                     fstop: 1e10,
                     points_per_decade: 12,
-                    threads: 1,
                 },
             )
             .unwrap()
         })
     });
 
-    // Same grid on a pre-built linearisation, serial vs fanned out —
-    // results are bitwise identical at every thread count.
+    // Same grid on a pre-built linearisation.
     let lin = losac_sim::linear::Linearized::build(&circuit, &dc);
-    for threads in [1usize, 2, 4] {
-        c.bench_function(&format!("ac_sweep_on_100pts_{threads}t"), |b| {
-            b.iter(|| {
-                losac_sim::ac::ac_sweep_on(
-                    &lin,
-                    &AcOptions {
-                        fstart: 1e2,
-                        fstop: 1e10,
-                        points_per_decade: 12,
-                        threads,
-                    },
-                )
-                .unwrap()
-            })
-        });
-    }
+    c.bench_function("ac_sweep_on_100pts_1t", |b| {
+        b.iter(|| {
+            losac_sim::ac::ac_sweep_on(
+                &lin,
+                &AcOptions {
+                    fstart: 1e2,
+                    fstop: 1e10,
+                    points_per_decade: 12,
+                },
+            )
+            .unwrap()
+        })
+    });
 }
 
 criterion_group! {

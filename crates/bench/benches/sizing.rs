@@ -4,7 +4,7 @@
 //! under a second per full calibrated sizing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use losac_sizing::eval::{evaluate_with, EvalOptions};
+use losac_sizing::eval::evaluate;
 use losac_sizing::{FoldedCascodePlan, OtaSpecs, ParasiticMode, TwoStagePlan};
 use losac_tech::Technology;
 
@@ -28,25 +28,13 @@ fn bench_sizing(c: &mut Criterion) {
         })
     });
 
-    // The full Table-1 measurement pipeline in its three bitwise-equal
-    // configurations: the historical serial path, linearisation reuse,
-    // and reuse plus two threads (concurrent slew transient + sweep
-    // fan-out).
+    // The full Table-1 measurement pipeline.
     let ota = FoldedCascodePlan::default()
         .size(&tech, &specs, &ParasiticMode::None)
         .unwrap();
-    for (name, opts) in [
-        ("evaluate_legacy", EvalOptions::legacy()),
-        ("evaluate_reuse", EvalOptions::default()),
-        (
-            "evaluate_reuse_2threads",
-            EvalOptions::default().with_threads(2),
-        ),
-    ] {
-        c.bench_function(name, |b| {
-            b.iter(|| evaluate_with(&ota, &tech, &ParasiticMode::None, &opts).unwrap())
-        });
-    }
+    c.bench_function("evaluate_reuse", |b| {
+        b.iter(|| evaluate(&ota, &tech, &ParasiticMode::None).unwrap())
+    });
 }
 
 criterion_group! {

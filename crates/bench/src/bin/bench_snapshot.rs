@@ -1,30 +1,25 @@
 //! Wall-time + factorisation-count snapshot of the simulator hot path,
 //! written to `BENCH_PR10.json`.
 //!
-//! Measures the Table-1 measurement pipeline in every configuration
-//! (legacy serial, linearisation reuse, reuse + threads, cached), a
-//! same-run **dense-kernel ablation** of the sparse solver, a same-run
-//! **finite-difference ablation** of the analytic device derivatives
-//! (`fd_1t`, the historical 7-evals-per-stamp model path), the raw AC
-//! sweep, a full case-4 synthesis run, the sparse-kernel counters
-//! (symbolic analyses vs numeric-only refactorisations), the
-//! device-model counters (`device.model.evals`, transcendental budget,
-//! floored capacitor stamps) and the p50/p95 of the
-//! `sizing.evaluate.ms` latency histogram, so the README's performance
-//! numbers can be regenerated with one command:
+//! Measures the Table-1 measurement pipeline (uncached and cached), the
+//! raw AC sweep (fresh linearisation vs reused), a full case-4 synthesis
+//! run, the sparse-kernel counters (symbolic analyses vs numeric-only
+//! refactorisations), the device-model counters (`device.model.evals`,
+//! transcendental budget, floored capacitor stamps) and the p50/p95 of
+//! the `sizing.evaluate.ms` latency histogram, so the README's
+//! performance numbers can be regenerated with one command:
 //!
 //! ```text
 //! scripts/bench_snapshot.sh       # or: cargo run --release -p losac-bench --bin bench_snapshot
 //! ```
 //!
 //! Each row reports both the mean (`ms`) and the best rep (`min_ms`,
-//! robust against scheduler noise on shared hosts). The ablation rows
-//! exist because day-to-day machine speed varies by tens of percent:
-//! the honest speedup of the sparse kernel (or of the analytic
-//! derivatives) is same-run treated vs same-run ablated, not a
-//! cross-day comparison. `scripts/bench_check.sh` diffs a fresh
-//! `BENCH_PR10.json` against the committed `BENCH_PR9.json` baseline
-//! and fails on hot-path regressions.
+//! robust against scheduler noise on shared hosts). The dense-kernel,
+//! finite-difference and thread-count ablation rows of earlier
+//! snapshots live on in the committed `BENCH_PR8.json`–`BENCH_PR10.json`.
+//! `scripts/bench_check.sh` diffs a fresh `BENCH_PR10.json` against the
+//! committed `BENCH_PR9.json` baseline and fails on hot-path
+//! regressions.
 //!
 //! New this snapshot: a **scenario sweep** row — one design point
 //! measured under a corner × temperature × Monte-Carlo grid through the
@@ -36,8 +31,7 @@ use losac_obs::metrics::snapshot;
 use losac_sim::ac::{ac_sweep, ac_sweep_on, AcOptions};
 use losac_sim::dc::{dc_operating_point, DcOptions};
 use losac_sim::linear::Linearized;
-use losac_sim::SolverKind;
-use losac_sizing::eval::{evaluate_with, EvalCache, EvalOptions};
+use losac_sizing::eval::{evaluate, evaluate_with, EvalCache, EvalOptions};
 use losac_sizing::{FoldedCascodePlan, InputDrive, OtaSpecs, ParasiticMode};
 use losac_tech::Technology;
 use std::sync::Arc;
@@ -113,25 +107,19 @@ fn main() {
         InputDrive::Differential { dv: 0.0 },
     );
     let dc = dc_operating_point(&circuit, &DcOptions::default()).unwrap();
-    let ac_opts = |threads| AcOptions {
+    let ac_opts = AcOptions {
         fstart: 10.0,
         fstop: 20e9,
         points_per_decade: 24,
-        threads,
     };
 
     let mut out = String::from("{\n");
-    // Thread-fan-out rows only scale with the cores actually available;
-    // on a 1-CPU host they validate bitwise identity, not wall-clock.
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    out.push_str(&format!(
-        "  \"environment\": {{ \"cpus\": {cpus}, \"default_solver\": \"{:?}\" }},\n",
-        losac_sim::solver_kind()
-    ));
+    out.push_str(&format!("  \"environment\": {{ \"cpus\": {cpus} }},\n"));
 
-    // --- ac_sweep: fresh build vs reuse, serial vs fanned, vs dense -------
+    // --- ac_sweep: fresh build vs reuse ------------------------------------
     let reps = 20;
     let lin = Linearized::build(&circuit, &dc);
     let sweep_rows: Vec<String> = timed_interleaved(
@@ -140,33 +128,13 @@ fn main() {
             (
                 "fresh_build_1t",
                 Box::new(|| {
-                    let _ = ac_sweep(&circuit, &dc, &ac_opts(1)).unwrap();
+                    let _ = ac_sweep(&circuit, &dc, &ac_opts).unwrap();
                 }),
             ),
             (
                 "reuse_1t",
                 Box::new(|| {
-                    let _ = ac_sweep_on(&lin, &ac_opts(1)).unwrap();
-                }),
-            ),
-            (
-                "reuse_2t",
-                Box::new(|| {
-                    let _ = ac_sweep_on(&lin, &ac_opts(2)).unwrap();
-                }),
-            ),
-            (
-                "reuse_4t",
-                Box::new(|| {
-                    let _ = ac_sweep_on(&lin, &ac_opts(4)).unwrap();
-                }),
-            ),
-            (
-                // Dense-kernel ablation of the serial reuse sweep, same run.
-                "dense_1t",
-                Box::new(|| {
-                    let _g = losac_sim::install_solver(SolverKind::Dense);
-                    let _ = ac_sweep_on(&lin, &ac_opts(1)).unwrap();
+                    let _ = ac_sweep_on(&lin, &ac_opts).unwrap();
                 }),
             ),
         ],
@@ -182,29 +150,16 @@ fn main() {
         sweep_rows.join(", ")
     ));
 
-    // --- evaluate: every configuration, plus the dense ablation -----------
+    // --- evaluate: uncached, then a cache hit ------------------------------
     let reps = 5;
-    let legacy = EvalOptions::legacy();
-    let reuse_1t = EvalOptions::default();
-    let reuse_2t = EvalOptions::default().with_threads(2);
-    let reuse_4t = EvalOptions::default().with_threads(4);
-    let dense_1t = EvalOptions::default().with_solver(SolverKind::Dense);
-    let fd_1t = EvalOptions::default().with_deriv(losac_device::DerivKind::FiniteDifference);
-    let run = |opts: &EvalOptions| {
-        let _ = evaluate_with(&ota, &tech, &ParasiticMode::None, opts).unwrap();
-    };
     let mut eval_rows: Vec<String> = timed_interleaved(
         reps,
-        vec![
-            ("legacy", Box::new(|| run(&legacy))),
-            ("reuse_1t", Box::new(|| run(&reuse_1t))),
-            ("reuse_2t", Box::new(|| run(&reuse_2t))),
-            ("reuse_4t", Box::new(|| run(&reuse_4t))),
-            ("dense_1t", Box::new(|| run(&dense_1t))),
-            // Finite-difference ablation of the analytic derivatives,
-            // same run: the historical 7-model-evals-per-stamp path.
-            ("fd_1t", Box::new(|| run(&fd_1t))),
-        ],
+        vec![(
+            "reuse_1t",
+            Box::new(|| {
+                let _ = evaluate(&ota, &tech, &ParasiticMode::None).unwrap();
+            }),
+        )],
     )
     .into_iter()
     .map(|(name, ms, min_ms, facts)| {
@@ -235,7 +190,7 @@ fn main() {
     // --- sparse-kernel counters over one default evaluate ------------------
     {
         let before = snapshot();
-        let _ = evaluate_with(&ota, &tech, &ParasiticMode::None, &EvalOptions::default()).unwrap();
+        let _ = evaluate(&ota, &tech, &ParasiticMode::None).unwrap();
         let after = snapshot();
         let since = after.counters_since(&before);
         let c = |name: &str| since.get(name).copied().unwrap_or(0);
@@ -255,31 +210,25 @@ fn main() {
         );
     }
 
-    // --- device-model counters over one evaluate, per derivative kind ------
+    // --- device-model counters over one evaluate ---------------------------
     {
-        let count_kind = |kind: losac_device::DerivKind| {
-            let before = snapshot();
-            let opts = EvalOptions::default().with_deriv(kind);
-            let _ = evaluate_with(&ota, &tech, &ParasiticMode::None, &opts).unwrap();
-            let since = snapshot().counters_since(&before);
-            let c = |name: &str| since.get(name).copied().unwrap_or(0);
-            (
-                c("device.model.evals"),
-                c("device.model.transcendentals"),
-                c("sim.stamp.cap_floored"),
-            )
-        };
-        let (a_evals, a_trans, a_floored) = count_kind(losac_device::DerivKind::Analytic);
-        let (f_evals, f_trans, _) = count_kind(losac_device::DerivKind::FiniteDifference);
+        let before = snapshot();
+        let _ = evaluate(&ota, &tech, &ParasiticMode::None).unwrap();
+        let since = snapshot().counters_since(&before);
+        let c = |name: &str| since.get(name).copied().unwrap_or(0);
+        let (evals, trans, floored) = (
+            c("device.model.evals"),
+            c("device.model.transcendentals"),
+            c("sim.stamp.cap_floored"),
+        );
         out.push_str(&format!(
             "  \"device_model\": {{ \
-             \"analytic\": {{ \"evals_per_evaluate\": {a_evals}, \"transcendentals_per_evaluate\": {a_trans} }}, \
-             \"fd\": {{ \"evals_per_evaluate\": {f_evals}, \"transcendentals_per_evaluate\": {f_trans} }}, \
-             \"cap_floored_per_evaluate\": {a_floored} }},\n",
+             \"analytic\": {{ \"evals_per_evaluate\": {evals}, \"transcendentals_per_evaluate\": {trans} }}, \
+             \"cap_floored_per_evaluate\": {floored} }},\n",
         ));
         println!(
-            "device model: {a_evals} evals/evaluate ({a_trans} transcendentals) analytic vs \
-             {f_evals} ({f_trans}) fd, {a_floored} floored cap stamps"
+            "device model: {evals} evals/evaluate ({trans} transcendentals), \
+             {floored} floored cap stamps"
         );
     }
 

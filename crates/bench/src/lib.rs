@@ -95,9 +95,8 @@ impl Drop for ProfileHandle {
         let c = |name: &str| m.counters.get(name).copied().unwrap_or(0);
         eprintln!("\n-- profile (linear solver) --");
         eprintln!(
-            "kernel {:?}: {} symbolic analyses, {} sparse numeric refactors, \
+            "sparse kernel: {} symbolic analyses, {} sparse numeric refactors, \
              {} total factorizations, {} dense fallbacks, last pattern nnz {}",
-            losac_sim::solver_kind(),
             c("sim.matrix.symbolic_analyses"),
             c("sim.matrix.numeric_refactors"),
             c("sim.matrix.factorizations"),

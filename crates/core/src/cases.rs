@@ -163,11 +163,10 @@ pub struct CaseOptions {
     /// Cooperative cancellation / deadline control, checked between the
     /// phases of the run.
     pub control: FlowControl,
-    /// Performance knobs for the two `evaluate` calls of the run
-    /// (threads, linearisation reuse, shared evaluation cache). Every
-    /// knob is bitwise-neutral *except* [`EvalOptions::scenario`], which
-    /// selects the single PVT/mismatch context both rows are measured
-    /// under (nominal by default).
+    /// Evaluation options for the two `evaluate` calls of the run: a
+    /// shared evaluation cache (bitwise-neutral) and
+    /// [`EvalOptions::scenario`], which selects the single PVT/mismatch
+    /// context both rows are measured under (nominal by default).
     pub eval: EvalOptions,
     /// Corner-aware acceptance set. Empty (the default) measures both
     /// performance rows under `eval.scenario` alone — the historical

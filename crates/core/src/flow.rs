@@ -168,10 +168,9 @@ pub struct FlowOptions {
     /// Cooperative cancellation / deadline control (defaults to "never
     /// stop").
     pub control: FlowControl,
-    /// Performance knobs for every `evaluate` the flow's callers run on
-    /// its results (threads, linearisation reuse, shared evaluation
-    /// cache). All knobs are bitwise-neutral; the default is serial with
-    /// reuse on and no cache.
+    /// Evaluation options for every `evaluate` the flow's callers run on
+    /// its results: a shared evaluation cache (bitwise-neutral) and the
+    /// scenario. The default is nominal with no cache.
     pub eval: EvalOptions,
 }
 

@@ -23,120 +23,31 @@
 //! ```
 //!
 //! Small-signal parameters come from **analytic derivatives of the same
-//! expression** (the default, [`DerivKind::Analytic`]): the chain rule is
-//! propagated through the pinch-off clamps, the interpolation function
-//! (d/dx F(x) = √F·σ(x/2)) and the mobility/CLM terms, so one model
-//! evaluation yields Id, gm, gds and gmb. The historical central-difference
-//! probes remain runtime-selectable ([`DerivKind::FiniteDifference`],
-//! `LOSAC_DERIV=fd`) as an ablation/fallback; both paths share the exact
-//! value computation bit for bit — only the derivatives differ, by the
-//! finite-difference truncation error (≲1e-9 relative away from the clamp
-//! boundaries; see DESIGN §6j). This keeps the Jacobian used by the Newton
-//! solver in `losac-sim` consistent with the current equation, so the
-//! sizing tool and the simulator can never disagree about gm.
+//! expression**: the chain rule is propagated through the pinch-off
+//! clamps, the interpolation function (d/dx F(x) = √F·σ(x/2)) and the
+//! mobility/CLM terms, so one model evaluation yields Id, gm, gds and
+//! gmb. Central differences of [`OpEval::drain_current`] are the test
+//! oracle for them (`tests/deriv_equivalence.rs`, DESIGN §6j). This keeps
+//! the Jacobian used by the Newton solver in `losac-sim` consistent with
+//! the current equation, so the sizing tool and the simulator can never
+//! disagree about gm.
 
 use crate::Mosfet;
 use losac_obs::Counter;
 use losac_tech::units::{KBOLTZMANN, QELECTRON, T_NOMINAL};
 use losac_tech::MosParams;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Full model evaluations (one per operating point, any derivative kind).
+/// Full model evaluations (one per operating point).
 static MODEL_EVALS: Counter = Counter::new("device.model.evals");
 /// Transcendental calls (exp/ln/sqrt/cosh/tanh) attributed per evaluation:
 /// a statically-accounted per-path cost, not an instrumented count, so the
 /// hot loop pays one relaxed atomic add instead of one per call.
 static MODEL_TRANSCENDENTALS: Counter = Counter::new("device.model.transcendentals");
 
-/// Transcendental calls in one analytic evaluation: 2 sqrt (pinch-off),
-/// 2 exp + 2 ln (F and σ share one exp per side), cosh + ln + tanh (CLM),
-/// 2 sqrt (√i_f, √i_r) + 1 sqrt (veff).
-const TRANSCENDENTALS_ANALYTIC: u64 = 13;
-/// Transcendental calls in one finite-difference evaluation: the nominal
-/// evaluation (11) plus six probes (2×8 gate, 2×6 source, 2×6 drain).
-const TRANSCENDENTALS_FD: u64 = 51;
-
-// ---------------------------------------------------------------------------
-// Derivative-kind selection
-// ---------------------------------------------------------------------------
-
-/// How the small-signal parameters (gm, gds, gmb) are computed.
-///
-/// Both kinds share the exact drain-current computation — `id`, `veff`,
-/// `vp`, `slope_n`, the normalised currents and the region classification
-/// are bit-identical between them. Only the derivative values differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DerivKind {
-    /// Analytic derivatives of the model expression (the default): one
-    /// model evaluation per operating point, clamp-consistent at the
-    /// pinch-off clamp boundaries.
-    Analytic,
-    /// The historical six central-difference probes (h = 1 µV). Kept as a
-    /// runtime-selectable ablation/fallback; reproduces the pre-analytic
-    /// Newton trajectories bitwise.
-    FiniteDifference,
-}
-
-const DERIV_UNSET: u8 = 0;
-const DERIV_ANALYTIC: u8 = 1;
-const DERIV_FD: u8 = 2;
-
-/// Process-wide default, resolved lazily from `LOSAC_DERIV`.
-static GLOBAL_DERIV: AtomicU8 = AtomicU8::new(DERIV_UNSET);
-
-thread_local! {
-    static THREAD_DERIV: Cell<Option<DerivKind>> = const { Cell::new(None) };
-}
-
-fn global_deriv() -> DerivKind {
-    match GLOBAL_DERIV.load(Ordering::Relaxed) {
-        DERIV_ANALYTIC => DerivKind::Analytic,
-        DERIV_FD => DerivKind::FiniteDifference,
-        _ => {
-            let kind = match std::env::var("LOSAC_DERIV").as_deref() {
-                Ok("fd") => DerivKind::FiniteDifference,
-                _ => DerivKind::Analytic,
-            };
-            GLOBAL_DERIV.store(
-                match kind {
-                    DerivKind::Analytic => DERIV_ANALYTIC,
-                    DerivKind::FiniteDifference => DERIV_FD,
-                },
-                Ordering::Relaxed,
-            );
-            kind
-        }
-    }
-}
-
-/// The derivative kind in effect on this thread.
-pub fn deriv_kind() -> DerivKind {
-    THREAD_DERIV.with(|c| c.get()).unwrap_or_else(global_deriv)
-}
-
-/// Install a thread-local derivative-kind override, restored on drop.
-///
-/// Mirrors [`losac-sim`'s solver selection]: the sizing evaluator
-/// propagates the installing thread's kind into its worker threads, so
-/// one guard scopes a whole evaluation. Used by the analytic-vs-FD
-/// ablation bench and the equivalence tests.
-pub fn install_deriv(kind: DerivKind) -> DerivGuard {
-    let prev = THREAD_DERIV.with(|c| c.replace(Some(kind)));
-    DerivGuard { prev }
-}
-
-/// Guard returned by [`install_deriv`]; restores the previous override.
-#[derive(Debug)]
-pub struct DerivGuard {
-    prev: Option<DerivKind>,
-}
-
-impl Drop for DerivGuard {
-    fn drop(&mut self) {
-        THREAD_DERIV.with(|c| c.set(self.prev));
-    }
-}
+/// Transcendental calls in one evaluation: 2 sqrt (pinch-off), 2 exp +
+/// 2 ln (F and σ share one exp per side), cosh + ln + tanh (CLM), 2 sqrt
+/// (√i_f, √i_r) + 1 sqrt (veff).
+const TRANSCENDENTALS: u64 = 13;
 
 /// Operating region, classified from the inversion coefficient and the
 /// drain saturation voltage.
@@ -286,10 +197,7 @@ const PV_CLAMP: f64 = 0.05;
 /// temperature-scaled transconductance factor and the CLM/degradation
 /// length terms. Computed once per (device, temperature) and cached by
 /// [`OpEval`]/[`MosBatch`] across Newton iterations — it used to be
-/// rebuilt on every one of the ~3000 assemblies of a transient run. On
-/// the finite-difference path it is also shared by the nominal evaluation
-/// and all six probes, which both removes six `powf` calls per evaluation
-/// and guarantees the probes see bit-identical constants.
+/// rebuilt on every one of the ~3000 assemblies of a transient run.
 #[derive(Debug, Clone)]
 struct Precomputed {
     ut: f64,
@@ -305,9 +213,8 @@ struct Precomputed {
     /// Reciprocals of the above, used **only** in derivative expressions
     /// (the analytic chain rule), never on the value path: replacing a
     /// value-path divide with a reciprocal multiply would change the
-    /// rounding and break the bitwise finite-difference reproduction
-    /// gates. Derivatives are tolerance-gated (1e-5 per conductance,
-    /// 1e-9 per Table-1 metric), where one extra rounding is invisible.
+    /// rounding of the drain current, which the central-difference oracle
+    /// and the inverse solvers evaluate.
     inv_ut: f64,
     inv_ecrit_l: f64,
     inv_va: f64,
@@ -390,8 +297,8 @@ fn pinch_off_d(p: &MosParams, pre: &Precomputed, vg: f64) -> (f64, f64, f64, f64
 
 /// The drain current plus every intermediate the analytic derivatives
 /// need. The `id` expression performs the historical operations in the
-/// historical order, so [`current_from_parts`] (and with it the whole
-/// finite-difference path) is bit-identical to the pre-refactor code.
+/// historical order, so the value path is bit-identical to the
+/// pre-refactor code.
 struct CurrentParts {
     id: f64,
     /// Specific current Is = 2·n·β·Ut².
@@ -441,21 +348,6 @@ fn current_parts(
     }
 }
 
-/// Assemble the drain current from the bias-dependent pieces: slope factor
-/// `n`, normalised currents `i_f`/`i_r` and the smoothed |VDS| `sabs`.
-/// Factored out so the finite-difference probes recompute only the pieces
-/// their probe voltage actually moves.
-fn current_from_parts(
-    p: &MosParams,
-    pre: &Precomputed,
-    n: f64,
-    i_f: f64,
-    i_r: f64,
-    sabs: f64,
-) -> f64 {
-    current_parts(p, pre, n, i_f, i_r, sabs).id
-}
-
 /// Raw drain current for bulk-referenced, NMOS-normalised terminal
 /// voltages. Returns (id, i_f, i_r, vp, n, veff).
 fn drain_current_pre(
@@ -470,7 +362,7 @@ fn drain_current_pre(
     let i_f = ekv_f((vp - vs) / pre.ut);
     let i_r = ekv_f((vp - vd) / pre.ut);
     let veff = 2.0 * n * pre.ut * i_f.sqrt();
-    let id = current_from_parts(p, pre, n, i_f, i_r, smooth_abs(vd - vs, pre.ut));
+    let id = current_parts(p, pre, n, i_f, i_r, smooth_abs(vd - vs, pre.ut)).id;
     (id, i_f, i_r, vp, n, veff)
 }
 
@@ -487,16 +379,8 @@ fn drain_current(
 }
 
 /// Classify the operating region and compute vdsat from the forward
-/// normalised current (shared verbatim by both derivative paths).
-fn region_of(i_f: f64, vds_n: f64, ut: f64) -> (f64, Region) {
-    region_of_s(i_f, i_f.sqrt(), vds_n, ut)
-}
-
-/// [`region_of`] with √i_f supplied by a caller that already has it (the
-/// analytic assembly holds it in `CurrentParts`); `sqrt` is correctly
-/// rounded, so passing the previously computed root is bit-identical to
-/// recomputing it.
-fn region_of_s(i_f: f64, sif: f64, vds_n: f64, ut: f64) -> (f64, Region) {
+/// normalised current `i_f` and its root `sif`.
+fn region_of(i_f: f64, sif: f64, vds_n: f64, ut: f64) -> (f64, Region) {
     let vdsat = 2.0 * ut * sif + 4.0 * ut;
     let region = if i_f < 1e-3 {
         Region::Cutoff
@@ -510,11 +394,11 @@ fn region_of_s(i_f: f64, sif: f64, vds_n: f64, ut: f64) -> (f64, Region) {
     (vdsat, region)
 }
 
-/// Final stage of the analytic path: given the per-device transcendental
+/// Final stage of an evaluation: given the per-device transcendental
 /// results (pinch-off with derivatives, both interpolation-function values
 /// with their sigmoids, smoothed |VDS| with its tanh), assemble the
 /// current — through the *unchanged* [`current_parts`] expression, so the
-/// value is bit-identical to the finite-difference path — and the three
+/// value is bit-identical to [`OpEval::drain_current`] — and the three
 /// conductances by the chain rule:
 ///
 /// ```text
@@ -526,7 +410,7 @@ fn region_of_s(i_f: f64, sif: f64, vds_n: f64, ut: f64) -> (f64, Region) {
 /// with `i_f'_g = √i_f·σf·vp'/Ut`, `v_deg'_g = n'·Ut·(√i_f+√i_r) +
 /// n·vp'·(σf+σr)/2`, `Is'_g = 2·n'·β·Ut²` and `mob' = −mob·(θ/d1 +
 /// 1/(EcritL·d2))`. The bulk transconductance is `−(∂vg + ∂vs + ∂vd)`,
-/// exactly the mapping the finite-difference path uses. This stage is
+/// because a bulk wiggle moves all three normalised voltages. This stage is
 /// pure arithmetic — all transcendentals happen in the flat loops before
 /// it (see [`MosBatch`]).
 #[allow(clippy::too_many_arguments)]
@@ -582,7 +466,7 @@ fn assemble_analytic_op(
     let d_vd =
         parts.clm * (dmob_is_diff * (-n * sr * 0.5) + mob_is * (lr * sr * pre.inv_ut)) + clm_tail;
 
-    let (vdsat, region) = region_of_s(i_f, parts.sif, vd - vs, ut);
+    let (vdsat, region) = region_of(i_f, parts.sif, vd - vs, ut);
     MosOp {
         id: parts.id,
         gm: d_vg,
@@ -611,80 +495,12 @@ fn eval_analytic(m: &Mosfet, pre: &Precomputed, vg: f64, vs: f64, vd: f64) -> Mo
     assemble_analytic_op(p, pre, vs, vd, vp, n, dvp, dn, lf, sf, lr, sr, sabs, tt)
 }
 
-/// Scalar finite-difference evaluation (the historical path, preserved
-/// bit for bit): one nominal evaluation plus six central-difference
-/// probes. Each probe recomputes only the pieces its voltage moves: the
-/// gate probes re-derive the pinch-off point (and with it both normalised
-/// currents), the source probe re-derives i_f only, the drain probe i_r
-/// only — every reused value is bit-identical to a full re-evaluation.
-fn eval_fd(m: &Mosfet, pre: &Precomputed, vg: f64, vs: f64, vd: f64) -> MosOp {
-    let p = &m.params;
-    let (vp, n) = pinch_off(p, pre, vg);
-    let i_f = ekv_f((vp - vs) / pre.ut);
-    let i_r = ekv_f((vp - vd) / pre.ut);
-    let veff = 2.0 * n * pre.ut * i_f.sqrt();
-    let sabs = smooth_abs(vd - vs, pre.ut);
-    let id = current_from_parts(p, pre, n, i_f, i_r, sabs);
-
-    // Central differences on the normalised voltages. gm = ∂Id/∂VGS maps to
-    // ∂Id/∂vg; gds to ∂Id/∂vd; gmb = −(∂/∂vg + ∂/∂vs + ∂/∂vd) because a
-    // bulk wiggle moves all three normalised voltages together (sign folded
-    // through twice, so the source-referenced conductances keep NMOS signs).
-    let h = 1e-6;
-    let d_vg = {
-        let probe = |vg_p: f64| {
-            let (vp_p, n_p) = pinch_off(p, pre, vg_p);
-            let if_p = ekv_f((vp_p - vs) / pre.ut);
-            let ir_p = ekv_f((vp_p - vd) / pre.ut);
-            current_from_parts(p, pre, n_p, if_p, ir_p, sabs)
-        };
-        (probe(vg + h) - probe(vg - h)) / (2.0 * h)
-    };
-    let d_vs = {
-        let probe = |vs_p: f64| {
-            let if_p = ekv_f((vp - vs_p) / pre.ut);
-            current_from_parts(p, pre, n, if_p, i_r, smooth_abs(vd - vs_p, pre.ut))
-        };
-        (probe(vs + h) - probe(vs - h)) / (2.0 * h)
-    };
-    let d_vd = {
-        let probe = |vd_p: f64| {
-            let ir_p = ekv_f((vp - vd_p) / pre.ut);
-            current_from_parts(p, pre, n, i_f, ir_p, smooth_abs(vd_p - vs, pre.ut))
-        };
-        (probe(vd + h) - probe(vd - h)) / (2.0 * h)
-    };
-
-    let (vdsat, region) = region_of(i_f, vd - vs, pre.ut);
-    MosOp {
-        id,
-        gm: d_vg,
-        gds: d_vd,
-        gmb: -(d_vg + d_vs + d_vd),
-        inversion: i_f,
-        reverse: i_r,
-        vdsat,
-        veff,
-        vp,
-        slope_n: n,
-        region,
-    }
-}
-
-/// Evaluate on NMOS-normalised voltages, dispatching on the ambient
-/// [`deriv_kind`] and attributing the telemetry counters.
+/// Evaluate on NMOS-normalised voltages, attributing the telemetry
+/// counters.
 fn eval_normalised(m: &Mosfet, pre: &Precomputed, vg: f64, vs: f64, vd: f64) -> MosOp {
     MODEL_EVALS.incr();
-    match deriv_kind() {
-        DerivKind::Analytic => {
-            MODEL_TRANSCENDENTALS.add(TRANSCENDENTALS_ANALYTIC);
-            eval_analytic(m, pre, vg, vs, vd)
-        }
-        DerivKind::FiniteDifference => {
-            MODEL_TRANSCENDENTALS.add(TRANSCENDENTALS_FD);
-            eval_fd(m, pre, vg, vs, vd)
-        }
-    }
+    MODEL_TRANSCENDENTALS.add(TRANSCENDENTALS);
+    eval_analytic(m, pre, vg, vs, vd)
 }
 
 // ---------------------------------------------------------------------------
@@ -779,9 +595,7 @@ impl OpEval {
 ///
 /// Every stage calls the same per-element helpers as the scalar path, so
 /// batched results are bit-identical to calling [`OpEval::eval`] per
-/// device — under either [`DerivKind`] (the finite-difference kind
-/// dispatches each element to the historical scalar code, preserving the
-/// pre-analytic Newton trajectories bitwise).
+/// device.
 #[derive(Debug)]
 pub struct MosBatch {
     devs: Vec<OpEval>,
@@ -795,7 +609,7 @@ pub struct MosBatch {
     vg: Vec<f64>,
     vs: Vec<f64>,
     vd: Vec<f64>,
-    // Stage outputs (analytic path).
+    // Stage outputs.
     vp: Vec<f64>,
     sn: Vec<f64>,
     dvp: Vec<f64>,
@@ -905,80 +719,68 @@ impl MosBatch {
             return;
         }
         MODEL_EVALS.add(n as u64);
-        match deriv_kind() {
-            DerivKind::FiniteDifference => {
-                MODEL_TRANSCENDENTALS.add(TRANSCENDENTALS_FD * n as u64);
-                for i in 0..n {
-                    let d = &self.devs[i];
-                    self.ops
-                        .push(eval_fd(&d.m, &d.pre, self.vg[i], self.vs[i], self.vd[i]));
-                }
-            }
-            DerivKind::Analytic => {
-                MODEL_TRANSCENDENTALS.add(TRANSCENDENTALS_ANALYTIC * n as u64);
-                for v in [
-                    &mut self.vp,
-                    &mut self.sn,
-                    &mut self.dvp,
-                    &mut self.dn,
-                    &mut self.lf,
-                    &mut self.sf,
-                    &mut self.lr,
-                    &mut self.sr,
-                    &mut self.sabs,
-                    &mut self.tt,
-                ] {
-                    v.resize(n, 0.0);
-                }
-                // Stage 1: pinch-off (sqrt group), gate voltage only.
-                for i in 0..n {
-                    let d = &self.devs[i];
-                    let (vp, sn, dvp, dn) = pinch_off_d(&d.m.params, &d.pre, self.vg[i]);
-                    self.vp[i] = vp;
-                    self.sn[i] = sn;
-                    self.dvp[i] = dvp;
-                    self.dn[i] = dn;
-                }
-                // Stage 2: interpolation function and its sigmoid (exp/ln
-                // group), forward and reverse.
-                for i in 0..n {
-                    let ut = self.devs[i].pre.ut;
-                    let (lf, sf) = ln1pexp_sig((self.vp[i] - self.vs[i]) / ut / 2.0);
-                    let (lr, sr) = ln1pexp_sig((self.vp[i] - self.vd[i]) / ut / 2.0);
-                    self.lf[i] = lf;
-                    self.sf[i] = sf;
-                    self.lr[i] = lr;
-                    self.sr[i] = sr;
-                }
-                // Stage 3: smoothed |VDS| and its tanh (cosh/ln/tanh group).
-                for i in 0..n {
-                    let ut = self.devs[i].pre.ut;
-                    let vds_n = self.vd[i] - self.vs[i];
-                    let (sabs, tt) = smooth_abs_pair(vds_n, ut);
-                    self.sabs[i] = sabs;
-                    self.tt[i] = tt;
-                }
-                // Stage 4: pure-arithmetic assembly.
-                for i in 0..n {
-                    let d = &self.devs[i];
-                    self.ops.push(assemble_analytic_op(
-                        &d.m.params,
-                        &d.pre,
-                        self.vs[i],
-                        self.vd[i],
-                        self.vp[i],
-                        self.sn[i],
-                        self.dvp[i],
-                        self.dn[i],
-                        self.lf[i],
-                        self.sf[i],
-                        self.lr[i],
-                        self.sr[i],
-                        self.sabs[i],
-                        self.tt[i],
-                    ));
-                }
-            }
+        MODEL_TRANSCENDENTALS.add(TRANSCENDENTALS * n as u64);
+        for v in [
+            &mut self.vp,
+            &mut self.sn,
+            &mut self.dvp,
+            &mut self.dn,
+            &mut self.lf,
+            &mut self.sf,
+            &mut self.lr,
+            &mut self.sr,
+            &mut self.sabs,
+            &mut self.tt,
+        ] {
+            v.resize(n, 0.0);
+        }
+        // Stage 1: pinch-off (sqrt group), gate voltage only.
+        for i in 0..n {
+            let d = &self.devs[i];
+            let (vp, sn, dvp, dn) = pinch_off_d(&d.m.params, &d.pre, self.vg[i]);
+            self.vp[i] = vp;
+            self.sn[i] = sn;
+            self.dvp[i] = dvp;
+            self.dn[i] = dn;
+        }
+        // Stage 2: interpolation function and its sigmoid (exp/ln
+        // group), forward and reverse.
+        for i in 0..n {
+            let ut = self.devs[i].pre.ut;
+            let (lf, sf) = ln1pexp_sig((self.vp[i] - self.vs[i]) / ut / 2.0);
+            let (lr, sr) = ln1pexp_sig((self.vp[i] - self.vd[i]) / ut / 2.0);
+            self.lf[i] = lf;
+            self.sf[i] = sf;
+            self.lr[i] = lr;
+            self.sr[i] = sr;
+        }
+        // Stage 3: smoothed |VDS| and its tanh (cosh/ln/tanh group).
+        for i in 0..n {
+            let ut = self.devs[i].pre.ut;
+            let vds_n = self.vd[i] - self.vs[i];
+            let (sabs, tt) = smooth_abs_pair(vds_n, ut);
+            self.sabs[i] = sabs;
+            self.tt[i] = tt;
+        }
+        // Stage 4: pure-arithmetic assembly.
+        for i in 0..n {
+            let d = &self.devs[i];
+            self.ops.push(assemble_analytic_op(
+                &d.m.params,
+                &d.pre,
+                self.vs[i],
+                self.vd[i],
+                self.vp[i],
+                self.sn[i],
+                self.dvp[i],
+                self.dn[i],
+                self.lf[i],
+                self.sf[i],
+                self.lr[i],
+                self.sr[i],
+                self.sabs[i],
+                self.tt[i],
+            ));
         }
     }
 
@@ -1187,14 +989,11 @@ mod tests {
     #[test]
     fn evaluation_is_total() {
         let m = nmos(1e-6, 0.6e-6);
-        for kind in [DerivKind::Analytic, DerivKind::FiniteDifference] {
-            let _g = install_deriv(kind);
-            for vgs in [-5.0, -1.0, 0.0, 0.3, 5.0] {
-                for vds in [-5.0, 0.0, 5.0] {
-                    for vbs in [-5.0, 0.0, 1.0] {
-                        let op = evaluate(&m, vgs, vds, vbs);
-                        assert!(op.id.is_finite() && op.gm.is_finite() && op.gds.is_finite());
-                    }
+        for vgs in [-5.0, -1.0, 0.0, 0.3, 5.0] {
+            for vds in [-5.0, 0.0, 5.0] {
+                for vbs in [-5.0, 0.0, 1.0] {
+                    let op = evaluate(&m, vgs, vds, vbs);
+                    assert!(op.id.is_finite() && op.gm.is_finite() && op.gds.is_finite());
                 }
             }
         }
@@ -1215,84 +1014,6 @@ mod tests {
         let op = evaluate(&m, 0.0, 2.0, 0.0);
         assert_eq!(op.region, Region::Cutoff);
         assert!(op.id < 1e-12);
-    }
-
-    #[test]
-    fn probe_reuse_matches_full_finite_differences_bitwise() {
-        // The derivative probes in the finite-difference path recompute
-        // only the pieces their voltage moves; this must be *bit-identical*
-        // to probing the full model, or the FD fallback would not reproduce
-        // the historical Newton trajectories.
-        let _fd = install_deriv(DerivKind::FiniteDifference);
-        let devs = [nmos(12e-6, 0.8e-6), pmos(30e-6, 1.2e-6)];
-        let biases = [(1.25, 1.7, -0.2), (0.6, 0.05, 0.0), (1.8, 2.5, -0.5)];
-        for m in &devs {
-            for &(vgs, vds, vbs) in &biases {
-                let s = m.params.polarity.sign();
-                let (vg, vs, vd) = (s * (vgs - vbs), s * (-vbs), s * (vds - vbs));
-                let op = evaluate(m, vgs, vds, vbs);
-                let h = 1e-6;
-                let id = |vg, vs, vd| drain_current(m, vg, vs, vd, T_NOMINAL).0;
-                let d_vg = (id(vg + h, vs, vd) - id(vg - h, vs, vd)) / (2.0 * h);
-                let d_vs = (id(vg, vs + h, vd) - id(vg, vs - h, vd)) / (2.0 * h);
-                let d_vd = (id(vg, vs, vd + h) - id(vg, vs, vd - h)) / (2.0 * h);
-                assert_eq!(op.gm.to_bits(), d_vg.to_bits());
-                assert_eq!(op.gds.to_bits(), d_vd.to_bits());
-                assert_eq!(op.gmb.to_bits(), (-(d_vg + d_vs + d_vd)).to_bits());
-                assert_eq!(op.id.to_bits(), id(vg, vs, vd).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn analytic_and_fd_share_the_value_path_bitwise() {
-        // The two derivative kinds must agree on everything except the
-        // conductances: id, the normalised currents, vp, n, veff, vdsat
-        // and the region classification come from the identical
-        // expressions in the identical order.
-        let devs = [nmos(12e-6, 0.8e-6), pmos(30e-6, 1.2e-6)];
-        let biases = [
-            (1.25, 1.7, -0.2),
-            (0.6, 0.05, 0.0),
-            (1.8, 2.5, -0.5),
-            (0.0, 1.0, 0.0),
-        ];
-        for m in &devs {
-            for &(vgs, vds, vbs) in &biases {
-                let (svgs, svds, svbs) = {
-                    let s = m.params.polarity.sign();
-                    (s * vgs, s * vds, s * vbs)
-                };
-                let op_a = {
-                    let _g = install_deriv(DerivKind::Analytic);
-                    evaluate(m, svgs, svds, svbs)
-                };
-                let op_f = {
-                    let _g = install_deriv(DerivKind::FiniteDifference);
-                    evaluate(m, svgs, svds, svbs)
-                };
-                assert_eq!(op_a.id.to_bits(), op_f.id.to_bits());
-                assert_eq!(op_a.inversion.to_bits(), op_f.inversion.to_bits());
-                assert_eq!(op_a.reverse.to_bits(), op_f.reverse.to_bits());
-                assert_eq!(op_a.vdsat.to_bits(), op_f.vdsat.to_bits());
-                assert_eq!(op_a.veff.to_bits(), op_f.veff.to_bits());
-                assert_eq!(op_a.vp.to_bits(), op_f.vp.to_bits());
-                assert_eq!(op_a.slope_n.to_bits(), op_f.slope_n.to_bits());
-                assert_eq!(op_a.region, op_f.region);
-                // Conductances agree to FD truncation accuracy.
-                for (a, f) in [
-                    (op_a.gm, op_f.gm),
-                    (op_a.gds, op_f.gds),
-                    (op_a.gmb, op_f.gmb),
-                ] {
-                    let scale = a.abs().max(f.abs()).max(1e-18);
-                    assert!(
-                        (a - f).abs() / scale < 1e-5,
-                        "analytic {a:e} vs fd {f:e} at ({svgs}, {svds}, {svbs})"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -1318,7 +1039,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_bitwise_under_both_kinds() {
+    fn batch_matches_scalar_bitwise() {
         let devs = [
             nmos(12e-6, 0.8e-6),
             pmos(30e-6, 1.2e-6),
@@ -1331,26 +1052,19 @@ mod tests {
             (0.55, 1.0, 0.0),
             (-2.0, -0.1, 0.0),
         ];
-        for kind in [DerivKind::Analytic, DerivKind::FiniteDifference] {
-            let _g = install_deriv(kind);
-            let mut batch = MosBatch::new();
-            // Two passes over the same slots: the second reuses the cached
-            // evaluators (the Newton-iteration pattern).
-            for pass in 0..2 {
-                batch.begin();
-                for (m, &(vgs, vds, vbs)) in devs.iter().zip(&biases) {
-                    batch.bias(m, vgs, vds, vbs);
-                }
-                assert_eq!(batch.len(), devs.len());
-                batch.evaluate_all();
-                for (i, (m, &(vgs, vds, vbs))) in devs.iter().zip(&biases).enumerate() {
-                    let scalar = evaluate(m, vgs, vds, vbs);
-                    assert_eq!(
-                        *batch.op(i),
-                        scalar,
-                        "kind {kind:?} pass {pass} device {i} diverged"
-                    );
-                }
+        let mut batch = MosBatch::new();
+        // Two passes over the same slots: the second reuses the cached
+        // evaluators (the Newton-iteration pattern).
+        for pass in 0..2 {
+            batch.begin();
+            for (m, &(vgs, vds, vbs)) in devs.iter().zip(&biases) {
+                batch.bias(m, vgs, vds, vbs);
+            }
+            assert_eq!(batch.len(), devs.len());
+            batch.evaluate_all();
+            for (i, (m, &(vgs, vds, vbs))) in devs.iter().zip(&biases).enumerate() {
+                let scalar = evaluate(m, vgs, vds, vbs);
+                assert_eq!(*batch.op(i), scalar, "pass {pass} device {i} diverged");
             }
         }
     }
@@ -1421,21 +1135,6 @@ mod tests {
         assert_ne!(slow, m);
         assert!(OpEval::new(&m, T_NOMINAL).matches(&clean, T_NOMINAL));
         assert!(!OpEval::new(&m, T_NOMINAL).matches(&slow, T_NOMINAL));
-    }
-
-    #[test]
-    fn deriv_kind_install_is_scoped() {
-        let ambient = deriv_kind();
-        {
-            let _g = install_deriv(DerivKind::FiniteDifference);
-            assert_eq!(deriv_kind(), DerivKind::FiniteDifference);
-            {
-                let _h = install_deriv(DerivKind::Analytic);
-                assert_eq!(deriv_kind(), DerivKind::Analytic);
-            }
-            assert_eq!(deriv_kind(), DerivKind::FiniteDifference);
-        }
-        assert_eq!(deriv_kind(), ambient);
     }
 
     #[test]

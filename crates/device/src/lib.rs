@@ -40,10 +40,7 @@ pub mod noise;
 pub mod solve;
 
 pub use caps::IntrinsicCaps;
-pub use ekv::{
-    deriv_kind, evaluate, evaluate_at, install_deriv, DerivGuard, DerivKind, MosBatch, MosOp,
-    OpEval, Region,
-};
+pub use ekv::{evaluate, evaluate_at, MosBatch, MosOp, OpEval, Region};
 pub use folding::{DiffusionGeometry, DrainPosition, FoldSpec};
 pub use losac_tech::{MosParams, Polarity};
 

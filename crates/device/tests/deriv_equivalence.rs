@@ -1,14 +1,15 @@
 //! Analytic-vs-finite-difference equivalence gates for the EKV model
 //! (DESIGN §6j, tier "tolerance-gated").
 //!
-//! The analytic derivatives must agree with central differences of the
-//! very same current expression everywhere the current is smooth — across
-//! both polarities, all operating regions and a range of temperatures —
-//! and must be *better* than central differences at the two pinch-off
-//! clamp boundaries, where a straddling probe averages two regimes and
-//! returns a step-size-dependent answer.
+//! The oracle is central differences of the public
+//! [`OpEval::drain_current`], the very current expression the model
+//! differentiates. The analytic derivatives must agree with it everywhere
+//! the current is smooth — across both polarities, all operating regions
+//! and a range of temperatures — and must be *better* than central
+//! differences at the two pinch-off clamp boundaries, where a straddling
+//! probe averages two regimes and returns a step-size-dependent answer.
 
-use losac_device::ekv::{evaluate_at, install_deriv, DerivKind, OpEval};
+use losac_device::ekv::{evaluate_at, OpEval};
 use losac_device::Mosfet;
 use losac_tech::units::T_NOMINAL;
 use losac_tech::{MosParams, Technology};
@@ -39,7 +40,7 @@ const ARG_CLAMP: f64 = 1e-12;
 const PV_CLAMP: f64 = 0.05;
 const VT_TEMP_COEFF: f64 = -2.0e-3;
 
-/// The FD probe step used by the model's finite-difference path.
+/// The central-difference probe step (1 µV).
 const H: f64 = 1e-6;
 
 /// Temperature-shifted threshold and the pinch-off constant `a`, from
@@ -91,28 +92,22 @@ fn analytic_matches_central_differences_on_randomised_grid() {
                 if near_clamp_kink(&m, vgs, vds, vbs, temp_k, 5.0 * H) {
                     continue;
                 }
-                let op_a = {
-                    let _g = install_deriv(DerivKind::Analytic);
-                    evaluate_at(&m, vgs, vds, vbs, temp_k)
-                };
-                let op_f = {
-                    let _g = install_deriv(DerivKind::FiniteDifference);
-                    evaluate_at(&m, vgs, vds, vbs, temp_k)
-                };
-                // Value path is shared bit for bit.
-                assert_eq!(op_a.id.to_bits(), op_f.id.to_bits());
-                assert_eq!(op_a.region, op_f.region);
+                let ev = OpEval::new(&m, temp_k);
+                let op_a = evaluate_at(&m, vgs, vds, vbs, temp_k);
+                // The oracle differentiates the current the model reports.
+                assert_eq!(op_a.id.to_bits(), ev.drain_current(vgs, vds, vbs).to_bits());
+                let (gm_f, gds_f, gmb_f) = fd_conductances(&ev, vgs, vds, vbs, H);
                 // Derivatives agree to FD truncation accuracy: documented
                 // tolerance 1e-5 relative per conductance, with a small
                 // cushion against cancellation in near-zero conductances
                 // (gmb sums three terms that can nearly cancel).
-                let gmax = [op_a.gm, op_a.gds, op_a.gmb, op_f.gm, op_f.gds, op_f.gmb]
+                let gmax = [op_a.gm, op_a.gds, op_a.gmb, gm_f, gds_f, gmb_f]
                     .iter()
                     .fold(0.0f64, |acc, v| acc.max(v.abs()));
                 for (what, a, f) in [
-                    ("gm", op_a.gm, op_f.gm),
-                    ("gds", op_a.gds, op_f.gds),
-                    ("gmb", op_a.gmb, op_f.gmb),
+                    ("gm", op_a.gm, gm_f),
+                    ("gds", op_a.gds, gds_f),
+                    ("gmb", op_a.gmb, gmb_f),
                 ] {
                     let tol = 1e-5 * a.abs().max(f.abs()) + 1e-9 * gmax + 1e-25;
                     assert!(
@@ -142,17 +137,31 @@ fn analytic_matches_central_differences_on_randomised_grid() {
     );
 }
 
-/// Manual central difference of the drain current over `2·h`, probing
-/// through the same cached-precomputation evaluator the model uses.
+/// Central differences `(gm, gds, gmb)` of the drain current over `2·h`
+/// in VGS, VDS and VBS. The biases are in the device's natural signs and
+/// the current is polarity-normalised, so each slope carries the
+/// polarity sign to land in the model's convention.
+fn fd_conductances(ev: &OpEval, vgs: f64, vds: f64, vbs: f64, h: f64) -> (f64, f64, f64) {
+    let s = ev.device().params.polarity.sign();
+    let slope = |lo: f64, hi: f64| s * (hi - lo) / (2.0 * h);
+    let id = |vgs, vds, vbs| ev.drain_current(vgs, vds, vbs);
+    (
+        slope(id(vgs - h, vds, vbs), id(vgs + h, vds, vbs)),
+        slope(id(vgs, vds - h, vbs), id(vgs, vds + h, vbs)),
+        slope(id(vgs, vds, vbs - h), id(vgs, vds, vbs + h)),
+    )
+}
+
+/// Central-difference gm over `2·h`.
 fn fd_gm(ev: &OpEval, vgs: f64, vds: f64, vbs: f64, h: f64) -> f64 {
-    (ev.drain_current(vgs + h, vds, vbs) - ev.drain_current(vgs - h, vds, vbs)) / (2.0 * h)
+    fd_conductances(ev, vgs, vds, vbs, h).0
 }
 
 #[test]
 fn sqrt_arg_clamp_boundary_gm_is_clamp_consistent() {
     // Clamp 1: `arg.max(1e-12)` inside the pinch-off square root. Place
     // the bias *inside* the clamp, within one probe step of the boundary,
-    // so the model's own central difference straddles the kink.
+    // so a central difference at step `H` straddles the kink.
     let m = Mosfet::new(Technology::cmos06().nmos, 12e-6, 0.8e-6);
     let p = &m.params;
     let (vt0_t, a) = vt0_t_and_a(p, T_NOMINAL);
@@ -167,14 +176,8 @@ fn sqrt_arg_clamp_boundary_gm_is_clamp_consistent() {
     let reference = fd_gm(&ev, vgs, vds, vbs, 0.1 * H);
     assert!(reference > 0.0);
 
-    let analytic = {
-        let _g = install_deriv(DerivKind::Analytic);
-        evaluate_at(&m, vgs, vds, vbs, T_NOMINAL).gm
-    };
-    let straddling = {
-        let _g = install_deriv(DerivKind::FiniteDifference);
-        evaluate_at(&m, vgs, vds, vbs, T_NOMINAL).gm
-    };
+    let analytic = evaluate_at(&m, vgs, vds, vbs, T_NOMINAL).gm;
+    let straddling = fd_gm(&ev, vgs, vds, vbs, H);
 
     let rel = |x: f64| (x - reference).abs() / reference.abs();
     // Inside the clamp the analytic slope (frozen √arg term, dvp = 1) is
@@ -220,14 +223,8 @@ fn slope_factor_clamp_boundary_gm_is_clamp_consistent() {
     let reference = fd_gm(&ev, vgs, vds, vbs, 0.1 * H);
     assert!(reference > 0.0);
 
-    let analytic = {
-        let _g = install_deriv(DerivKind::Analytic);
-        evaluate_at(&m, vgs, vds, vbs, T_NOMINAL).gm
-    };
-    let straddling = {
-        let _g = install_deriv(DerivKind::FiniteDifference);
-        evaluate_at(&m, vgs, vds, vbs, T_NOMINAL).gm
-    };
+    let analytic = evaluate_at(&m, vgs, vds, vbs, T_NOMINAL).gm;
+    let straddling = fd_gm(&ev, vgs, vds, vbs, H);
 
     let rel = |x: f64| (x - reference).abs() / reference.abs();
     // The kink here is milder than clamp 1 (only dn jumps, by
@@ -240,22 +237,4 @@ fn slope_factor_clamp_boundary_gm_is_clamp_consistent() {
         rel(straddling),
         rel(analytic)
     );
-}
-
-#[test]
-fn fd_fallback_is_deterministic_and_selectable() {
-    // Two FD evaluations of the same point are bitwise identical, and the
-    // guard restores the ambient kind (whatever `LOSAC_DERIV` says — CI
-    // runs this suite under both settings).
-    let m = Mosfet::new(Technology::cmos06().nmos, 12e-6, 0.8e-6);
-    let ambient = losac_device::deriv_kind();
-    let (a, b) = {
-        let _g = install_deriv(DerivKind::FiniteDifference);
-        (
-            evaluate_at(&m, 1.2, 1.5, -0.2, T_NOMINAL),
-            evaluate_at(&m, 1.2, 1.5, -0.2, T_NOMINAL),
-        )
-    };
-    assert_eq!(a, b);
-    assert_eq!(losac_device::deriv_kind(), ambient);
 }

@@ -2,7 +2,7 @@
 //! batches.
 
 use crate::job::{JobOutcome, SynthesisJob};
-use crate::pool::{panic_message, run_indexed, PoolOutcome, QueueKind};
+use crate::pool::{panic_message, run_indexed, PoolOutcome};
 use crate::telemetry::{collect_design_points, BatchTelemetry, YieldRow};
 use losac_core::cases::{run_case_with, CaseError};
 use losac_core::flow::{FlowControl, FlowError};
@@ -99,20 +99,11 @@ fn backoff_sleep(
 }
 
 /// Engine configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct EngineOptions {
     /// Worker threads; `0` means [`std::thread::available_parallelism`].
     pub workers: usize,
-    /// Queue implementation handing jobs to the workers.
-    pub queue: QueueKind,
-    /// Simulator threads *inside* each job (AC/noise sweep fan-out and
-    /// the concurrent slew-rate transient — see
-    /// [`losac_sizing::EvalOptions::threads`]). Defaults to `1`: batch
-    /// parallelism normally comes from `workers`, so raise this only for
-    /// small batches on wide machines. `0` means auto. Results are
-    /// bitwise identical at any setting.
-    pub sim_threads: usize,
     /// Shared evaluation cache. `None` (the default, and the historical
     /// behaviour) gives each batch a fresh in-memory cache; a daemon
     /// passes one cache — possibly disk-backed via
@@ -124,18 +115,6 @@ pub struct EngineOptions {
     /// their next phase boundary as [`JobOutcome::TimedOut`]. `None`
     /// means no batch deadline.
     pub deadline: Option<Instant>,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        Self {
-            workers: 0,
-            queue: QueueKind::default(),
-            sim_threads: 1,
-            cache: None,
-            deadline: None,
-        }
-    }
 }
 
 impl EngineOptions {
@@ -153,13 +132,6 @@ impl EngineOptions {
             workers,
             ..Self::default()
         }
-    }
-
-    /// Same options with an explicit per-job simulator thread count.
-    #[must_use]
-    pub fn with_sim_threads(mut self, sim_threads: usize) -> Self {
-        self.sim_threads = sim_threads;
-        self
     }
 
     fn resolved_workers(&self) -> usize {
@@ -187,18 +159,6 @@ impl EngineOptionsBuilder {
     /// Worker threads (see [`EngineOptions::workers`]).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.opts.workers = workers;
-        self
-    }
-
-    /// Queue implementation (see [`EngineOptions::queue`]).
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.opts.queue = queue;
-        self
-    }
-
-    /// Per-job simulator threads (see [`EngineOptions::sim_threads`]).
-    pub fn with_sim_threads(mut self, sim_threads: usize) -> Self {
-        self.opts.sim_threads = sim_threads;
         self
     }
 
@@ -319,8 +279,7 @@ impl Engine {
     ///   stops are never retried, and without a policy behaviour is
     ///   unchanged from earlier releases;
     /// * outcomes are a pure function of (jobs, cancellation): the
-    ///   worker count and queue kind never change what comes back, only
-    ///   how fast.
+    ///   worker count never changes what comes back, only how fast.
     pub fn run_batch(&self, jobs: Vec<SynthesisJob>) -> BatchResult {
         let n = jobs.len();
         let workers = self.opts.resolved_workers().clamp(1, n.max(1));
@@ -368,153 +327,145 @@ impl Engine {
             .clone()
             .unwrap_or_else(|| Arc::new(losac_sizing::EvalCache::new()));
 
-        let (pool_out, stats) = run_indexed(
-            workers,
-            self.opts.queue,
-            jobs,
-            &self.stop,
-            |i, job: SynthesisJob| {
-                let _job_span = losac_obs::span_with(
-                    "engine.job",
-                    vec![f("job", i as u64), f("label", job.label.as_str())],
-                );
-                let busy_now = busy.fetch_add(1, Ordering::Relaxed) + 1;
-                let done_now = done.load(Ordering::Relaxed);
+        let (pool_out, stats) = run_indexed(workers, jobs, &self.stop, |i, job: SynthesisJob| {
+            let _job_span = losac_obs::span_with(
+                "engine.job",
+                vec![f("job", i as u64), f("label", job.label.as_str())],
+            );
+            let busy_now = busy.fetch_add(1, Ordering::Relaxed) + 1;
+            let done_now = done.load(Ordering::Relaxed);
+            losac_obs::event(
+                "engine.job.start",
+                &[
+                    f("job", i as u64),
+                    f("label", job.label.as_str()),
+                    f("busy", busy_now as u64),
+                    f("queued", n.saturating_sub(done_now + busy_now) as u64),
+                ],
+            );
+            let begun = Instant::now();
+            // One deadline for the whole job: every attempt and
+            // every backoff sleep counts against the same budget,
+            // clamped under the batch-wide deadline when one is set.
+            let control_proto = {
+                let mut c = FlowControl::new().with_stop(self.stop.clone());
+                if let Some(b) = job.budget {
+                    c = c.with_deadline(begun + b);
+                }
+                if let Some(d) = self.opts.deadline {
+                    c = c.with_deadline_earliest(d);
+                }
+                c
+            };
+            let deadline = control_proto.deadline();
+            // The fault plan is installed once, outside the attempt
+            // loop, so its hit counters persist across retries — a
+            // `once` fault fails attempt 1 and spares attempt 2.
+            #[cfg(feature = "failpoints")]
+            let _fail_guard = job.fail_plan.clone().map(losac_obs::failpoint::install);
+            let retry = job.retry.clone().filter(|p| p.max_attempts > 1);
+            let mut attempt: u32 = 1;
+            let mut last_error: Option<String> = None;
+            let outcome = loop {
                 losac_obs::event(
-                    "engine.job.start",
-                    &[
-                        f("job", i as u64),
-                        f("label", job.label.as_str()),
-                        f("busy", busy_now as u64),
-                        f("queued", n.saturating_sub(done_now + busy_now) as u64),
-                    ],
+                    "engine.job.attempt",
+                    &[f("job", i as u64), f("attempt", u64::from(attempt))],
                 );
-                let begun = Instant::now();
-                // One deadline for the whole job: every attempt and
-                // every backoff sleep counts against the same budget,
-                // clamped under the batch-wide deadline when one is set.
-                let control_proto = {
-                    let mut c = FlowControl::new().with_stop(self.stop.clone());
-                    if let Some(b) = job.budget {
-                        c = c.with_deadline(begun + b);
+                // Per-attempt catch_unwind so a panicking attempt is
+                // retryable; the pool's own catch_unwind stays as a
+                // backstop for this orchestration code itself.
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    let mut opts = job.case_options(control_proto.clone());
+                    opts.eval.cache = Some(eval_cache.clone());
+                    run_case_with(&job.tech, &job.specs, job.case, &opts)
+                }));
+                match classify(run) {
+                    Attempt::Success(res) => {
+                        break if attempt == 1 {
+                            JobOutcome::Finished(res)
+                        } else {
+                            JobOutcome::Degraded {
+                                attempts: attempt,
+                                last_error: last_error.take().unwrap_or_default(),
+                                partial: Some(res),
+                            }
+                        };
                     }
-                    if let Some(d) = self.opts.deadline {
-                        c = c.with_deadline_earliest(d);
-                    }
-                    c
-                };
-                let deadline = control_proto.deadline();
-                // The fault plan is installed once, outside the attempt
-                // loop, so its hit counters persist across retries — a
-                // `once` fault fails attempt 1 and spares attempt 2.
-                #[cfg(feature = "failpoints")]
-                let _fail_guard = job.fail_plan.clone().map(losac_obs::failpoint::install);
-                let retry = job.retry.clone().filter(|p| p.max_attempts > 1);
-                let mut attempt: u32 = 1;
-                let mut last_error: Option<String> = None;
-                let outcome = loop {
-                    losac_obs::event(
-                        "engine.job.attempt",
-                        &[f("job", i as u64), f("attempt", u64::from(attempt))],
-                    );
-                    // Per-attempt catch_unwind so a panicking attempt is
-                    // retryable; the pool's own catch_unwind stays as a
-                    // backstop for this orchestration code itself.
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        let mut opts = job.case_options(control_proto.clone());
-                        opts.eval.threads = self.opts.sim_threads;
-                        opts.eval.cache = Some(eval_cache.clone());
-                        run_case_with(&job.tech, &job.specs, job.case, &opts)
-                    }));
-                    match classify(run) {
-                        Attempt::Success(res) => {
-                            break if attempt == 1 {
-                                JobOutcome::Finished(res)
-                            } else {
+                    Attempt::Terminal(o) => break o,
+                    Attempt::Permanent(e) => break JobOutcome::Failed(e),
+                    Attempt::Transient { message, error } => {
+                        let can_retry = retry.as_ref().is_some_and(|p| attempt < p.max_attempts);
+                        if !can_retry {
+                            break if attempt > 1 {
                                 JobOutcome::Degraded {
                                     attempts: attempt,
-                                    last_error: last_error.take().unwrap_or_default(),
-                                    partial: Some(res),
+                                    last_error: message,
+                                    partial: None,
                                 }
+                            } else if let Some(e) = error {
+                                JobOutcome::Failed(e)
+                            } else {
+                                JobOutcome::Panicked(message)
                             };
                         }
-                        Attempt::Terminal(o) => break o,
-                        Attempt::Permanent(e) => break JobOutcome::Failed(e),
-                        Attempt::Transient { message, error } => {
-                            let can_retry =
-                                retry.as_ref().is_some_and(|p| attempt < p.max_attempts);
-                            if !can_retry {
-                                break if attempt > 1 {
-                                    JobOutcome::Degraded {
-                                        attempts: attempt,
-                                        last_error: message,
-                                        partial: None,
-                                    }
-                                } else if let Some(e) = error {
-                                    JobOutcome::Failed(e)
-                                } else {
-                                    JobOutcome::Panicked(message)
-                                };
-                            }
-                            let policy = retry.as_ref().expect("can_retry implies a policy");
-                            ENGINE_JOB_RETRIES.incr();
-                            job_retries[i].fetch_add(1, Ordering::Relaxed);
-                            let delay = policy.backoff(i, attempt);
-                            ENGINE_RETRY_BACKOFF_MS.observe_duration(delay);
-                            losac_obs::event(
-                                "engine.job.retry",
-                                &[
-                                    f("job", i as u64),
-                                    f("attempt", u64::from(attempt)),
-                                    f("error", message.as_str()),
-                                    f("backoff_ms", delay.as_secs_f64() * 1e3),
-                                ],
-                            );
-                            if let Some(o) = backoff_sleep(delay, &self.stop, deadline) {
-                                break o;
-                            }
-                            last_error = Some(message);
-                            attempt += 1;
+                        let policy = retry.as_ref().expect("can_retry implies a policy");
+                        ENGINE_JOB_RETRIES.incr();
+                        job_retries[i].fetch_add(1, Ordering::Relaxed);
+                        let delay = policy.backoff(i, attempt);
+                        ENGINE_RETRY_BACKOFF_MS.observe_duration(delay);
+                        losac_obs::event(
+                            "engine.job.retry",
+                            &[
+                                f("job", i as u64),
+                                f("attempt", u64::from(attempt)),
+                                f("error", message.as_str()),
+                                f("backoff_ms", delay.as_secs_f64() * 1e3),
+                            ],
+                        );
+                        if let Some(o) = backoff_sleep(delay, &self.stop, deadline) {
+                            break o;
                         }
+                        last_error = Some(message);
+                        attempt += 1;
                     }
-                };
-                if let JobOutcome::Degraded { attempts, .. } = &outcome {
-                    ENGINE_JOB_DEGRADED.incr();
-                    losac_obs::event(
-                        "engine.job.degraded",
-                        &[f("job", i as u64), f("attempts", u64::from(*attempts))],
-                    );
                 }
-                let elapsed = begun.elapsed();
-                *job_times[i].lock().expect("job time lock poisoned") = elapsed;
-                ENGINE_JOB_MS.observe_duration(elapsed);
-                batch_job_ms.observe_duration(elapsed);
-                let done_now = done.fetch_add(1, Ordering::Relaxed) + 1;
-                let busy_now = busy.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
-                let (hits, misses) = (
-                    EVAL_CACHE_HITS.get().saturating_sub(cache_base.0),
-                    EVAL_CACHE_MISSES.get().saturating_sub(cache_base.1),
-                );
-                let cache_hit_rate = if hits + misses > 0 {
-                    hits as f64 / (hits + misses) as f64
-                } else {
-                    0.0
-                };
+            };
+            if let JobOutcome::Degraded { attempts, .. } = &outcome {
+                ENGINE_JOB_DEGRADED.incr();
                 losac_obs::event(
-                    "engine.job.done",
-                    &[
-                        f("job", i as u64),
-                        f("status", outcome.status()),
-                        f("ms", elapsed.as_secs_f64() * 1e3),
-                        f("done", done_now as u64),
-                        f("total", n as u64),
-                        f("busy", busy_now as u64),
-                        f("cache_hit_rate", cache_hit_rate),
-                    ],
+                    "engine.job.degraded",
+                    &[f("job", i as u64), f("attempts", u64::from(*attempts))],
                 );
-                outcome
-            },
-        );
+            }
+            let elapsed = begun.elapsed();
+            *job_times[i].lock().expect("job time lock poisoned") = elapsed;
+            ENGINE_JOB_MS.observe_duration(elapsed);
+            batch_job_ms.observe_duration(elapsed);
+            let done_now = done.fetch_add(1, Ordering::Relaxed) + 1;
+            let busy_now = busy.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
+            let (hits, misses) = (
+                EVAL_CACHE_HITS.get().saturating_sub(cache_base.0),
+                EVAL_CACHE_MISSES.get().saturating_sub(cache_base.1),
+            );
+            let cache_hit_rate = if hits + misses > 0 {
+                hits as f64 / (hits + misses) as f64
+            } else {
+                0.0
+            };
+            losac_obs::event(
+                "engine.job.done",
+                &[
+                    f("job", i as u64),
+                    f("status", outcome.status()),
+                    f("ms", elapsed.as_secs_f64() * 1e3),
+                    f("done", done_now as u64),
+                    f("total", n as u64),
+                    f("busy", busy_now as u64),
+                    f("cache_hit_rate", cache_hit_rate),
+                ],
+            );
+            outcome
+        });
 
         let outcomes: Vec<JobOutcome> = pool_out
             .into_iter()

@@ -12,8 +12,7 @@
 //!   old free-function API buried in `run_case`;
 //! * [`Engine`] / [`EngineOptions`] — a std-only scoped-thread worker
 //!   pool ([`pool`]), `workers = 0` meaning
-//!   [`std::thread::available_parallelism`], with a choice of job queue
-//!   ([`QueueKind`]);
+//!   [`std::thread::available_parallelism`];
 //! * [`Engine::run_batch`] — deterministic result ordering (outcomes are
 //!   indexed by submission order regardless of completion order), per-job
 //!   panic isolation ([`JobOutcome::Panicked`]), per-job wall-clock
@@ -61,7 +60,6 @@ mod telemetry;
 
 pub use engine::{BatchResult, CancelToken, Engine, EngineOptions, EngineOptionsBuilder};
 pub use job::{JobOutcome, RetryPolicy, SynthesisJob};
-pub use pool::QueueKind;
 pub use sweep::{SpecAxis, SweepBuilder};
 pub use telemetry::{BatchTelemetry, DesignPointYield, MetricSpread};
 

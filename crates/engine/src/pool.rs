@@ -1,8 +1,7 @@
 //! A std-only, crossbeam-free worker pool over scoped threads.
 //!
-//! Jobs are claimed from a shared queue (either a [`Mutex`]-guarded
-//! [`VecDeque`] or an atomic-index array — see [`QueueKind`]) and their
-//! results are written into per-submission-index slots, so the output
+//! Jobs are claimed from a shared [`Mutex`]-guarded [`VecDeque`] and
+//! their results are written into per-submission-index slots, so the output
 //! order is **always** the submission order regardless of which worker
 //! finished first. Each job runs under [`std::panic::catch_unwind`]: a
 //! panicking job yields [`PoolOutcome::Panicked`] and the worker moves on
@@ -15,21 +14,9 @@
 use losac_obs::f;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Which queue implementation hands jobs to the workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// One shared `Mutex<VecDeque>`; workers pop the front. Simple and
-    /// fair, one lock acquisition per claim.
-    Locked,
-    /// Jobs pre-placed in an array; workers claim the next index with a
-    /// single `fetch_add`. No contention on the hot path.
-    #[default]
-    Atomic,
-}
 
 /// What happened to one submitted item.
 #[derive(Debug)]
@@ -61,43 +48,6 @@ pub struct WorkerStats {
     pub jobs: usize,
 }
 
-enum Queue<T> {
-    Locked(Mutex<VecDeque<(usize, T)>>),
-    Atomic {
-        next: AtomicUsize,
-        slots: Vec<Mutex<Option<T>>>,
-    },
-}
-
-impl<T> Queue<T> {
-    fn new(kind: QueueKind, items: Vec<T>) -> Self {
-        match kind {
-            QueueKind::Locked => Queue::Locked(Mutex::new(items.into_iter().enumerate().collect())),
-            QueueKind::Atomic => Queue::Atomic {
-                next: AtomicUsize::new(0),
-                slots: items.into_iter().map(|t| Mutex::new(Some(t))).collect(),
-            },
-        }
-    }
-
-    /// Claim the next item, or `None` when the queue is drained.
-    fn claim(&self) -> Option<(usize, T)> {
-        match self {
-            Queue::Locked(q) => q.lock().expect("queue lock poisoned").pop_front(),
-            Queue::Atomic { next, slots } => {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let slot = slots.get(i)?;
-                let item = slot
-                    .lock()
-                    .expect("slot lock poisoned")
-                    .take()
-                    .expect("atomic queue slot claimed twice");
-                Some((i, item))
-            }
-        }
-    }
-}
-
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -117,7 +67,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// not yet claimed when it is raised come back [`PoolOutcome::Skipped`].
 pub fn run_indexed<T, R, F>(
     workers: usize,
-    queue: QueueKind,
     items: Vec<T>,
     stop: &AtomicBool,
     work: F,
@@ -132,7 +81,7 @@ where
         return (Vec::new(), Vec::new());
     }
     let workers = workers.clamp(1, n);
-    let queue = Queue::new(queue, items);
+    let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
     let results: Vec<Mutex<Option<PoolOutcome<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let stats: Vec<Mutex<WorkerStats>> = (0..workers)
         .map(|_| Mutex::new(WorkerStats::default()))
@@ -149,7 +98,8 @@ where
                     losac_obs::span_with("engine.worker", vec![f("worker", w as u64)]);
                 let mut local = WorkerStats::default();
                 while !stop.load(Ordering::Relaxed) {
-                    let Some((i, item)) = queue.claim() else {
+                    let claimed = queue.lock().expect("queue lock poisoned").pop_front();
+                    let Some((i, item)) = claimed else {
                         break;
                     };
                     let begun = Instant::now();
@@ -192,45 +142,41 @@ mod tests {
 
     #[test]
     fn results_come_back_in_submission_order() {
-        for queue in [QueueKind::Locked, QueueKind::Atomic] {
-            for workers in [1, 4] {
-                let items: Vec<u64> = (0..16).collect();
-                let stop = no_stop();
-                let (out, stats) = run_indexed(workers, queue, items, &stop, |i, v| {
-                    // Earlier jobs sleep longer, so completion order is
-                    // roughly the reverse of submission order.
-                    std::thread::sleep(Duration::from_millis(8u64.saturating_sub(i as u64 / 2)));
-                    v * 10
-                });
-                let got: Vec<u64> = out.iter().map(|o| *o.done().unwrap()).collect();
-                let want: Vec<u64> = (0..16).map(|v| v * 10).collect();
-                assert_eq!(got, want, "queue {queue:?}, {workers} workers");
-                assert_eq!(stats.len(), workers.min(16));
-                assert_eq!(stats.iter().map(|s| s.jobs).sum::<usize>(), 16);
-            }
+        for workers in [1, 4] {
+            let items: Vec<u64> = (0..16).collect();
+            let stop = no_stop();
+            let (out, stats) = run_indexed(workers, items, &stop, |i, v| {
+                // Earlier jobs sleep longer, so completion order is
+                // roughly the reverse of submission order.
+                std::thread::sleep(Duration::from_millis(8u64.saturating_sub(i as u64 / 2)));
+                v * 10
+            });
+            let got: Vec<u64> = out.iter().map(|o| *o.done().unwrap()).collect();
+            let want: Vec<u64> = (0..16).map(|v| v * 10).collect();
+            assert_eq!(got, want, "{workers} workers");
+            assert_eq!(stats.len(), workers.min(16));
+            assert_eq!(stats.iter().map(|s| s.jobs).sum::<usize>(), 16);
         }
     }
 
     #[test]
     fn a_panicking_job_does_not_poison_the_pool() {
-        for queue in [QueueKind::Locked, QueueKind::Atomic] {
-            let items: Vec<u32> = (0..8).collect();
-            let stop = no_stop();
-            let (out, _) = run_indexed(4, queue, items, &stop, |_, v| {
-                assert!(v != 3, "job {v} exploded");
-                v
-            });
-            for (i, o) in out.iter().enumerate() {
-                if i == 3 {
-                    match o {
-                        PoolOutcome::Panicked(msg) => {
-                            assert!(msg.contains("job 3 exploded"), "{msg}")
-                        }
-                        other => panic!("expected Panicked, got {other:?}"),
+        let items: Vec<u32> = (0..8).collect();
+        let stop = no_stop();
+        let (out, _) = run_indexed(4, items, &stop, |_, v| {
+            assert!(v != 3, "job {v} exploded");
+            v
+        });
+        for (i, o) in out.iter().enumerate() {
+            if i == 3 {
+                match o {
+                    PoolOutcome::Panicked(msg) => {
+                        assert!(msg.contains("job 3 exploded"), "{msg}")
                     }
-                } else {
-                    assert_eq!(*o.done().unwrap(), i as u32, "queue {queue:?}");
+                    other => panic!("expected Panicked, got {other:?}"),
                 }
+            } else {
+                assert_eq!(*o.done().unwrap(), i as u32);
             }
         }
     }
@@ -239,29 +185,26 @@ mod tests {
     fn raising_the_stop_flag_skips_pending_jobs() {
         // One worker, sequential claims: job 0 raises the flag, so jobs
         // 1.. must never run.
-        for queue in [QueueKind::Locked, QueueKind::Atomic] {
-            let stop = no_stop();
-            let ran = AtomicUsize::new(0);
-            let (out, _) = run_indexed(1, queue, vec![0, 1, 2, 3], &stop, |i, _| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                if i == 0 {
-                    stop.store(true, Ordering::Relaxed);
-                }
-                i
-            });
-            assert_eq!(ran.load(Ordering::Relaxed), 1, "queue {queue:?}");
-            assert!(matches!(out[0], PoolOutcome::Done(0)));
-            for o in &out[1..] {
-                assert!(matches!(o, PoolOutcome::Skipped), "queue {queue:?}: {o:?}");
+        let stop = no_stop();
+        let ran = AtomicUsize::new(0);
+        let (out, _) = run_indexed(1, vec![0, 1, 2, 3], &stop, |i, _| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            if i == 0 {
+                stop.store(true, Ordering::Relaxed);
             }
+            i
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        assert!(matches!(out[0], PoolOutcome::Done(0)));
+        for o in &out[1..] {
+            assert!(matches!(o, PoolOutcome::Skipped), "{o:?}");
         }
     }
 
     #[test]
     fn empty_batch_returns_immediately() {
         let stop = no_stop();
-        let (out, stats) =
-            run_indexed::<u32, u32, _>(4, QueueKind::Atomic, vec![], &stop, |_, v| v);
+        let (out, stats) = run_indexed::<u32, u32, _>(4, vec![], &stop, |_, v| v);
         assert!(out.is_empty());
         assert!(stats.is_empty());
     }
@@ -269,7 +212,7 @@ mod tests {
     #[test]
     fn more_workers_than_jobs_is_fine() {
         let stop = no_stop();
-        let (out, stats) = run_indexed(16, QueueKind::Locked, vec![1, 2], &stop, |_, v| v + 1);
+        let (out, stats) = run_indexed(16, vec![1, 2], &stop, |_, v| v + 1);
         assert_eq!(out.iter().filter_map(|o| o.done()).count(), 2);
         assert_eq!(stats.len(), 2);
     }

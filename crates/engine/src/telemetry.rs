@@ -30,7 +30,7 @@ impl MetricSpread {
 /// aggregation a corner × temperature × Monte-Carlo sweep exists for.
 ///
 /// All sums are accumulated in job submission order, so the statistics
-/// are bitwise identical at any worker count or queue kind.
+/// are bitwise identical at any worker count.
 #[derive(Debug, Clone, Default)]
 pub struct DesignPointYield {
     /// The design-point key ([`crate::SynthesisJob::design_point`]).

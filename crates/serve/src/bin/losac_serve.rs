@@ -1,8 +1,8 @@
 //! The `losac-serve` daemon binary.
 //!
 //! ```text
-//! losac-serve [--addr HOST:PORT] [--workers N] [--sim-threads N]
-//!             [--quota N] [--max-queue N] [--cache-dir DIR]
+//! losac-serve [--addr HOST:PORT] [--workers N] [--quota N]
+//!             [--max-queue N] [--cache-dir DIR]
 //! ```
 //!
 //! On startup the bound address is announced as a `listening` frame on
@@ -20,7 +20,6 @@ const USAGE: &str = "\
 usage: losac-serve [options]
   --addr HOST:PORT   bind address (default 127.0.0.1:0; port 0 = ephemeral)
   --workers N        engine worker threads per batch (0 = all cores)
-  --sim-threads N    simulator threads per evaluation
   --quota N          max in-flight submits per connection (0 = unlimited)
   --max-queue N      max queued requests across all clients
   --cache-dir DIR    persist the evaluation cache under DIR
@@ -47,12 +46,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
                 engine = engine.with_workers(n);
-            }
-            "--sim-threads" => {
-                let n = value("--sim-threads")?
-                    .parse()
-                    .map_err(|e| format!("--sim-threads: {e}"))?;
-                engine = engine.with_sim_threads(n);
             }
             "--quota" => {
                 let n = value("--quota")?

@@ -9,8 +9,6 @@ use crate::netlist::Circuit;
 use crate::num::{Complex, SingularMatrix};
 use losac_obs::Counter;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// AC sweeps run.
 static AC_SWEEPS: Counter = Counter::new("sim.ac.sweeps");
@@ -26,13 +24,6 @@ pub struct AcOptions {
     pub fstop: f64,
     /// Points per decade of the logarithmic grid.
     pub points_per_decade: usize,
-    /// Worker threads fanning out the frequency points: `1` (the
-    /// default) runs serial, `0` means
-    /// [`std::thread::available_parallelism`]. Results are **bitwise
-    /// identical** at every thread count — points are written back by
-    /// frequency index, and each point's arithmetic is independent of
-    /// the others.
-    pub threads: usize,
 }
 
 impl Default for AcOptions {
@@ -41,7 +32,6 @@ impl Default for AcOptions {
             fstart: 1.0,
             fstop: 1e9,
             points_per_decade: 20,
-            threads: 1,
         }
     }
 }
@@ -50,32 +40,6 @@ impl AcOptions {
     /// The frequency grid this configuration produces.
     pub fn frequencies(&self) -> Vec<f64> {
         log_grid(self.fstart, self.fstop, self.points_per_decade)
-    }
-
-    /// Same options with an explicit sweep thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The effective thread count: `0` resolves to the machine's
-    /// available parallelism, and explicit counts are clamped to it.
-    pub fn resolved_threads(&self) -> usize {
-        resolve_threads(self.threads)
-    }
-}
-
-/// `0` → available parallelism; explicit counts are clamped to it —
-/// oversubscribing a sweep only adds scheduling overhead (results are
-/// bitwise identical at any thread count, so clamping is free).
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if threads == 0 {
-        available
-    } else {
-        threads.min(available)
     }
 }
 
@@ -243,32 +207,20 @@ pub fn ac_sweep(circuit: &Circuit, dc: &DcSolution, opts: &AcOptions) -> Result<
 /// with only the excitation restamped — build the [`Linearized`] once
 /// and sweep on it, instead of re-stamping `G`/`C` per sweep.
 ///
-/// With `opts.threads > 1` the frequency points are fanned out over
-/// scoped threads claiming chunks of the grid via an atomic index (the
-/// same pattern as the engine's worker pool); every point's row is
-/// written back by frequency index, so the result is bitwise identical
-/// to the serial sweep at any thread count.
-///
 /// # Errors
 ///
 /// Returns [`AcError`] if the linear system is singular at some
-/// frequency (the lowest failing frequency, like the serial sweep).
+/// frequency (the lowest failing frequency).
 pub fn ac_sweep_on(lin: &Linearized, opts: &AcOptions) -> Result<AcResult, AcError> {
     let _span = losac_obs::span("sim.ac.sweep");
     AC_SWEEPS.incr();
     let freqs = opts.frequencies();
     AC_POINTS.add(freqs.len() as u64);
-    let threads = opts.resolved_threads().min(freqs.len().max(1));
-    let v = if threads <= 1 {
-        let mut ws = AcWorkspace::new();
-        let mut v = Vec::with_capacity(freqs.len());
-        for &f in &freqs {
-            v.push(solve_point(lin, f, &mut ws)?);
-        }
-        v
-    } else {
-        sweep_parallel(lin, &freqs, threads, AcWorkspace::new, solve_point)?
-    };
+    let mut ws = AcWorkspace::new();
+    let mut v = Vec::with_capacity(freqs.len());
+    for &f in &freqs {
+        v.push(solve_point(lin, f, &mut ws)?);
+    }
     Ok(AcResult { freqs, v })
 }
 
@@ -289,8 +241,9 @@ pub fn ac_point_on(lin: &Linearized, f: f64) -> Result<Vec<Complex>, AcError> {
     solve_point(lin, f, &mut ws)
 }
 
-/// Factor and solve one frequency point; shared verbatim by the serial
-/// and parallel sweeps so both perform identical arithmetic.
+/// Factor and solve one frequency point; shared verbatim by
+/// [`ac_sweep_on`] and [`ac_point_on`] so both perform identical
+/// arithmetic.
 fn solve_point(lin: &Linearized, f: f64, ws: &mut AcWorkspace) -> Result<Vec<Complex>, AcError> {
     #[cfg(feature = "failpoints")]
     if losac_obs::failpoint::hit("sim.ac.sweep").is_some() {
@@ -310,87 +263,6 @@ fn solve_point(lin: &Linearized, f: f64, ws: &mut AcWorkspace) -> Result<Vec<Com
         *r = lin.voltage(x, id);
     }
     Ok(row)
-}
-
-/// How many frequency points a sweep worker claims per atomic fetch.
-const SWEEP_CHUNK: usize = 8;
-
-/// Deterministic parallel fan-out over a frequency grid: workers claim
-/// chunks with an atomic index, each point is solved by `point` with a
-/// per-thread workspace (built by `init`), and results land in per-index
-/// slots. The output order (and content) is therefore independent of
-/// scheduling; on failure the error for the **lowest** failing index is
-/// returned, which matches what a serial in-order sweep would report.
-pub(crate) fn sweep_parallel<W, R, E, I, F>(
-    lin: &Linearized,
-    freqs: &[f64],
-    threads: usize,
-    init: I,
-    point: F,
-) -> Result<Vec<R>, E>
-where
-    R: Send,
-    E: Send,
-    I: Fn() -> W + Sync,
-    F: Fn(&Linearized, f64, &mut W) -> Result<R, E> + Sync,
-{
-    // More workers than claimable chunks only spawn threads that exit
-    // immediately — clamp first so the single-chunk case goes serial.
-    let threads = threads.min(freqs.len().div_ceil(SWEEP_CHUNK)).max(1);
-    if threads <= 1 {
-        // One effective worker: run in order on the caller's thread with
-        // zero coordination machinery (no slots, no atomics, no spawn).
-        // First-failure-wins matches the parallel path's lowest-index
-        // error semantics, and the caller's interrupt and solver kind
-        // are already in place.
-        let mut ws = init();
-        return freqs.iter().map(|&f| point(lin, f, &mut ws)).collect();
-    }
-    let slots: Vec<Mutex<Option<Result<R, E>>>> = freqs.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    // Budgets and kernel choice follow the work: workers re-install the
-    // caller's interrupt so a point kernel that polls it still observes
-    // the job's deadline, and the caller's solver kind so a dense-mode
-    // override scopes over the whole fan-out.
-    let interrupt = crate::interrupt::current();
-    let solver = crate::sparse::solver_kind();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let slots = &slots;
-            let next = &next;
-            let init = &init;
-            let point = &point;
-            let interrupt = interrupt.clone();
-            s.spawn(move || {
-                let _interrupt = interrupt.map(crate::interrupt::install);
-                let _solver = crate::sparse::install_solver(solver);
-                let mut ws = init();
-                loop {
-                    let start = next.fetch_add(SWEEP_CHUNK, Ordering::Relaxed);
-                    if start >= freqs.len() {
-                        break;
-                    }
-                    for (k, &f) in freqs
-                        .iter()
-                        .enumerate()
-                        .skip(start)
-                        .take(SWEEP_CHUNK.min(freqs.len() - start))
-                    {
-                        *slots[k].lock().expect("sweep slot lock poisoned") =
-                            Some(point(lin, f, &mut ws));
-                    }
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("sweep slot lock poisoned")
-                .expect("every frequency point was claimed")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -429,7 +301,6 @@ mod tests {
                 fstart: 1.0,
                 fstop: 1e6,
                 points_per_decade: 30,
-                threads: 1,
             },
         )
         .unwrap();
@@ -471,7 +342,6 @@ mod tests {
                 fstart: 10.0,
                 fstop: 1e9,
                 points_per_decade: 20,
-                threads: 1,
             },
         )
         .unwrap();
@@ -512,7 +382,6 @@ mod tests {
                 fstart: 1e3,
                 fstop: 1e8,
                 points_per_decade: 10,
-                threads: 1,
             },
         )
         .unwrap();

@@ -57,6 +57,5 @@ pub use meas::{bode_summary, bode_summary_of, BodeSummary};
 pub use netlist::Circuit;
 pub use noise::{noise_analysis, noise_analysis_on, NoiseResult};
 pub use num::Complex;
-pub use sparse::{install_solver, solver_kind, SolverGuard, SolverKind};
 pub use spice::to_spice;
 pub use tran::{transient, TranOptions, TranResult};

@@ -216,25 +216,22 @@ impl Linearized {
     /// Factorise `G + jωC` into a reusable workspace — zero allocations
     /// once the workspace is sized.
     ///
-    /// With the sparse kernel selected (the default, see
-    /// [`crate::sparse::solver_kind`]) this is a numeric-only
-    /// refactorisation of the symbolic pattern cached at build time; a
-    /// pivot breakdown falls back to the dense pivoted kernel for this
-    /// frequency point only (`sim.matrix.sparse_fallbacks`). On the dense
-    /// path, factors are bitwise identical to [`Linearized::factor`].
+    /// This is a numeric-only sparse refactorisation of the symbolic
+    /// pattern cached at build time; a pivot breakdown falls back to the
+    /// dense pivoted kernel for this frequency point only
+    /// (`sim.matrix.sparse_fallbacks`), whose factors are bitwise
+    /// identical to [`Linearized::factor`].
     ///
     /// # Errors
     ///
     /// Returns the singularity error from the LU factorisation.
     pub fn factor_into(&self, omega: f64, ws: &mut AcWorkspace) -> Result<(), SingularMatrix> {
-        if crate::sparse::use_sparse() {
-            match self.sparse.refactor(omega, &mut ws.sp) {
-                Ok(()) => {
-                    ws.last_sparse = true;
-                    return Ok(());
-                }
-                Err(_) => crate::sparse::record_sparse_fallback(),
+        match self.sparse.refactor(omega, &mut ws.sp) {
+            Ok(()) => {
+                ws.last_sparse = true;
+                return Ok(());
             }
+            Err(_) => crate::sparse::record_sparse_fallback(),
         }
         ws.last_sparse = false;
         let n = self.g.n();

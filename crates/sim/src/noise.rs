@@ -8,7 +8,6 @@
 //! input-referred density — exactly what the paper's Table 1 reports as
 //! "input noise voltage", "thermal noise density" and "flicker noise".
 
-use crate::ac::{resolve_threads, sweep_parallel};
 use crate::dc::DcSolution;
 use crate::linear::{AcWorkspace, Linearized};
 use crate::netlist::Circuit;
@@ -118,7 +117,7 @@ pub fn noise_analysis(
         .find_node(output)
         .unwrap_or_else(|| panic!("no node named `{output}` in circuit"));
     let lin = Linearized::build(circuit, dc);
-    noise_analysis_on(&lin, freqs, out, 1)
+    noise_analysis_on(&lin, freqs, out)
 }
 
 /// One frequency point of the noise analysis: signal gain, total output
@@ -129,8 +128,8 @@ struct NoisePoint {
     per_source: Vec<f64>,
 }
 
-/// Per-worker scratch: the factor/solve workspace plus a reused RHS
-/// buffer for the per-generator solves.
+/// Scratch reused across the frequency points: the factor/solve
+/// workspace plus a reused RHS buffer for the per-generator solves.
 #[derive(Default)]
 struct NoiseScratch {
     ws: AcWorkspace,
@@ -181,10 +180,7 @@ fn solve_noise_point(
 
 /// Run a noise analysis over an existing linearised network.
 ///
-/// `out` is the node id of the output (see [`Circuit::find_node`]);
-/// `threads` fans the frequency points out exactly like
-/// [`crate::ac::ac_sweep_on`] (`0` = available parallelism, results
-/// bitwise identical to serial at any count).
+/// `out` is the node id of the output (see [`Circuit::find_node`]).
 ///
 /// # Errors
 ///
@@ -193,21 +189,12 @@ pub fn noise_analysis_on(
     lin: &Linearized,
     freqs: &[f64],
     out: usize,
-    threads: usize,
 ) -> Result<NoiseResult, NoiseError> {
-    let threads = resolve_threads(threads).min(freqs.len().max(1));
-    let points = if threads <= 1 {
-        let mut scratch = NoiseScratch::default();
-        let mut points = Vec::with_capacity(freqs.len());
-        for &f in freqs {
-            points.push(solve_noise_point(lin, f, &mut scratch, out)?);
-        }
-        points
-    } else {
-        sweep_parallel(lin, freqs, threads, NoiseScratch::default, |lin, f, s| {
-            solve_noise_point(lin, f, s, out)
-        })?
-    };
+    let mut scratch = NoiseScratch::default();
+    let mut points = Vec::with_capacity(freqs.len());
+    for &f in freqs {
+        points.push(solve_noise_point(lin, f, &mut scratch, out)?);
+    }
 
     let mut output_psd = Vec::with_capacity(freqs.len());
     let mut gain = Vec::with_capacity(freqs.len());

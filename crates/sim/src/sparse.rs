@@ -36,19 +36,9 @@
 //! capacitance slot array, and the elimination inner loops run over
 //! parallel `f64` arrays the compiler can vectorise — an entire sweep
 //! refactorises one symbolic pattern at many frequencies.
-//!
-//! Solver selection is ambient: [`solver_kind`] consults a thread-local
-//! override (installed by [`install_solver`], e.g. for A/B benches and
-//! equivalence tests), then the process default, which is
-//! [`SolverKind::Sparse`] unless the `LOSAC_SOLVER=dense` environment
-//! variable selects the legacy dense path. Worker threads spawned by
-//! sweeps re-install the spawning thread's kind, so an override scopes
-//! over an entire evaluation including its parallel parts.
 
 use crate::num::{Complex, Matrix, Scalar, SingularMatrix};
 use losac_obs::{Counter, Gauge};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Symbolic analyses performed (one per distinct pattern lifetime).
@@ -60,87 +50,8 @@ static SPARSE_FALLBACKS: Counter = Counter::new("sim.matrix.sparse_fallbacks");
 /// Factor nonzeros (L + U + diagonal) of the most recent symbolic analysis.
 static SPARSE_NNZ: Gauge = Gauge::new("sim.sparse.nnz");
 
-// ---------------------------------------------------------------------------
-// Solver-kind selection
-// ---------------------------------------------------------------------------
-
-/// Which linear-solver kernel the simulator uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverKind {
-    /// Pattern-cached sparse LU (the default) with per-solve dense
-    /// fallback on pivot breakdown.
-    Sparse,
-    /// The legacy dense partially-pivoted LU everywhere.
-    Dense,
-}
-
-const KIND_UNSET: u8 = 0;
-const KIND_SPARSE: u8 = 1;
-const KIND_DENSE: u8 = 2;
-
-/// Process-wide default, resolved lazily from `LOSAC_SOLVER`.
-static GLOBAL_KIND: AtomicU8 = AtomicU8::new(KIND_UNSET);
-
-thread_local! {
-    static THREAD_KIND: Cell<Option<SolverKind>> = const { Cell::new(None) };
-}
-
-fn global_kind() -> SolverKind {
-    match GLOBAL_KIND.load(Ordering::Relaxed) {
-        KIND_SPARSE => SolverKind::Sparse,
-        KIND_DENSE => SolverKind::Dense,
-        _ => {
-            let kind = match std::env::var("LOSAC_SOLVER").as_deref() {
-                Ok("dense") => SolverKind::Dense,
-                _ => SolverKind::Sparse,
-            };
-            GLOBAL_KIND.store(
-                match kind {
-                    SolverKind::Sparse => KIND_SPARSE,
-                    SolverKind::Dense => KIND_DENSE,
-                },
-                Ordering::Relaxed,
-            );
-            kind
-        }
-    }
-}
-
-/// The solver kind in effect on this thread.
-pub fn solver_kind() -> SolverKind {
-    THREAD_KIND.with(|c| c.get()).unwrap_or_else(global_kind)
-}
-
-/// Whether the sparse kernel is selected on this thread.
-pub(crate) fn use_sparse() -> bool {
-    solver_kind() == SolverKind::Sparse
-}
-
 pub(crate) fn record_sparse_fallback() {
     SPARSE_FALLBACKS.incr();
-}
-
-/// Install a thread-local solver-kind override, restored on drop.
-///
-/// Sweeps and the sizing evaluator propagate the installing thread's
-/// kind into their worker threads, so one guard scopes a whole
-/// evaluation. Used by the dense-vs-sparse ablation bench and the
-/// equivalence tests.
-pub fn install_solver(kind: SolverKind) -> SolverGuard {
-    let prev = THREAD_KIND.with(|c| c.replace(Some(kind)));
-    SolverGuard { prev }
-}
-
-/// Guard returned by [`install_solver`]; restores the previous override.
-#[derive(Debug)]
-pub struct SolverGuard {
-    prev: Option<SolverKind>,
-}
-
-impl Drop for SolverGuard {
-    fn drop(&mut self) {
-        THREAD_KIND.with(|c| c.set(self.prev));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -518,13 +429,15 @@ impl<T: Scalar> SparseFactors<T> {
 /// symbolic analysis **and** converts the recorded stamp sequence into a
 /// slot replay list — the assembler emits stamps in a deterministic,
 /// pattern-stable order, so every later assembly is a straight cursor
-/// walk (`vals[slot_seq[cursor++]] += v`) with no index lookups at all.
+/// walk (`vals[slot_seq[cursor++]] += v`) with no index lookups at all,
+/// checked stamp by stamp against the recorded `(i, j)` sequence.
 /// The DC/transient Newton loops keep one of these per
 /// [`crate::dc::NewtonScratch`], so a whole transient run refactorises a
 /// single symbolic pattern.
 #[derive(Debug, Default)]
 pub struct SparseRealSystem {
     pattern: Option<Arc<SparsePattern>>,
+    /// Entry of each stamp of one assembly, in emission order.
     collect: Vec<(usize, usize)>,
     /// Value-slot of each stamp of one assembly, in emission order.
     slot_seq: Vec<u32>,
@@ -564,7 +477,6 @@ impl SparseRealSystem {
             .map(|&(i, j)| p.slot(i, j).expect("collected entry is in the pattern") as u32)
             .collect();
         self.pattern = Some(Arc::new(p));
-        self.collect = Vec::new();
     }
 
     /// Numeric refactorisation of the last-stamped values.
@@ -617,23 +529,21 @@ impl MatrixStamp for SparseRealSystem {
         }
     }
     fn stamp(&mut self, i: usize, j: usize, v: f64) {
-        match &self.pattern {
-            None => self.collect.push((i, j)),
-            Some(p) => {
-                // Hot path: replay the recorded slot. The debug check
-                // verifies the emission order really is reproducible; in
-                // release a grown stamp count still trips the bounds
-                // check or the count assertion in `factor`.
-                debug_assert!(
-                    self.cursor < self.slot_seq.len()
-                        && p.slot(i, j) == Some(self.slot_seq[self.cursor] as usize),
-                    "stamp at ({i}, {j}) deviates from the collected sequence — \
-                     assembly is not pattern-stable"
-                );
-                self.vals[self.slot_seq[self.cursor] as usize] += v;
-                self.cursor += 1;
-            }
+        if self.pattern.is_none() {
+            self.collect.push((i, j));
+            return;
         }
+        // Hot path: replay the recorded slot. The check holds in release
+        // builds: a stamp that leaves the collected sequence would
+        // otherwise be added into another entry's slot.
+        let k = self.cursor;
+        assert!(
+            self.collect.get(k) == Some(&(i, j)),
+            "stamp at ({i}, {j}) deviates from the collected sequence — \
+             assembly is not pattern-stable"
+        );
+        self.vals[self.slot_seq[k] as usize] += v;
+        self.cursor = k + 1;
     }
 }
 
@@ -925,9 +835,7 @@ mod tests {
         let n = 12;
         let (entries, dense1) = ring_system(n, 5);
         let (_, dense2) = ring_system(n, 6);
-        let before = SYMBOLIC_ANALYSES.get();
         let p = SparsePattern::build(n, n, &entries);
-        assert_eq!(SYMBOLIC_ANALYSES.get(), before + 1);
         let mut f = SparseFactors::new();
         for dense in [&dense1, &dense2] {
             let vals = vals_from_dense(&p, dense);
@@ -940,8 +848,9 @@ mod tests {
                 assert!((a - d).abs() <= 1e-12 * d.abs().max(1.0));
             }
         }
-        // Only the one symbolic analysis, two numeric refactors.
-        assert_eq!(SYMBOLIC_ANALYSES.get(), before + 1);
+        // The symbolic-analysis count is asserted in
+        // `tests/symbolic_reuse.rs`, a binary of its own: the counter is
+        // process-global and sibling tests here build patterns too.
     }
 
     #[test]
@@ -1053,21 +962,6 @@ mod tests {
             assert_eq!(a.re.to_bits(), d.re.to_bits());
             assert_eq!(a.im.to_bits(), d.im.to_bits());
         }
-    }
-
-    #[test]
-    fn solver_kind_override_scopes_and_restores() {
-        let ambient = solver_kind();
-        {
-            let _g = install_solver(SolverKind::Dense);
-            assert_eq!(solver_kind(), SolverKind::Dense);
-            {
-                let _g2 = install_solver(SolverKind::Sparse);
-                assert_eq!(solver_kind(), SolverKind::Sparse);
-            }
-            assert_eq!(solver_kind(), SolverKind::Dense);
-        }
-        assert_eq!(solver_kind(), ambient);
     }
 
     #[test]

@@ -1,100 +1,21 @@
 //! End-to-end gates for the sparse MNA kernel.
 //!
-//! The in-module tests in `sparse.rs` cover the kernel in isolation;
-//! these tests drive it through the public simulator entry points and
-//! pin the three contracts the overhaul promised:
+//! The in-module tests in `sparse.rs` cover the kernel in isolation, and
+//! those in `dc.rs` compare it against the dense fallback on randomised
+//! netlists and pin [`losac_sim::dc::DcSession`] reuse. These tests drive
+//! it through the public simulator entry points:
 //!
-//! * sparse and dense solutions agree to tight relative tolerance on
-//!   randomised (but pattern-stable) netlists — the orderings differ, so
-//!   bitwise equality is not expected, and the documented gate is 1e-12
-//!   relative on every unknown;
 //! * error semantics survive the kernel swap (a singular circuit is
 //!   still reported as [`DcError::Singular`], via the dense retry);
-//! * the sparse AC sweep is bitwise deterministic across thread counts,
-//!   and [`DcSession`] reuse is bitwise invisible.
+//! * the noise-source PSD fast paths are bit-identical to the general
+//!   formula.
 
-use losac_device::Mosfet;
-use losac_sim::ac::{ac_sweep_on, AcOptions};
-use losac_sim::dc::{dc_from_previous, dc_operating_point, DcError, DcOptions, DcSession};
-use losac_sim::linear::{Linearized, NoiseSource};
+use losac_sim::dc::{dc_operating_point, DcError, DcOptions};
+use losac_sim::linear::NoiseSource;
 use losac_sim::netlist::Circuit;
-use losac_sim::{install_solver, SolverKind};
-use losac_tech::Technology;
-
-/// Deterministic xorshift-free LCG in [-0.5, 0.5); no external crates.
-fn lcg(seed: &mut u64) -> f64 {
-    *seed = seed
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    ((*seed >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-}
-
-/// A randomised resistive ladder with MOS loads: `stages` sections of
-/// series resistors, shunt resistors, a couple of diode-connected
-/// transistors and an injection current — enough structural variety to
-/// exercise fill-in, branch rows and nonlinear restamps.
-fn random_ladder(stages: usize, seed: &mut u64) -> Circuit {
-    let t = Technology::cmos06();
-    let mut c = Circuit::new();
-    c.vsource("vdd", "vdd", "0", 3.3);
-    let mut prev = "vdd".to_string();
-    for k in 0..stages {
-        let node = format!("n{k}");
-        let r_series = 1e3 * (1.0 + 4.0 * (lcg(seed) + 0.5));
-        c.resistor(&format!("rs{k}"), &prev, &node, r_series);
-        let r_shunt = 2e4 * (1.0 + 9.0 * (lcg(seed) + 0.5));
-        c.resistor(&format!("rp{k}"), &node, "0", r_shunt);
-        if k % 2 == 0 {
-            // Diode-connected NMOS load: gate = drain = the stage node.
-            let w = 2e-6 * (1.0 + 3.0 * (lcg(seed) + 0.5));
-            c.mos(
-                &format!("m{k}"),
-                &node,
-                &node,
-                "0",
-                "0",
-                Mosfet::new(t.nmos, w, 0.6e-6),
-                t.caps.ndiff,
-                Default::default(),
-                Default::default(),
-            );
-        }
-        if k % 3 == 0 {
-            c.isource(&format!("i{k}"), "vdd", &node, 20e-6 * (1.0 + lcg(seed)));
-        }
-        prev = node;
-    }
-    c
-}
-
-#[test]
-fn randomised_netlists_sparse_matches_dense_within_1e12_rel() {
-    let mut seed = 0x5eed_cafe_u64;
-    for trial in 0..12 {
-        let stages = 3 + (trial % 5);
-        let c = random_ladder(stages, &mut seed);
-        let sparse = {
-            let _g = install_solver(SolverKind::Sparse);
-            dc_operating_point(&c, &DcOptions::default()).expect("sparse dc")
-        };
-        let dense = {
-            let _g = install_solver(SolverKind::Dense);
-            dc_operating_point(&c, &DcOptions::default()).expect("dense dc")
-        };
-        assert_eq!(sparse.v.len(), dense.v.len());
-        for (i, (s, d)) in sparse.v.iter().zip(dense.v.iter()).enumerate() {
-            let scale = d.abs().max(1.0);
-            assert!(
-                (s - d).abs() <= 1e-12 * scale,
-                "trial {trial}, unknown {i}: sparse {s:.17e} vs dense {d:.17e}"
-            );
-        }
-    }
-}
 
 #[test]
 fn vsource_loop_is_still_singular_under_sparse_kernel() {
-    let _g = install_solver(SolverKind::Sparse);
     let mut c = Circuit::new();
     c.vsource("v1", "a", "0", 1.0);
     c.vsource("v2", "a", "0", 2.0);
@@ -103,95 +24,6 @@ fn vsource_loop_is_still_singular_under_sparse_kernel() {
         matches!(err, DcError::Singular(_)),
         "a contradictory vsource loop must stay a Singular error, got {err}"
     );
-}
-
-#[test]
-fn sparse_ac_sweep_is_bitwise_identical_at_1_and_4_threads() {
-    let _g = install_solver(SolverKind::Sparse);
-    let mut seed = 0xac_5eed_u64;
-    let c = {
-        let mut c = random_ladder(6, &mut seed);
-        c.set_source_ac("vdd", 0.0).ok();
-        c.vsource_ac("vin", "n5", "0", 0.0, 1.0);
-        c
-    };
-    let dc = dc_operating_point(&c, &DcOptions::default()).expect("dc");
-    let lin = Linearized::build(&c, &dc);
-    let opts = |threads| AcOptions {
-        fstart: 1.0,
-        fstop: 1e9,
-        points_per_decade: 16,
-        threads,
-    };
-    let serial = ac_sweep_on(&lin, &opts(1)).expect("1t sweep");
-    let fanned = ac_sweep_on(&lin, &opts(4)).expect("4t sweep");
-    assert_eq!(serial.freqs.len(), fanned.freqs.len());
-    for (row_s, row_f) in serial.v.iter().zip(fanned.v.iter()) {
-        for (a, b) in row_s.iter().zip(row_f.iter()) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits(), "re differs across threads");
-            assert_eq!(a.im.to_bits(), b.im.to_bits(), "im differs across threads");
-        }
-    }
-}
-
-#[test]
-fn dc_session_reuse_is_bitwise_identical_to_oneshot_solves() {
-    let _g = install_solver(SolverKind::Sparse);
-    let mut seed = 0xb15ec7_u64;
-    let mut c = random_ladder(5, &mut seed);
-    let biases = [3.3, 3.2, 3.25, 3.31, 3.18];
-
-    // Reference: one-shot entry points, fresh solver state every time.
-    let mut oneshot = Vec::new();
-    for &b in &biases {
-        c.set_vsource_dc("vdd", b).unwrap();
-        let sol = match oneshot.last() {
-            None => dc_operating_point(&c, &DcOptions::default()).unwrap(),
-            Some(prev) => dc_from_previous(&c, prev, &DcOptions::default()).unwrap(),
-        };
-        oneshot.push(sol);
-    }
-
-    // Session: the symbolic analysis runs once, every solve restamps.
-    let mut session = DcSession::new();
-    let mut reused = Vec::new();
-    for &b in &biases {
-        c.set_vsource_dc("vdd", b).unwrap();
-        let sol = match reused.last() {
-            None => session.solve(&c, &DcOptions::default()).unwrap(),
-            Some(prev) => session.solve_from(&c, prev, &DcOptions::default()).unwrap(),
-        };
-        reused.push(sol);
-    }
-
-    for (a, b) in oneshot.iter().zip(reused.iter()) {
-        for (x, y) in a.v.iter().zip(b.v.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "session reuse changed a bit");
-        }
-    }
-}
-
-#[test]
-fn dc_session_survives_a_structure_change() {
-    // Reusing one session across circuits with different unknown counts
-    // must reset the cached pattern, not corrupt the restamp.
-    let _g = install_solver(SolverKind::Sparse);
-    let mut seed = 7_u64;
-    let small = random_ladder(3, &mut seed);
-    let large = random_ladder(7, &mut seed);
-    let mut session = DcSession::new();
-    let a = session.solve(&small, &DcOptions::default()).unwrap();
-    let b = session.solve(&large, &DcOptions::default()).unwrap();
-    let a_ref = dc_operating_point(&small, &DcOptions::default()).unwrap();
-    let b_ref = dc_operating_point(&large, &DcOptions::default()).unwrap();
-    assert_eq!(a.v.len(), a_ref.v.len());
-    assert_eq!(b.v.len(), b_ref.v.len());
-    for (x, y) in a.v.iter().zip(a_ref.v.iter()) {
-        assert_eq!(x.to_bits(), y.to_bits());
-    }
-    for (x, y) in b.v.iter().zip(b_ref.v.iter()) {
-        assert_eq!(x.to_bits(), y.to_bits());
-    }
 }
 
 #[test]

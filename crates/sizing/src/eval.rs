@@ -17,7 +17,7 @@ use losac_sim::interrupt::Interrupted;
 use losac_sim::linear::Linearized;
 use losac_sim::meas::{bode_summary_of, db};
 use losac_sim::netlist::Circuit;
-use losac_sim::noise::{integrate_psd, noise_analysis, noise_analysis_on};
+use losac_sim::noise::{integrate_psd, noise_analysis_on};
 use losac_sim::tran::{transient, TranError, TranOptions};
 use losac_tech::pvt::NOMINAL_TEMP_C;
 use losac_tech::{Corner, Scenario, Technology};
@@ -61,11 +61,8 @@ pub enum InputDrive {
 /// An amplifier that the measurement pipeline can characterise.
 ///
 /// All provided topologies implement this; new topologies get the whole
-/// Table-1 measurement suite by implementing these three methods. The
-/// `Sync` bound lets the evaluator run the slew-rate transient
-/// concurrently with the small-signal pipeline (both only read the
-/// amplifier); every implementor is plain sized-device data.
-pub trait Amplifier: Sync {
+/// Table-1 measurement suite by implementing these three methods.
+pub trait Amplifier {
     /// The specification the amplifier was sized for.
     fn specs(&self) -> &OtaSpecs;
     /// Build the amplifier netlist in the requested testbench, with
@@ -283,47 +280,22 @@ impl From<TranError> for EvalError {
     }
 }
 
-/// Knobs for [`evaluate_with`].
+/// Options for [`evaluate_with`].
 ///
-/// Every knob is an *optimisation*: flipping any of them changes how the
-/// answer is computed, never what it is. The optimised paths are bitwise
-/// identical to the plain [`evaluate`] pipeline (enforced by the
-/// `sim_equivalence` test suite).
+/// Built one way: `EvalOptions::default()` plus the `with_*` methods.
+/// The cache only memoises: a hit returns the bitwise-identical
+/// [`Performance`] a fresh evaluation computes. The scenario changes
+/// *what* is measured.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EvalOptions {
-    /// Worker threads: fans out AC/noise frequency points and, at `>= 2`,
-    /// runs the slew-rate transient concurrently with the small-signal
-    /// measurements. `1` is fully serial, `0` means
-    /// [`std::thread::available_parallelism`].
-    pub threads: usize,
-    /// Linearise the balanced circuit once and re-use it across the
-    /// differential, common-mode and noise analyses (restamping only the
-    /// excitation), instead of rebuilding `G`/`C` per analysis. Also
-    /// collapses the single-frequency CMRR and output-resistance probes
-    /// to one solve each.
-    pub reuse_linearisation: bool,
     /// Memoise whole evaluations keyed by (amplifier fingerprint,
-    /// technology, parasitic mode). `None` (the default) disables
-    /// caching; the engine's batch runner shares one cache across a job.
+    /// technology, parasitic mode, scenario). `None` (the default)
+    /// disables caching; the engine's batch runner shares one cache
+    /// across a job.
     pub cache: Option<Arc<EvalCache>>,
-    /// Pin the linear-solver kernel for this evaluation (including its
-    /// worker threads). `None` (the default) inherits the ambient
-    /// [`losac_sim::solver_kind`] — sparse unless overridden. Used by the
-    /// sparse-vs-dense ablation bench and equivalence tests.
-    pub solver: Option<losac_sim::SolverKind>,
-    /// Pin the device-model derivative kind for this evaluation
-    /// (including its worker threads). `None` (the default) inherits the
-    /// ambient [`losac_device::ekv::deriv_kind`] — analytic unless
-    /// overridden. Unlike the other knobs this one is *not* bitwise
-    /// neutral: finite differences perturb gm/gds/gmb in the last bits
-    /// and with them the Newton trajectories, which is why the kind is
-    /// part of the cache key and the analytic-vs-FD gate is
-    /// tolerance-based (DESIGN §6j). Used by the FD ablation bench.
-    pub deriv: Option<losac_device::DerivKind>,
     /// The evaluation scenario: process corner, temperature, supply scale
-    /// and optional mismatch draw (see [`losac_tech::Scenario`]). Unlike
-    /// the other knobs this changes *what* is measured, not how: the
+    /// and optional mismatch draw (see [`losac_tech::Scenario`]). The
     /// netlist is built against the corner-derived technology, the
     /// circuit temperature and supply are retargeted, and mismatch
     /// deltas are applied per device. It is therefore part of the cache
@@ -337,53 +309,16 @@ pub struct EvalOptions {
 impl Default for EvalOptions {
     fn default() -> Self {
         Self {
-            threads: 1,
-            reuse_linearisation: true,
             cache: None,
-            solver: None,
-            deriv: None,
             scenario: Scenario::nominal(),
         }
     }
 }
 
 impl EvalOptions {
-    /// A builder starting from [`EvalOptions::default`]. The struct is
-    /// `#[non_exhaustive]`, so downstream crates construct it through
-    /// this builder (or the `with_*` conveniences) — new knobs are then
-    /// non-breaking.
-    pub fn builder() -> EvalOptionsBuilder {
-        EvalOptionsBuilder::default()
-    }
-
-    /// Options matching the historical evaluator exactly: serial, no
-    /// linearisation reuse, no cache. The reference arm of the
-    /// equivalence gates.
-    pub fn legacy() -> Self {
-        Self::builder().with_reuse_linearisation(false).build()
-    }
-
-    /// Same options with an explicit thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Same options evaluating through `cache`.
     pub fn with_cache(mut self, cache: Arc<EvalCache>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Same options pinned to `solver` (see [`EvalOptions::solver`]).
-    pub fn with_solver(mut self, solver: losac_sim::SolverKind) -> Self {
-        self.solver = Some(solver);
-        self
-    }
-
-    /// Same options pinned to `deriv` (see [`EvalOptions::deriv`]).
-    pub fn with_deriv(mut self, deriv: losac_device::DerivKind) -> Self {
-        self.deriv = Some(deriv);
         self
     }
 
@@ -392,77 +327,6 @@ impl EvalOptions {
     pub fn with_scenario(mut self, scenario: Scenario) -> Self {
         self.scenario = scenario;
         self
-    }
-
-    /// The effective thread count: `0` resolves to the machine's
-    /// available parallelism, and explicit counts are clamped to it —
-    /// on a 1-CPU container `threads: 4` runs serially instead of
-    /// paying thread-spawn overhead for nothing (results are bitwise
-    /// identical at any thread count).
-    pub fn resolved_threads(&self) -> usize {
-        let available = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if self.threads == 0 {
-            available
-        } else {
-            self.threads.min(available)
-        }
-    }
-}
-
-/// Builder for [`EvalOptions`] (see [`EvalOptions::builder`]).
-///
-/// `build` is infallible: every knob is an optimisation with a valid
-/// default, so there is nothing to validate — unlike
-/// `FlowOptionsBuilder`, whose numeric ranges can be inconsistent.
-#[derive(Debug, Clone, Default)]
-#[must_use = "call .build() to obtain the EvalOptions"]
-pub struct EvalOptionsBuilder {
-    opts: EvalOptions,
-}
-
-impl EvalOptionsBuilder {
-    /// Worker threads (see [`EvalOptions::threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.opts.threads = threads;
-        self
-    }
-
-    /// Toggle linearisation reuse (see
-    /// [`EvalOptions::reuse_linearisation`]).
-    pub fn with_reuse_linearisation(mut self, reuse: bool) -> Self {
-        self.opts.reuse_linearisation = reuse;
-        self
-    }
-
-    /// Evaluate through `cache` (see [`EvalOptions::cache`]).
-    pub fn with_cache(mut self, cache: Arc<EvalCache>) -> Self {
-        self.opts.cache = Some(cache);
-        self
-    }
-
-    /// Pin the linear-solver kernel (see [`EvalOptions::solver`]).
-    pub fn with_solver(mut self, solver: losac_sim::SolverKind) -> Self {
-        self.opts.solver = Some(solver);
-        self
-    }
-
-    /// Pin the device-model derivative kind (see [`EvalOptions::deriv`]).
-    pub fn with_deriv(mut self, deriv: losac_device::DerivKind) -> Self {
-        self.opts.deriv = Some(deriv);
-        self
-    }
-
-    /// Evaluate under `scenario` (see [`EvalOptions::scenario`]).
-    pub fn with_scenario(mut self, scenario: Scenario) -> Self {
-        self.opts.scenario = scenario;
-        self
-    }
-
-    /// The finished options.
-    pub fn build(self) -> EvalOptions {
-        self.opts
     }
 }
 
@@ -721,13 +585,6 @@ fn eval_key(
     }
     hash_technology(&mut h, tech);
     hash_mode(&mut h, mode);
-    // The derivative kind perturbs Newton trajectories (unlike the solver
-    // kernel, which is bitwise neutral), so an FD ablation run must not
-    // serve — or poison — analytic entries through a shared (possibly
-    // persistent) cache.
-    if losac_device::deriv_kind() == losac_device::DerivKind::FiniteDifference {
-        h.write_str("deriv=fd");
-    }
     // The scenario is hashed only when non-nominal: the nominal scenario
     // must produce the exact historical key bytes so entries persisted by
     // scenario-unaware versions (LSEC v1 files, warm daemon caches) keep
@@ -740,8 +597,8 @@ fn eval_key(
 
 /// Mix a non-nominal scenario into the key: every coordinate that alters
 /// the measurement — corner, temperature, supply scale and the mismatch
-/// address. The leading marker string keeps the byte stream unambiguous
-/// against the optional `deriv=fd` marker.
+/// address. The leading marker string is part of the key bytes of every
+/// non-nominal entry already stored on disk, so it stays.
 fn hash_scenario(h: &mut FnvHasher, scenario: &Scenario) {
     h.write_str("scenario");
     h.write_u64(match scenario.pvt.corner {
@@ -957,8 +814,8 @@ fn balance_env(
 }
 
 /// Measure the full Table-1 performance of a sized OTA under the given
-/// parasitic mode, with default [`EvalOptions`]: serial, linearisation
-/// reuse on, no cache.
+/// parasitic mode, with default [`EvalOptions`]: nominal scenario, no
+/// cache.
 ///
 /// # Errors
 ///
@@ -971,9 +828,7 @@ pub fn evaluate(
     evaluate_with(ota, tech, mode, &EvalOptions::default())
 }
 
-/// [`evaluate`] with explicit performance knobs.
-///
-/// All knobs preserve the measured numbers bitwise — see [`EvalOptions`].
+/// [`evaluate`] with explicit options (see [`EvalOptions`]).
 ///
 /// # Errors
 ///
@@ -985,11 +840,6 @@ pub fn evaluate_with(
     opts: &EvalOptions,
 ) -> Result<Performance, EvalError> {
     let _span = losac_obs::span("sizing.evaluate");
-    // Thread-local override, restored on return; `evaluate_uncached`
-    // propagates it into the slew lane, and the sweep fan-out re-installs
-    // it on its own workers.
-    let _solver = opts.solver.map(losac_sim::install_solver);
-    let _deriv = opts.deriv.map(losac_device::install_deriv);
     #[cfg(feature = "failpoints")]
     if let Some(action) = losac_obs::failpoint::hit("sizing.evaluate") {
         return Err(match action {
@@ -1020,7 +870,7 @@ pub fn evaluate_with(
     static MATRIX_FACTS: losac_obs::Counter = losac_obs::Counter::new("sim.matrix.factorizations");
     let begun = std::time::Instant::now();
     let facts_before = MATRIX_FACTS.get();
-    let perf = evaluate_uncached(ota, tech, mode, opts)?;
+    let perf = evaluate_uncached(ota, tech, mode, &opts.scenario)?;
     EVAL_MS.observe_duration(begun.elapsed());
     EVAL_FACTS.observe(MATRIX_FACTS.get().saturating_sub(facts_before) as f64);
     if let (Some(cache), Some(key)) = (&opts.cache, &key) {
@@ -1029,75 +879,38 @@ pub fn evaluate_with(
     Ok(perf)
 }
 
-/// The measurement pipeline behind [`evaluate_with`], after the cache.
-///
-/// The slew-rate transient uses its own netlist and operating point, so
-/// it shares no state with the small-signal measurements; at
-/// `threads >= 2` it runs on a scoped thread alongside them — same
-/// arithmetic on both lanes, therefore bitwise-identical results.
-/// Serially, it runs after them, exactly like the historical pipeline.
+/// The measurement pipeline behind [`evaluate_with`], after the cache:
+/// the small-signal measurements, then the slew-rate transient on its
+/// own netlist and operating point.
 fn evaluate_uncached(
     ota: &dyn Amplifier,
     tech: &Technology,
     mode: &ParasiticMode,
-    opts: &EvalOptions,
+    scenario: &Scenario,
 ) -> Result<Performance, EvalError> {
     // One scenario preparation (corner-derived technology) shared by the
-    // small-signal and slew lanes: both measure the same die.
-    let env = ScenarioEnv::prepare(tech, opts.scenario);
-    if opts.resolved_threads() >= 2 {
-        // The slew lane must honour the same stop flag / deadline and use
-        // the same linear-solver kernel and device-model derivative kind
-        // as the calling thread: all three are thread-local, so
-        // re-install the caller's on the worker.
-        let interrupt = losac_sim::interrupt::current();
-        let solver = losac_sim::solver_kind();
-        let deriv = losac_device::deriv_kind();
-        std::thread::scope(|s| {
-            let env_ref = &env;
-            let slew = s.spawn(move || {
-                let _interrupt = interrupt.map(losac_sim::interrupt::install);
-                let _solver = losac_sim::install_solver(solver);
-                let _deriv = losac_device::install_deriv(deriv);
-                measure_slew_rate_env(env_ref, ota, mode)
-            });
-            let main = small_signal(&env, ota, mode, opts);
-            let slew = slew
-                .join()
-                .map_err(|_| EvalError::new("slew-rate measurement thread panicked"));
-            let mut perf = main?;
-            perf.slew_rate = slew??;
-            Ok(perf)
-        })
-    } else {
-        let mut perf = small_signal(&env, ota, mode, opts)?;
-        perf.slew_rate = measure_slew_rate_env(&env, ota, mode)?;
-        Ok(perf)
-    }
+    // small-signal and slew measurements: both measure the same die.
+    let env = ScenarioEnv::prepare(tech, *scenario);
+    let mut perf = small_signal(&env, ota, mode)?;
+    perf.slew_rate = measure_slew_rate_env(&env, ota, mode)?;
+    Ok(perf)
 }
 
 /// Everything except the slew rate: balanced operating point, gain/GBW/
 /// phase margin, CMRR, output resistance and noise. Returns a
 /// [`Performance`] with `slew_rate` set to NaN for the caller to fill.
 ///
-/// With `opts.reuse_linearisation` the balanced circuit is linearised
-/// once; the differential sweep runs on it directly, and the common-mode
-/// and noise analyses restamp only the excitation vector — the `G`/`C`
-/// stamps depend on the operating point, not the source values, so the
-/// restamped system is the one `Linearized::build` would produce and
-/// every downstream number is bitwise unchanged. The CMRR and output-
-/// resistance probes additionally collapse to single-frequency solves:
-/// both legacy sweeps only ever read index `[0]`, and a sweep's first
-/// point is exactly `fstart` (`10^(0/ppd) = 1`), so one solve at
-/// `fstart` reproduces that entry bit for bit while skipping the
-/// factorisations of the remaining grid points.
+/// The balanced circuit is linearised once; the differential sweep runs
+/// on it directly, and the common-mode and noise analyses restamp only
+/// the excitation vector — the `G`/`C` stamps depend on the operating
+/// point, not the source values, so the restamped system is the one
+/// `Linearized::build` would produce. The CMRR and output-resistance
+/// probes are single-frequency solves at the low-frequency end.
 fn small_signal(
     env: &ScenarioEnv<'_>,
     ota: &dyn Amplifier,
     mode: &ParasiticMode,
-    opts: &EvalOptions,
 ) -> Result<Performance, EvalError> {
-    let threads = opts.threads;
     // --- balanced operating point (also yields the offset) ----------------
     let (dv, mut c, dc) = balance_env(env, ota, mode)?;
     let offset = dv;
@@ -1110,14 +923,9 @@ fn small_signal(
         fstart: 10.0,
         fstop: 20e9,
         points_per_decade: 24,
-        threads,
     };
-    let mut lin = opts.reuse_linearisation.then(|| Linearized::build(&c, &dc));
-    let ac = match &lin {
-        Some(lin) => ac_sweep_on(lin, &ac_opts),
-        None => ac_sweep(&c, &dc, &ac_opts),
-    }
-    .map_err(|e| EvalError::new(e.to_string()))?;
+    let mut lin = Linearized::build(&c, &dc);
+    let ac = ac_sweep_on(&lin, &ac_opts).map_err(|e| EvalError::new(e.to_string()))?;
     let summary = bode_summary_of(&ac.freqs, ac.trace(&c, "out").iter());
     let gbw = summary
         .unity_freq
@@ -1130,68 +938,26 @@ fn small_signal(
     // --- common-mode AC: CMRR ----------------------------------------------
     c.set_source_ac("vinp", 1.0).expect("vinp");
     c.set_source_ac("vinn", 1.0).expect("vinn");
-    let acm0 = match &mut lin {
-        Some(lin) => {
-            lin.restamp_excitation(&c);
-            let row = ac_point_on(lin, 10.0).map_err(|e| EvalError::new(e.to_string()))?;
-            let out = c.find_node("out").expect("out node");
-            row[out].abs()
-        }
-        None => {
-            let ac_cm = ac_sweep(
-                &c,
-                &dc,
-                &AcOptions {
-                    fstart: 10.0,
-                    fstop: 1e3,
-                    points_per_decade: 4,
-                    threads,
-                },
-            )
-            .map_err(|e| EvalError::new(e.to_string()))?;
-            ac_cm.magnitude(&c, "out")[0]
-        }
-    }
-    .max(1e-12);
+    lin.restamp_excitation(&c);
+    let row = ac_point_on(&lin, 10.0).map_err(|e| EvalError::new(e.to_string()))?;
+    let out = c.find_node("out").expect("out node");
+    let acm0 = row[out].abs().max(1e-12);
     let cmrr_db = db(adm0 / acm0);
 
     // --- output resistance ---------------------------------------------------
     let mut c_rout = env.netlist(ota, mode, InputDrive::Differential { dv });
     c_rout.isource_ac("itest", "0", "out", 0.0, 1.0);
     let dc_rout = dc_operating_point(&c_rout, &DcOptions::default())?;
-    let output_resistance = if opts.reuse_linearisation {
-        let lin_rout = Linearized::build(&c_rout, &dc_rout);
-        let row = ac_point_on(&lin_rout, 1.0).map_err(|e| EvalError::new(e.to_string()))?;
-        let out = c_rout.find_node("out").expect("out node");
-        row[out].abs()
-    } else {
-        let ac_rout = ac_sweep(
-            &c_rout,
-            &dc_rout,
-            &AcOptions {
-                fstart: 1.0,
-                fstop: 10.0,
-                points_per_decade: 2,
-                threads,
-            },
-        )
-        .map_err(|e| EvalError::new(e.to_string()))?;
-        ac_rout.magnitude(&c_rout, "out")[0]
-    };
+    let lin_rout = Linearized::build(&c_rout, &dc_rout);
+    let row = ac_point_on(&lin_rout, 1.0).map_err(|e| EvalError::new(e.to_string()))?;
+    let output_resistance = row[c_rout.find_node("out").expect("out node")].abs();
 
     // --- noise ----------------------------------------------------------------
     c.set_source_ac("vinp", 0.5).expect("vinp");
     c.set_source_ac("vinn", -0.5).expect("vinn");
     let freqs = log_grid(1.0, gbw.max(1e6), 12);
-    let noise = match &mut lin {
-        Some(lin) => {
-            lin.restamp_excitation(&c);
-            let out = c.find_node("out").expect("out node");
-            noise_analysis_on(lin, &freqs, out, threads)
-        }
-        None => noise_analysis(&c, &dc, &freqs, "out"),
-    }
-    .map_err(|e| EvalError::new(e.to_string()))?;
+    lin.restamp_excitation(&c);
+    let noise = noise_analysis_on(&lin, &freqs, out).map_err(|e| EvalError::new(e.to_string()))?;
     let input_noise_rms = integrate_psd(&noise.freqs, &noise.input_psd).sqrt();
     let thermal_noise_density = noise.input_density_at(gbw / 50.0);
     let flicker_noise_density = noise.input_density_at(1.0);
@@ -1228,7 +994,6 @@ pub fn measure_psrr(
         fstart: 10.0,
         fstop: 1e3,
         points_per_decade: 4,
-        threads: 1,
     };
     // Differential gain.
     c.set_source_ac("vinp", 0.5).expect("vinp");

@@ -44,8 +44,8 @@ pub mod techeval;
 pub mod topology;
 
 pub use eval::{
-    evaluate_with, measure_psrr, Amplifier, EvalCache, EvalError, EvalOptions, EvalOptionsBuilder,
-    InputDrive, Performance,
+    evaluate_with, measure_psrr, Amplifier, EvalCache, EvalError, EvalOptions, InputDrive,
+    Performance,
 };
 pub use feedback::{DeviceFeedback, DiffGeom, LayoutFeedback, ParasiticMode};
 pub use losac_tech::{MismatchDraw, Pvt, Scenario};

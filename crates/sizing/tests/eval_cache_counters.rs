@@ -1,4 +1,5 @@
-//! Counter-level gates for the evaluation cache and linearisation reuse.
+//! Counter-level gates for the evaluation cache and the simulator work of
+//! one evaluation.
 //!
 //! Kept as a **single test in its own binary**: the `losac-obs` counters
 //! are process-global, so factorisation deltas would race against sibling
@@ -22,7 +23,7 @@ fn counter_delta<R>(name: &str, f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 #[test]
-fn reuse_and_cache_cut_matrix_factorisations() {
+fn evaluate_work_counts_are_exact_and_the_cache_cuts_them_to_zero() {
     let tech = Technology::cmos06();
     let ota = FoldedCascodePlan::default()
         .size(&tech, &OtaSpecs::paper_example(), &ParasiticMode::None)
@@ -30,20 +31,15 @@ fn reuse_and_cache_cut_matrix_factorisations() {
     let mode = ParasiticMode::None;
     const FACTS: &str = "sim.matrix.factorizations";
 
-    // Linearisation reuse replaces the single-point CM and Rout sweeps
-    // with one factorisation each; the full evaluation must therefore
-    // factorise strictly fewer matrices than the legacy path.
-    let (_, legacy_facts) = counter_delta(FACTS, || {
-        evaluate_with(&ota, &tech, &mode, &EvalOptions::legacy()).expect("legacy")
-    });
-    let (_, reuse_facts) = counter_delta(FACTS, || {
-        evaluate_with(&ota, &tech, &mode, &EvalOptions::default()).expect("reuse")
-    });
-    assert!(legacy_facts > 0, "legacy path must factorise");
-    assert!(
-        reuse_facts < legacy_facts,
-        "reuse did not save factorisations ({reuse_facts} vs {legacy_facts})"
-    );
+    // Exact work of one paper-example evaluation: every numeric
+    // refactorisation it does, served by six symbolic analyses (one per
+    // distinct matrix pattern). A change of either count is a change of
+    // the simulator's work and must be explained.
+    let before = snapshot();
+    evaluate_with(&ota, &tech, &mode, &EvalOptions::default()).expect("evaluate");
+    let since = snapshot().counters_since(&before);
+    assert_eq!(since.get(FACTS).copied(), Some(3568));
+    assert_eq!(since.get("sim.matrix.symbolic_analyses").copied(), Some(6));
 
     // A cache hit answers from the table: zero simulator work, and the
     // hit/miss counters record exactly one of each.

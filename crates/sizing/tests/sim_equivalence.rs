@@ -1,11 +1,12 @@
-//! Equivalence gates for the simulator hot-path overhaul.
+//! Equivalence gates for the evaluator's reuse of work.
 //!
-//! Every optimisation behind [`EvalOptions`] — linearisation reuse,
-//! single-point probes, intra-sweep thread fan-out, the keyed evaluation
-//! cache — must be **bitwise identical** to the historical serial
-//! fresh-allocation path. These tests enforce that with `f64::to_bits`
-//! comparisons on full sweeps and on every `Performance` field; any
-//! reordering of floating-point operations fails the suite.
+//! A linearisation restamped with a new excitation and the keyed
+//! evaluation cache must be **bitwise identical** to building afresh.
+//! These tests enforce that with `f64::to_bits` comparisons on full
+//! sweeps and on every `Performance` field; any reordering of
+//! floating-point operations fails the suite. The evaluator's output
+//! itself is pinned by the Table-1 goldens (`tests/table1_goldens.rs` in
+//! the workspace root).
 
 use losac_sim::ac::{ac_sweep, ac_sweep_on, AcOptions};
 use losac_sim::dc::{dc_operating_point, DcOptions};
@@ -41,59 +42,45 @@ fn perf_bits(p: &Performance) -> [u64; 11] {
 }
 
 #[test]
-fn parallel_ac_sweep_is_bitwise_identical_to_serial() {
+fn restamped_linearisation_sweeps_bitwise_identical_to_a_fresh_build() {
     let (tech, ota) = sized_ota();
-    let circuit = ota.netlist(
+    let mut circuit = ota.netlist(
         &tech,
         &ParasiticMode::None,
         InputDrive::Differential { dv: 0.0 },
     );
     let dc = dc_operating_point(&circuit, &DcOptions::default()).expect("dc");
-    let opts = |threads| AcOptions {
+    let opts = AcOptions {
         fstart: 10.0,
         fstop: 20e9,
         points_per_decade: 24,
-        threads,
     };
 
-    // Reference: the historical entry point — fresh linearisation, serial.
-    let reference = ac_sweep(&circuit, &dc, &opts(1)).expect("serial sweep");
-    let lin = Linearized::build(&circuit, &dc);
-    for threads in [1usize, 2, 4] {
-        let sweep = ac_sweep_on(&lin, &opts(threads)).expect("sweep on lin");
-        assert_eq!(sweep.freqs.len(), reference.freqs.len());
-        for (f, g) in sweep.freqs.iter().zip(&reference.freqs) {
-            assert_eq!(f.to_bits(), g.to_bits(), "frequency grid differs");
-        }
-        for (i, (row, ref_row)) in sweep.v.iter().zip(&reference.v).enumerate() {
-            assert_eq!(row.len(), ref_row.len());
-            for (node, (z, w)) in row.iter().zip(ref_row).enumerate() {
-                assert_eq!(
-                    (z.re.to_bits(), z.im.to_bits()),
-                    (w.re.to_bits(), w.im.to_bits()),
-                    "phasor differs at point {i}, node {node}, {threads} threads"
-                );
-            }
-        }
-    }
-}
+    // Linearise under a differential drive, then switch to a common-mode
+    // drive and restamp only the excitation — as the evaluator does.
+    circuit.set_source_ac("vinp", 0.5).expect("vinp");
+    circuit.set_source_ac("vinn", -0.5).expect("vinn");
+    let mut lin = Linearized::build(&circuit, &dc);
+    circuit.set_source_ac("vinp", 1.0).expect("vinp");
+    circuit.set_source_ac("vinn", 1.0).expect("vinn");
+    lin.restamp_excitation(&circuit);
+    let sweep = ac_sweep_on(&lin, &opts).expect("sweep on lin");
 
-#[test]
-fn optimised_evaluate_is_bitwise_identical_to_legacy() {
-    let (tech, ota) = sized_ota();
-    let mode = ParasiticMode::None;
-    let reference = evaluate_with(&ota, &tech, &mode, &EvalOptions::legacy()).expect("legacy");
-    for (label, opts) in [
-        ("reuse_1t", EvalOptions::default()),
-        ("reuse_2t", EvalOptions::default().with_threads(2)),
-        ("reuse_4t", EvalOptions::default().with_threads(4)),
-    ] {
-        let perf = evaluate_with(&ota, &tech, &mode, &opts).expect(label);
-        assert_eq!(
-            perf_bits(&perf),
-            perf_bits(&reference),
-            "{label} diverged from the legacy serial path"
-        );
+    // Reference: a fresh linearisation of the common-mode circuit.
+    let reference = ac_sweep(&circuit, &dc, &opts).expect("fresh sweep");
+    assert_eq!(sweep.freqs.len(), reference.freqs.len());
+    for (f, g) in sweep.freqs.iter().zip(&reference.freqs) {
+        assert_eq!(f.to_bits(), g.to_bits(), "frequency grid differs");
+    }
+    for (i, (row, ref_row)) in sweep.v.iter().zip(&reference.v).enumerate() {
+        assert_eq!(row.len(), ref_row.len());
+        for (node, (z, w)) in row.iter().zip(ref_row).enumerate() {
+            assert_eq!(
+                (z.re.to_bits(), z.im.to_bits()),
+                (w.re.to_bits(), w.im.to_bits()),
+                "phasor differs at point {i}, node {node}"
+            );
+        }
     }
 }
 
@@ -127,111 +114,4 @@ fn cache_distinguishes_parasitic_modes() {
         diff.gbw.to_bits(),
         "parasitics must change the result (otherwise this test is vacuous)"
     );
-}
-
-/// Relative deviation helper for the solver-kernel gate below.
-fn rel(a: f64, b: f64) -> f64 {
-    (a - b).abs() / b.abs().max(1e-30)
-}
-
-/// The sparse kernel eliminates in a fill-reducing order, so its
-/// floating-point rounding differs from the dense pivoted kernel and
-/// bitwise equality is *not* expected between the two. The documented
-/// equivalence bound for every Table-1 metric is **1e-9 relative**
-/// (offset: 1e-9 V absolute — it can legitimately be 0.0). Measured
-/// deviations on the paper example are ≤ 3e-12 relative (CMRR, the most
-/// cancellation-prone metric), i.e. the gate carries ≥ 300× margin.
-#[test]
-fn sparse_kernel_matches_dense_within_documented_bounds() {
-    let (tech, ota) = sized_ota();
-    let run = |kind| {
-        let opts = EvalOptions::default().with_solver(kind);
-        evaluate_with(&ota, &tech, &ParasiticMode::None, &opts).expect("evaluate")
-    };
-    let sparse = run(losac_sim::SolverKind::Sparse);
-    let dense = run(losac_sim::SolverKind::Dense);
-    let gates = [
-        ("dc_gain_db", rel(sparse.dc_gain_db, dense.dc_gain_db)),
-        ("gbw", rel(sparse.gbw, dense.gbw)),
-        ("phase_margin", rel(sparse.phase_margin, dense.phase_margin)),
-        ("slew_rate", rel(sparse.slew_rate, dense.slew_rate)),
-        ("cmrr_db", rel(sparse.cmrr_db, dense.cmrr_db)),
-        ("offset", (sparse.offset - dense.offset).abs()),
-        (
-            "output_resistance",
-            rel(sparse.output_resistance, dense.output_resistance),
-        ),
-        (
-            "input_noise_rms",
-            rel(sparse.input_noise_rms, dense.input_noise_rms),
-        ),
-        ("power", rel(sparse.power, dense.power)),
-    ];
-    for (name, dev) in gates {
-        assert!(dev <= 1e-9, "{name}: sparse vs dense deviation {dev:.3e}");
-    }
-}
-
-/// The analytic device-model derivatives differ from the FD probes by
-/// the probes' truncation error (~2e-10 relative in each stamped
-/// conductance), which shifts every Newton trajectory *and* every AC
-/// stamp — so, as with the solver kernels, the gate between the two
-/// [`losac_device::DerivKind`]s is the tolerance tier of DESIGN §6j:
-/// **1e-9 relative** per Table-1 metric on the paper example. Two
-/// metrics gate absolutely instead: offset at 1e-9 V (it can
-/// legitimately be 0.0), and CMRR at 1e-4 dB — CMRR divides by the
-/// common-mode gain, a cancellation residual whose relative sensitivity
-/// to a uniform conductance perturbation is amplified by the very
-/// matching it measures, so the FD arm's truncation lands at ~6e-6 dB
-/// (7e-8 relative) there while every other metric sits below 1e-9. The
-/// same run's FD arm also pins `LOSAC_DERIV=fd` end-to-end through the
-/// evaluator, complementing the bitwise FD-reproduction gates in
-/// `losac-device` itself.
-#[test]
-fn analytic_derivatives_match_fd_within_documented_bounds() {
-    let (tech, ota) = sized_ota();
-    let run = |kind| {
-        let opts = EvalOptions::default().with_deriv(kind);
-        evaluate_with(&ota, &tech, &ParasiticMode::None, &opts).expect("evaluate")
-    };
-    let analytic = run(losac_device::DerivKind::Analytic);
-    let fd = run(losac_device::DerivKind::FiniteDifference);
-    let gates = [
-        ("dc_gain_db", rel(analytic.dc_gain_db, fd.dc_gain_db), 1e-9),
-        ("gbw", rel(analytic.gbw, fd.gbw), 1e-9),
-        (
-            "phase_margin",
-            rel(analytic.phase_margin, fd.phase_margin),
-            1e-9,
-        ),
-        ("slew_rate", rel(analytic.slew_rate, fd.slew_rate), 1e-9),
-        (
-            "cmrr_db (dB absolute)",
-            (analytic.cmrr_db - fd.cmrr_db).abs(),
-            1e-4,
-        ),
-        ("offset", (analytic.offset - fd.offset).abs(), 1e-9),
-        (
-            "output_resistance",
-            rel(analytic.output_resistance, fd.output_resistance),
-            1e-9,
-        ),
-        (
-            "input_noise_rms",
-            rel(analytic.input_noise_rms, fd.input_noise_rms),
-            1e-9,
-        ),
-        ("power", rel(analytic.power, fd.power), 1e-9),
-    ];
-    for (name, dev, bound) in gates {
-        assert!(
-            dev <= bound,
-            "{name}: analytic vs fd deviation {dev:.3e} (bound {bound:e})"
-        );
-    }
-    // And the FD arm itself is deterministic: a second run is bitwise
-    // identical, so `LOSAC_DERIV=fd` is a faithful fallback, not a
-    // different-but-close approximation of itself.
-    let fd2 = run(losac_device::DerivKind::FiniteDifference);
-    assert_eq!(perf_bits(&fd), perf_bits(&fd2));
 }

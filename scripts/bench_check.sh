@@ -3,11 +3,10 @@
 # already exists and --no-run is passed) and diff it against the
 # committed PR-9 baseline. Fails on >25% regression in the two numbers
 # the simulator work is judged by: `evaluate.reuse_1t.ms` and
-# `run_case4.cache_warm_repeat.ms`. Also reports the same-run ablation
-# ratios: analytic-vs-finite-difference derivatives (PR 9's knob) and
-# sparse-vs-dense solve (PR 8's), the device-model decomposition
-# counters that pin the model share of an evaluate (DESIGN §6j), and the
-# scenario-sweep yield row (PR 10's corner × MC grid through the engine).
+# `run_case4.cache_warm_repeat.ms`. Also reports the device-model
+# counters that pin the model share of an evaluate (DESIGN §6j), the
+# sparse-kernel counters, the evaluate latency percentiles and the
+# scenario-sweep yield row (corner × MC grid through the engine).
 #
 # Usage: scripts/bench_check.sh [--no-run]
 set -eu
@@ -58,40 +57,15 @@ for name, was, got in checks:
         fail = True
     print(f"bench_check: {name}: {was:.1f} ms -> {got:.1f} ms ({ratio:.2f}x) {status}")
 
-# Same-run ablations (immune to machine-day drift).
-ev = now["evaluate"]
-if "fd_1t" in ev:
-    a, f = fresh(ev["reuse_1t"]), fresh(ev["fd_1t"])
-    print(
-        "bench_check: evaluate analytic vs finite-difference (same run): "
-        f"{a:.1f} ms vs {f:.1f} ms ({f / a:.2f}x faster analytic)"
-    )
-if "dense_1t" in ev:
-    print(
-        "bench_check: evaluate sparse vs dense (same run): "
-        f"{ev['reuse_1t']['ms']:.1f} ms vs {ev['dense_1t']['ms']:.1f} ms "
-        f"({ev['dense_1t']['ms'] / ev['reuse_1t']['ms']:.2f}x faster sparse)"
-    )
-ac = now["ac_sweep"]
-if "dense_1t_ms" in ac:
-    print(
-        "bench_check: ac_sweep sparse vs dense (same run): "
-        f"{ac['reuse_1t_ms']:.3f} ms vs {ac['dense_1t_ms']:.3f} ms "
-        f"({ac['dense_1t_ms'] / ac['reuse_1t_ms']:.2f}x faster sparse)"
-    )
-
 # Device-model decomposition: evals and transcendental ops per evaluate
-# under each derivative kind. The transcendental ratio is static (13
-# analytic vs 51 finite-difference per eval); the eval count ties the
-# model share of an evaluate to DESIGN §6j's Amdahl analysis.
+# (13 per eval); the eval count ties the model share of an evaluate to
+# DESIGN §6j's Amdahl analysis.
 dm = now.get("device_model")
 if dm:
-    an, fd = dm["analytic"], dm["fd"]
+    an = dm["analytic"]
     print(
         f"bench_check: device model: {an['evals_per_evaluate']} evals/evaluate, "
-        f"{an['transcendentals_per_evaluate']} transcendentals analytic vs "
-        f"{fd['transcendentals_per_evaluate']} fd "
-        f"({fd['transcendentals_per_evaluate'] / max(an['transcendentals_per_evaluate'], 1):.1f}x), "
+        f"{an['transcendentals_per_evaluate']} transcendentals, "
         f"{dm['cap_floored_per_evaluate']} floored cap stamps"
     )
 

@@ -39,6 +39,20 @@ if ! cargo test -q; then
     fail=1
 fi
 
+# Every workspace crate's tests, in both profiles: checks that guard
+# against silent wrong answers must hold with debug assertions off too.
+echo "==> cargo test --workspace (debug)"
+if ! LOSAC_LOG=off cargo test -q --workspace; then
+    echo "FAIL: workspace tests (debug)"
+    fail=1
+fi
+
+echo "==> cargo test --workspace (release)"
+if ! LOSAC_LOG=off cargo test -q --release --workspace; then
+    echo "FAIL: workspace tests (release)"
+    fail=1
+fi
+
 # Batch engine integration: the 4-case Table-1 batch must be bitwise
 # identical to serial run_case whether one worker or four execute it.
 echo "==> batch engine integration (1 worker)"
@@ -103,25 +117,13 @@ if command -v cargo-clippy >/dev/null 2>&1; then
     fi
 fi
 
-# Hot-path equivalence gates: every simulator optimisation (linearisation
-# reuse, thread fan-out, eval cache) must be bitwise identical to the
-# legacy serial path, and must measurably cut matrix factorisations.
+# Hot-path equivalence gates: a restamped linearisation and the eval
+# cache must be bitwise identical to a fresh build, and one evaluation
+# must do exactly its pinned number of factorisations.
 echo "==> simulator equivalence gates"
 if ! LOSAC_LOG=off cargo test -q --release -p losac-sizing \
     --test sim_equivalence --test eval_cache_counters; then
     echo "FAIL: simulator equivalence gates"
-    fail=1
-fi
-
-# Derivative-kind ablation gate: the same suites must hold with the
-# finite-difference fallback selected ambiently (the LOSAC_DERIV knob
-# mirrors LOSAC_SOLVER=dense) — the env var must reach the model, stay
-# deterministic, and keep the analytic-vs-fd tolerance tiers.
-echo "==> derivative equivalence gates (LOSAC_DERIV=fd)"
-if ! LOSAC_LOG=off LOSAC_DERIV=fd cargo test -q --release \
-    -p losac-device --test deriv_equivalence \
-    -p losac-sizing --test sim_equivalence; then
-    echo "FAIL: derivative equivalence gates (fd)"
     fail=1
 fi
 

@@ -79,14 +79,14 @@ pub mod prelude {
     };
     pub use losac_core::layout_gen::LayoutOptions;
     pub use losac_engine::{
-        BatchResult, CancelToken, DesignPointYield, Engine, EngineOptions, EngineOptionsBuilder,
-        JobOutcome, MetricSpread, RetryPolicy, SpecAxis, SweepBuilder, SynthesisJob,
+        BatchResult, CancelToken, DesignPointYield, Engine, EngineOptions, JobOutcome,
+        MetricSpread, RetryPolicy, SpecAxis, SweepBuilder, SynthesisJob,
     };
     pub use losac_layout::slicing::ShapeConstraint;
     pub use losac_serve::{ServeClient, ServeOptions, Server};
     pub use losac_sizing::{
-        EvalCache, EvalOptions, EvalOptionsBuilder, OtaSpecs, ParasiticMode, Performance,
-        TopologyPlan, TopologyRegistry,
+        EvalCache, EvalOptions, OtaSpecs, ParasiticMode, Performance, TopologyPlan,
+        TopologyRegistry,
     };
     pub use losac_tech::{Corner, MismatchDraw, Pvt, Scenario, Technology};
 }

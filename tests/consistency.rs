@@ -152,7 +152,6 @@ fn ac_measured_gate_capacitance_matches_the_model() {
             fstart: f,
             fstop: 2.0 * f,
             points_per_decade: 4,
-            threads: 1,
         },
     )
     .expect("ac");

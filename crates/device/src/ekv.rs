@@ -508,7 +508,7 @@ fn eval_normalised(m: &Mosfet, pre: &Precomputed, vg: f64, vs: f64, vd: f64) -> 
 // ---------------------------------------------------------------------------
 
 /// A reusable operating-point evaluator for one (device, temperature):
-/// the bias-independent [`Precomputed`] block is built once and shared by
+/// the bias-independent `Precomputed` block is built once and shared by
 /// every evaluation, instead of being rebuilt per call the way
 /// [`evaluate_at`] historically did on each of the ~3000 Newton
 /// assemblies of a transient run (and on every probe of the inverse

@@ -24,7 +24,7 @@
 //!   report [`JobOutcome::Degraded`], while permanent failures (invalid
 //!   options, bad netlists, sizing/layout rejections) and budget stops
 //!   are never retried. With the `failpoints` feature, per-job fault
-//!   plans ([`SynthesisJob::with_fail_plan`]) drive the seeded chaos
+//!   plans (`SynthesisJob::with_fail_plan`) drive the seeded chaos
 //!   suite in `tests/chaos.rs`;
 //! * [`SweepBuilder`] — cartesian job grids over cases, shape
 //!   constraints, specification axes ([`SpecAxis`]) and *scenario* axes:

@@ -5,7 +5,7 @@
 //! and every layer under it — observable at runtime without adding a
 //! single external dependency:
 //!
-//! * **Spans** ([`span`], [`span_with`]) — hierarchical RAII guards with
+//! * **Spans** ([`span()`], [`span_with`]) — hierarchical RAII guards with
 //!   wall-clock timing; nesting is tracked per thread and every record
 //!   carries its span path.
 //! * **Events** ([`event`]) — point-in-time records with typed fields

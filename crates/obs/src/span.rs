@@ -1,6 +1,6 @@
 //! Hierarchical RAII spans with wall-clock timing.
 //!
-//! A span is entered with [`crate::span`] and exited when the returned
+//! A span is entered with [`crate::span()`] and exited when the returned
 //! guard drops. Nesting is tracked per thread; every record carries the
 //! `>`-joined path of enclosing spans, so sinks can reconstruct the tree
 //! without bookkeeping.
@@ -44,7 +44,7 @@ pub(crate) fn current_path() -> String {
     STACK.with(|s| s.borrow().join(">"))
 }
 
-/// RAII guard for an entered span. Created by [`crate::span`] /
+/// RAII guard for an entered span. Created by [`crate::span()`] /
 /// [`crate::span_with`]; emits the `span_end` record (with elapsed time)
 /// when dropped.
 #[must_use = "a span guard that is dropped immediately times nothing"]

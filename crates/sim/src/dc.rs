@@ -1,16 +1,23 @@
-//! Nonlinear DC operating-point analysis (and the shared nonlinear
-//! assembler used by the transient analysis).
+//! Nonlinear DC operating-point analysis (and the Newton loop the
+//! transient analysis shares).
 //!
 //! Standard modified nodal analysis: unknowns are the non-ground node
 //! voltages plus one branch current per voltage source. The nonlinear
 //! system is solved by damped Newton–Raphson; when plain Newton fails the
 //! solver falls back to gmin stepping and then source stepping, the same
 //! continuation ladder real SPICE engines use.
+//!
+//! The Jacobian is written in one place, `compile`: a stamp program built
+//! from the circuit's structure alone. Each Newton iteration evaluates the
+//! devices once, fills the residual and a flat quantity array, and
+//! scatters the quantities through the program into the sparse values (or
+//! the dense fallback matrix). [`crate::linear::Linearized::build`] runs
+//! the same program with small-signal quantities into its `G` and `C`.
 
 use crate::interrupt::Interrupted;
-use crate::netlist::{Circuit, Element, GROUND};
+use crate::netlist::{Circuit, Element, MosInstance, NodeId, GROUND};
 use crate::num::{Matrix, SingularMatrix};
-use crate::sparse::{MatrixStamp, SparseRealSystem};
+use crate::sparse::StampProgram;
 use losac_device::caps::intrinsic_caps;
 use losac_device::ekv::{evaluate_at, MosBatch, MosOp};
 use losac_obs::Counter;
@@ -19,9 +26,8 @@ use std::fmt;
 
 /// Operating points solved (cold starts and warm restarts alike).
 static DC_SOLVES: Counter = Counter::new("sim.dc.solves");
-/// Non-positive bias-dependent capacitances floored to keep the transient
-/// stamp pattern bias-independent (shares its slot with the AC-side
-/// counter of the same name in `linear.rs`).
+/// Negative capacitances a transient stamps as zero (shares its slot with
+/// the AC-side counter of the same name in `linear.rs`).
 static CAP_FLOORED: Counter = Counter::new("sim.stamp.cap_floored");
 /// Newton iterations summed over all solves and continuation steps.
 static DC_NEWTON_ITERS: Counter = Counter::new("sim.dc.newton_iters");
@@ -220,7 +226,7 @@ fn v_of(x: &[f64], u: &Unknowns, id: usize) -> f64 {
     }
 }
 
-/// What the assembler is building.
+/// The analysis a Newton solve serves.
 pub(crate) enum AssembleMode<'a> {
     /// DC: capacitors open, sources scaled by `src_scale`.
     Dc {
@@ -239,49 +245,149 @@ pub(crate) enum AssembleMode<'a> {
     },
 }
 
-/// Assemble the Jacobian and residual at point `x`.
-pub(crate) fn assemble(
-    circuit: &Circuit,
-    u: &Unknowns,
-    x: &[f64],
-    gmin: f64,
-    mode: &AssembleMode<'_>,
-) -> (Matrix<f64>, Vec<f64>) {
-    let mut j = Matrix::zeros(u.total);
-    let mut f = vec![0.0; u.total];
-    let mut batch = MosBatch::new();
-    assemble_into(circuit, u, x, gmin, mode, &mut j, &mut f, &mut batch);
-    (j, f)
+// Quantity layout of a stamp program: gmin and the unit incidence of the
+// voltage-source branches, then each element's own quantities from its
+// base offset, in element order.
+pub(crate) const GMIN: usize = 0;
+pub(crate) const ONE: usize = 1;
+pub(crate) const FIRST_ELEMENT: usize = 2;
+// A MOSFET's quantities, from its base: conductances, then capacitances.
+const GM: usize = 0;
+const GDS: usize = 1;
+const GMB: usize = 2;
+const GS: usize = 3;
+pub(crate) const CGS: usize = 4;
+
+/// Number of quantities `e` owns.
+pub(crate) fn quantities(e: &Element) -> usize {
+    match e {
+        Element::Resistor { .. } | Element::Capacitor { .. } => 1,
+        Element::Mos(_) => CGS + 5,
+        Element::Vsource(_) | Element::Isource(_) => 0,
+    }
 }
 
-/// Assemble the Jacobian and residual at point `x` into caller-owned
-/// buffers — zero allocations once the buffers have reached size, which
-/// matters because this runs once per Newton iteration.
+/// Terminal pairs of a MOSFET's capacitances `cgs, cgd, cgb, cdb, csb`,
+/// which are its quantities `CGS..CGS + 5`.
+pub(crate) fn mos_cap_nodes(m: &MosInstance) -> [(NodeId, NodeId); 5] {
+    [(m.g, m.s), (m.g, m.d), (m.g, m.b), (m.d, m.b), (m.s, m.b)]
+}
+
+/// A MOSFET's capacitances at operating point `op` with terminal voltages
+/// `vd, vs, vb`, in [`mos_cap_nodes`] order: intrinsic, then junction.
+pub(crate) fn mos_caps(m: &MosInstance, op: &MosOp, vd: f64, vs: f64, vb: f64) -> [f64; 5] {
+    let ic = intrinsic_caps(&m.dev, op);
+    let sign = m.dev.params.polarity.sign();
+    let cdb = m
+        .junction
+        .capacitance(m.drain_geom.area, m.drain_geom.perimeter, sign * (vd - vb));
+    let csb = m.junction.capacitance(
+        m.source_geom.area,
+        m.source_geom.perimeter,
+        sign * (vs - vb),
+    );
+    [ic.cgs, ic.cgd, ic.cgb, cdb, csb]
+}
+
+/// Write a MOSFET's small-signal conductances into its quantities.
+pub(crate) fn set_mos_conductances(q: &mut [f64], base: usize, op: &MosOp) {
+    let (gm, gds, gmb) = (op.gm, op.gds, op.gmb);
+    q[base + GM] = gm;
+    q[base + GDS] = gds;
+    q[base + GMB] = gmb;
+    q[base + GS] = -(gm + gds + gmb);
+}
+
+/// Compile `circuit`'s MNA Jacobian from its structure alone: gmin on
+/// every node, then each element's stamps in element order. The order is
+/// the order of the additions into each entry, so it fixes the Jacobian's
+/// rounding. Capacitance stamps are included (and tagged) only with
+/// `caps`: a DC pattern leaves them out.
 ///
-/// Generic over the Jacobian sink so the same stamping logic fills the
-/// dense matrix, collects a sparse pattern, or restamps cached sparse
-/// values (see [`MatrixStamp`]). The emitted stamp *positions* depend
-/// only on the circuit structure and the [`AssembleMode`] variant, never
-/// on `x`, `gmin` or the source scale — the pattern-stability property
-/// the sparse kernel's cached symbolic analysis relies on. In particular
-/// zero-valued device capacitances still stamp (a numeric no-op) so a
-/// bias point where some junction capacitance vanishes cannot shrink the
-/// structure mid-Newton.
+/// The stamp positions depend only on element kinds and node ids, never
+/// on values, so the program serves every Newton iteration, continuation
+/// step and time step on this circuit. Capacitances that evaluate to zero
+/// still have their stamps, so a bias point cannot shrink the structure.
+pub(crate) fn compile(circuit: &Circuit, u: &Unknowns, caps: bool) -> StampProgram {
+    let nq = FIRST_ELEMENT + circuit.elements().iter().map(quantities).sum::<usize>();
+    let mut p = StampProgram::new(u.total, u.nv_offset, nq);
+    // A conductance-like stamp of quantity `src` between nodes `a` and `b`.
+    let two_terminal = |p: &mut StampProgram, a: NodeId, b: NodeId, src: usize, cap: bool| {
+        let (ia, ib) = (u.node(a), u.node(b));
+        if let Some(ia) = ia {
+            p.push(ia, ia, src, false, cap);
+            if let Some(ib) = ib {
+                p.push(ia, ib, src, true, cap);
+            }
+        }
+        if let Some(ib) = ib {
+            p.push(ib, ib, src, false, cap);
+            if let Some(ia) = ia {
+                p.push(ib, ia, src, true, cap);
+            }
+        }
+    };
+    for i in 0..u.n_nodes {
+        p.push(i, i, GMIN, false, false);
+    }
+    let mut base = FIRST_ELEMENT;
+    let mut row = u.nv_offset;
+    for e in circuit.elements() {
+        match e {
+            Element::Resistor { a, b, .. } => two_terminal(&mut p, *a, *b, base, false),
+            Element::Capacitor { a, b, .. } if caps => two_terminal(&mut p, *a, *b, base, true),
+            Element::Capacitor { .. } | Element::Isource(_) => {}
+            Element::Vsource(vs) => {
+                // Branch equation v_pos − v_neg − V = 0; the branch current
+                // flows into the + terminal.
+                if let Some(ip) = u.node(vs.pos) {
+                    p.push(row, ip, ONE, false, false);
+                    p.push(ip, row, ONE, false, false);
+                }
+                if let Some(in_) = u.node(vs.neg) {
+                    p.push(row, in_, ONE, true, false);
+                    p.push(in_, row, ONE, true, false);
+                }
+                row += 1;
+            }
+            Element::Mos(m) => {
+                let (nd, ng, ns, nb) = (u.node(m.d), u.node(m.g), u.node(m.s), u.node(m.b));
+                for (r, neg) in [(nd, false), (ns, true)] {
+                    let Some(r) = r else { continue };
+                    for (c, k) in [(ng, GM), (nd, GDS), (nb, GMB), (ns, GS)] {
+                        if let Some(c) = c {
+                            p.push(r, c, base + k, neg, false);
+                        }
+                    }
+                }
+                if caps {
+                    for (k, (a, b)) in mos_cap_nodes(m).into_iter().enumerate() {
+                        two_terminal(&mut p, a, b, base + CGS + k, true);
+                    }
+                }
+            }
+        }
+        base += quantities(e);
+    }
+    p
+}
+
+/// Fill the residual `f` and the quantity array `q` at point `x`: the
+/// per-iteration half of an assembly, whose other half is the program.
+/// `q` must have the program's length.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_into<S: MatrixStamp>(
+fn fill(
     circuit: &Circuit,
     u: &Unknowns,
     x: &[f64],
     gmin: f64,
     mode: &AssembleMode<'_>,
-    j: &mut S,
+    q: &mut [f64],
     f: &mut Vec<f64>,
     batch: &mut MosBatch,
 ) {
-    j.reset(u.total);
     f.clear();
     f.resize(u.total, 0.0);
-    let mut vsrc_idx = 0usize;
 
     // Device-model pre-pass: stage every MOSFET's bias, then evaluate the
     // whole set in one batched call over flat arrays (the transcendental
@@ -304,20 +410,18 @@ pub(crate) fn assemble_into<S: MatrixStamp>(
     batch.evaluate_all();
     let mut mos_idx = 0usize;
 
-    // gmin to ground on every node.
+    q[GMIN] = gmin;
+    q[ONE] = 1.0;
     for i in 0..u.n_nodes {
-        j.stamp(i, i, gmin);
         f[i] += gmin * x[i];
     }
 
-    // Backward-Euler companion for a capacitor `farads` between nodes a, b.
-    let stamp_cap = |j: &mut S, f: &mut Vec<f64>, a: usize, b: usize, farads: f64| {
+    // Backward-Euler companion of a capacitor `farads` between nodes a, b:
+    // its current into the residual, its conductance `C/h` into `q[k]`.
+    let cap = |q: &mut [f64], f: &mut [f64], k: usize, a: NodeId, b: NodeId, farads: f64| {
         let AssembleMode::Tran { h, x_prev, .. } = mode else {
             return; // open at DC
         };
-        // Pattern stability: a bias-dependent capacitance that evaluates
-        // negative must still stamp its slots (with a floored, numeric
-        // no-op value), or the structure would change mid-Newton.
         let farads = if farads < 0.0 {
             CAP_FLOORED.incr();
             0.0
@@ -328,68 +432,44 @@ pub(crate) fn assemble_into<S: MatrixStamp>(
         let v_now = v_of(x, u, a) - v_of(x, u, b);
         let v_old = v_of(x_prev, u, a) - v_of(x_prev, u, b);
         let i_c = geq * (v_now - v_old);
-        let (ia, ib) = (u.node(a), u.node(b));
-        if let Some(ia) = ia {
+        if let Some(ia) = u.node(a) {
             f[ia] += i_c;
-            j.stamp(ia, ia, geq);
-            if let Some(ib) = ib {
-                j.stamp(ia, ib, -geq);
-            }
         }
-        if let Some(ib) = ib {
+        if let Some(ib) = u.node(b) {
             f[ib] -= i_c;
-            j.stamp(ib, ib, geq);
-            if let Some(ia) = ia {
-                j.stamp(ib, ia, -geq);
-            }
         }
+        q[k] = geq;
     };
 
+    let mut base = FIRST_ELEMENT;
+    let mut row = u.nv_offset;
     for e in circuit.elements() {
         match e {
             Element::Resistor { a, b, ohms, .. } => {
                 let g = 1.0 / ohms;
-                let (ia, ib) = (u.node(*a), u.node(*b));
                 let i = g * (v_of(x, u, *a) - v_of(x, u, *b));
-                if let Some(ia) = ia {
+                if let Some(ia) = u.node(*a) {
                     f[ia] += i;
-                    j.stamp(ia, ia, g);
-                    if let Some(ib) = ib {
-                        j.stamp(ia, ib, -g);
-                    }
                 }
-                if let Some(ib) = ib {
+                if let Some(ib) = u.node(*b) {
                     f[ib] -= i;
-                    j.stamp(ib, ib, g);
-                    if let Some(ia) = ia {
-                        j.stamp(ib, ia, -g);
-                    }
                 }
+                q[base] = g;
             }
-            Element::Capacitor { a, b, farads, .. } => {
-                stamp_cap(j, f, *a, *b, *farads);
-            }
+            Element::Capacitor { a, b, farads, .. } => cap(q, f, base, *a, *b, *farads),
             Element::Vsource(vs) => {
-                let row = u.nv_offset + vsrc_idx;
-                vsrc_idx += 1;
                 let value = match mode {
                     AssembleMode::Dc { src_scale } => vs.dc * src_scale,
                     AssembleMode::Tran { time, .. } => vs.waveform.value(vs.dc, *time),
                 };
-                let (ip, in_) = (u.node(vs.pos), u.node(vs.neg));
-                // Branch equation: v_pos − v_neg − V = 0.
                 f[row] = v_of(x, u, vs.pos) - v_of(x, u, vs.neg) - value;
-                if let Some(ip) = ip {
-                    j.stamp(row, ip, 1.0);
-                    // KCL: the branch current flows into the + terminal.
+                if let Some(ip) = u.node(vs.pos) {
                     f[ip] += x[row];
-                    j.stamp(ip, row, 1.0);
                 }
-                if let Some(in_) = in_ {
-                    j.stamp(row, in_, -1.0);
+                if let Some(in_) = u.node(vs.neg) {
                     f[in_] -= x[row];
-                    j.stamp(in_, row, -1.0);
                 }
+                row += 1;
             }
             Element::Isource(is) => {
                 let scale = match mode {
@@ -405,103 +485,70 @@ pub(crate) fn assemble_into<S: MatrixStamp>(
                 }
             }
             Element::Mos(m) => {
-                let vs = v_of(x, u, m.s);
-                let vd = v_of(x, u, m.d);
-                let vb = v_of(x, u, m.b);
                 // Evaluated in the pre-pass; the element loop visits the
                 // MOSFETs in the same order it staged them.
                 let op = *batch.op(mos_idx);
                 mos_idx += 1;
-                let sign = m.dev.params.polarity.sign();
-                let i_d = sign * op.id; // current into the drain terminal
-                let (gm, gds, gmb) = (op.gm, op.gds, op.gmb);
-                let g_s = -(gm + gds + gmb);
-                let (nd, ng, ns, nb) = (u.node(m.d), u.node(m.g), u.node(m.s), u.node(m.b));
-                if let Some(r) = nd {
+                let i_d = m.dev.params.polarity.sign() * op.id; // into the drain
+                if let Some(r) = u.node(m.d) {
                     f[r] += i_d;
-                    if let Some(c) = ng {
-                        j.stamp(r, c, gm);
-                    }
-                    if let Some(c) = nd {
-                        j.stamp(r, c, gds);
-                    }
-                    if let Some(c) = nb {
-                        j.stamp(r, c, gmb);
-                    }
-                    if let Some(c) = ns {
-                        j.stamp(r, c, g_s);
-                    }
                 }
-                if let Some(r) = ns {
+                if let Some(r) = u.node(m.s) {
                     f[r] -= i_d;
-                    if let Some(c) = ng {
-                        j.stamp(r, c, -gm);
-                    }
-                    if let Some(c) = nd {
-                        j.stamp(r, c, -gds);
-                    }
-                    if let Some(c) = nb {
-                        j.stamp(r, c, -gmb);
-                    }
-                    if let Some(c) = ns {
-                        j.stamp(r, c, -g_s);
-                    }
                 }
+                set_mos_conductances(q, base, &op);
                 // In transient mode the device capacitances integrate too.
                 if matches!(mode, AssembleMode::Tran { .. }) {
-                    let ic = intrinsic_caps(&m.dev, &op);
-                    let vr_d = sign * (vd - vb);
-                    let vr_s = sign * (vs - vb);
-                    let cdb =
-                        m.junction
-                            .capacitance(m.drain_geom.area, m.drain_geom.perimeter, vr_d);
-                    let csb =
-                        m.junction
-                            .capacitance(m.source_geom.area, m.source_geom.perimeter, vr_s);
-                    stamp_cap(j, f, m.g, m.s, ic.cgs);
-                    stamp_cap(j, f, m.g, m.d, ic.cgd);
-                    stamp_cap(j, f, m.g, m.b, ic.cgb);
-                    stamp_cap(j, f, m.d, m.b, cdb);
-                    stamp_cap(j, f, m.s, m.b, csb);
+                    let (vd, vs, vb) = (v_of(x, u, m.d), v_of(x, u, m.s), v_of(x, u, m.b));
+                    let caps = mos_caps(m, &op, vd, vs, vb);
+                    for (k, ((a, b), c)) in mos_cap_nodes(m).into_iter().zip(caps).enumerate() {
+                        cap(q, f, base + CGS + k, a, b, c);
+                    }
                 }
             }
         }
+        base += quantities(e);
     }
 }
 
-/// Reusable buffers for the Newton loop: the sparse system (pattern
-/// collected on first use, then cached for every later iteration — one
-/// symbolic analysis per scratch lifetime, i.e. per DC solve or per
-/// whole transient run), the dense Jacobian fallback (factored in place —
-/// it is rebuilt by the next assembly anyway), pivot vector, residual,
-/// negated right-hand side and update vector. One scratch per solve (or
-/// per transient run) means the inner loop allocates and copies nothing.
+/// Reusable state for the Newton loop on one circuit: its compiled stamp
+/// program (which owns the sparse pattern, built on first use — one
+/// symbolic analysis per DC solve, per whole transient run, or per
+/// [`DcSession`] structure), the quantity array, the dense Jacobian
+/// fallback (factored in place — the next scatter rebuilds it), pivot
+/// vector, residual, negated right-hand side and update vector. The
+/// inner loop allocates and copies nothing.
 #[derive(Debug, Default)]
 pub(crate) struct NewtonScratch {
+    program: StampProgram,
+    q: Vec<f64>,
     j: Matrix<f64>,
     f: Vec<f64>,
     perm: Vec<usize>,
     rhs: Vec<f64>,
     dx: Vec<f64>,
-    sparse: SparseRealSystem,
     /// Batched device-model evaluator: caches one precomputation block
     /// per MOSFET slot across every assembly of the scratch's lifetime.
     batch: MosBatch,
     /// Set when the sparse kernel hit a pivot breakdown: the rest of this
-    /// scratch's lifetime runs on the pivoted dense kernel.
+    /// solve runs on the pivoted dense kernel.
     sparse_fallback: bool,
 }
 
 impl NewtonScratch {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Start a fresh solve on a (possibly) reused scratch: a pivot
-    /// breakdown demotes the *remainder of one solve* to the dense kernel,
-    /// not every later solve of a long-lived [`DcSession`] — matching the
-    /// one-shot entry points, which rebuild the scratch per solve.
-    pub(crate) fn begin_solve(&mut self) {
+    /// Start a solve of `circuit` — a DC solve, or a `transient` run whose
+    /// program has capacitance stamps — on a possibly reused scratch.
+    ///
+    /// The circuit is compiled afresh; the cached sparse pattern is kept
+    /// only if the new program stamps the same positions. A pivot
+    /// breakdown demotes the remainder of *one solve* to the dense
+    /// kernel, not every later solve of a long-lived [`DcSession`] —
+    /// matching the one-shot entry points, which start from a new scratch.
+    pub(crate) fn prepare(&mut self, circuit: &Circuit, u: &Unknowns, transient: bool) {
+        let mut program = compile(circuit, u, transient);
+        program.reuse_pattern(&mut self.program);
+        self.program = program;
+        self.q.resize(self.program.quantities(), 0.0);
         self.sparse_fallback = false;
     }
 }
@@ -533,45 +580,29 @@ pub(crate) fn newton(
                 _ => DcError::Singular(SingularMatrix { column: usize::MAX }),
             });
         }
-        // Sparse first: restamp cached value slots, numeric-only
-        // refactorisation. Pivot breakdown (no pivoting in the sparse
-        // kernel) demotes this scratch to the dense pivoted path — whose
-        // own failure is what decides `Singular`, keeping error semantics
+        fill(
+            circuit,
+            u,
+            &x,
+            gmin,
+            mode,
+            &mut scratch.q,
+            &mut scratch.f,
+            &mut scratch.batch,
+        );
+        last_residual = scratch.f.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
+        scratch.rhs.clear();
+        scratch.rhs.extend(scratch.f.iter().map(|&v| -v));
+        // Sparse first: scatter into the program's value slots, numeric-
+        // only refactorisation. Pivot breakdown (no pivoting in the sparse
+        // kernel) demotes this solve to the dense pivoted path — whose own
+        // failure is what decides `Singular`, keeping error semantics
         // identical to the dense-only solver.
         let mut solved = false;
         if !scratch.sparse_fallback {
-            if scratch.sparse.needs_pattern_for(u.total) {
-                // First iteration: a structure-collection assembly, then
-                // the one-time symbolic analysis (branch-current rows
-                // eliminated last — their diagonals are structurally zero).
-                assemble_into(
-                    circuit,
-                    u,
-                    &x,
-                    gmin,
-                    mode,
-                    &mut scratch.sparse,
-                    &mut scratch.f,
-                    &mut scratch.batch,
-                );
-                scratch.sparse.finalize(u.nv_offset);
-            }
-            assemble_into(
-                circuit,
-                u,
-                &x,
-                gmin,
-                mode,
-                &mut scratch.sparse,
-                &mut scratch.f,
-                &mut scratch.batch,
-            );
-            last_residual = scratch.f.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
-            match scratch.sparse.factor() {
+            match scratch.program.factor(&scratch.q) {
                 Ok(()) => {
-                    scratch.rhs.clear();
-                    scratch.rhs.extend(scratch.f.iter().map(|&v| -v));
-                    scratch.sparse.solve_into(&scratch.rhs, &mut scratch.dx);
+                    scratch.program.solve_into(&scratch.rhs, &mut scratch.dx);
                     solved = true;
                 }
                 Err(_) => {
@@ -581,23 +612,13 @@ pub(crate) fn newton(
             }
         }
         if !solved {
-            assemble_into(
-                circuit,
-                u,
-                &x,
-                gmin,
-                mode,
-                &mut scratch.j,
-                &mut scratch.f,
-                &mut scratch.batch,
-            );
-            last_residual = scratch.f.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
+            scratch
+                .program
+                .scatter_dense(&scratch.q, &mut scratch.j, None);
             scratch
                 .j
                 .factor_in_place(&mut scratch.perm)
                 .map_err(DcError::Singular)?;
-            scratch.rhs.clear();
-            scratch.rhs.extend(scratch.f.iter().map(|&v| -v));
             scratch
                 .j
                 .solve_factored(&scratch.perm, &scratch.rhs, &mut scratch.dx);
@@ -638,18 +659,16 @@ pub fn dc_operating_point(circuit: &Circuit, opts: &DcOptions) -> Result<DcSolut
 /// Reusable solver state for repeated DC solves of one circuit
 /// structure — a bias bisection, a `.dc` sweep, a corner loop.
 ///
-/// The session carries the Newton scratch (Jacobian storage, and on the
-/// sparse kernel the symbolic analysis plus the stamp-to-slot replay
-/// sequence) across solves, so the fill-reducing ordering is computed
-/// once and every later solve restamps numeric values only. Results are
-/// bitwise identical to the one-shot entry points, which are themselves
-/// single-solve sessions.
+/// The session carries the Newton scratch (the compiled stamp program
+/// with its sparse pattern, Jacobian storage, device-model caches) across
+/// solves, so the fill-reducing ordering is computed once and every later
+/// solve scatters numeric values only. Results are bitwise identical to
+/// the one-shot entry points, which are themselves single-solve sessions.
 ///
-/// Circuits passed to one session must share a stamp structure: same
-/// unknowns, same element order — only element *values* may differ
-/// between solves. Every build checks the structure matches stamp by
-/// stamp; a circuit with a different unknown count safely resets the
-/// cached pattern.
+/// Any circuit may be passed to a session. Each solve compiles the
+/// circuit's program and compares its stamp positions with the cached
+/// one's, exactly: equal positions keep the pattern, anything else (other
+/// wiring, another unknown count) runs a new symbolic analysis.
 #[derive(Debug, Default)]
 pub struct DcSession {
     scratch: NewtonScratch,
@@ -678,16 +697,9 @@ impl DcSession {
         // Ladder: plain Newton → gmin stepping → source stepping.
         let mut total_iter = 0usize;
         let scratch = &mut self.scratch;
-        scratch.begin_solve();
-        let attempt = newton(
-            circuit,
-            &u,
-            &x0,
-            opts.gmin,
-            &AssembleMode::Dc { src_scale: 1.0 },
-            opts,
-            scratch,
-        );
+        let mode = AssembleMode::Dc { src_scale: 1.0 };
+        scratch.prepare(circuit, &u, false);
+        let attempt = newton(circuit, &u, &x0, opts.gmin, &mode, opts, scratch);
         let x = match attempt {
             Ok((x, it)) => {
                 total_iter += it;
@@ -733,16 +745,9 @@ impl DcSession {
         }
         let mut total_iter = 0usize;
         let scratch = &mut self.scratch;
-        scratch.begin_solve();
-        let x = match newton(
-            circuit,
-            &u,
-            &x0,
-            opts.gmin,
-            &AssembleMode::Dc { src_scale: 1.0 },
-            opts,
-            scratch,
-        ) {
+        let mode = AssembleMode::Dc { src_scale: 1.0 };
+        scratch.prepare(circuit, &u, false);
+        let x = match newton(circuit, &u, &x0, opts.gmin, &mode, opts, scratch) {
             Ok((x, it)) => {
                 total_iter += it;
                 x
@@ -927,6 +932,7 @@ fn package(circuit: &Circuit, u: &Unknowns, x: Vec<f64>, iterations: usize) -> D
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netlist::DiffGeom;
     use losac_device::Mosfet;
     use losac_tech::Technology;
 
@@ -934,11 +940,27 @@ mod tests {
         dc_operating_point(c, &DcOptions::default()).unwrap()
     }
 
+    /// The dense Jacobian and residual at point `x`.
+    fn assemble(
+        circuit: &Circuit,
+        u: &Unknowns,
+        x: &[f64],
+        gmin: f64,
+        mode: &AssembleMode<'_>,
+    ) -> (Matrix<f64>, Vec<f64>) {
+        let mut s = NewtonScratch::default();
+        s.prepare(circuit, u, matches!(mode, AssembleMode::Tran { .. }));
+        fill(circuit, u, x, gmin, mode, &mut s.q, &mut s.f, &mut s.batch);
+        s.program.scatter_dense(&s.q, &mut s.j, None);
+        (s.j, s.f)
+    }
+
     #[test]
     #[ignore = "diagnostic timing breakdown, run with --ignored --nocapture"]
     fn newton_iteration_cost_breakdown() {
         // Rough per-phase cost of one Newton iteration on a mid-size MOS
-        // circuit: batched model eval, stamping, factor, solve.
+        // circuit: the fill (batched model eval, residual, quantities),
+        // the scatter with the numeric refactorisation, and the solve.
         let t = Technology::cmos06();
         let mut c = Circuit::new();
         c.vsource("vdd", "vdd", "0", 3.3);
@@ -961,64 +983,36 @@ mod tests {
         let u = Unknowns::of(&c);
         let x = vec![0.5; u.total];
         let mode = AssembleMode::Dc { src_scale: 1.0 };
-        let mut scratch = NewtonScratch::new();
-        // Prime pattern.
-        assemble_into(
-            &c,
-            &u,
-            &x,
-            1e-12,
-            &mode,
-            &mut scratch.sparse,
-            &mut scratch.f,
-            &mut scratch.batch,
-        );
-        scratch.sparse.finalize(u.nv_offset);
+        let mut s = NewtonScratch::default();
+        s.prepare(&c, &u, false);
         let reps = 20000;
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            assemble_into(
-                &c,
-                &u,
-                &x,
-                1e-12,
-                &mode,
-                &mut scratch.sparse,
-                &mut scratch.f,
-                &mut scratch.batch,
-            );
-        }
-        let t_asm = t0.elapsed().as_secs_f64() / reps as f64;
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            scratch.sparse.factor().unwrap();
-        }
-        let t_fac = t0.elapsed().as_secs_f64() / reps as f64;
-        scratch.rhs.clear();
-        scratch.rhs.extend(scratch.f.iter().map(|&v| -v));
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            scratch.sparse.solve_into(&scratch.rhs, &mut scratch.dx);
-        }
-        let t_sol = t0.elapsed().as_secs_f64() / reps as f64;
-        // Model-eval share of the assembly.
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            scratch.batch.begin();
+        let time = |f: &mut dyn FnMut()| {
+            let t0 = std::time::Instant::now();
+            for _ in 0..reps {
+                f();
+            }
+            t0.elapsed().as_secs_f64() / reps as f64 * 1e9
+        };
+        let t_fill = time(&mut || {
+            fill(&c, &u, &x, 1e-12, &mode, &mut s.q, &mut s.f, &mut s.batch);
+        });
+        let t_fac = time(&mut || s.program.factor(&s.q).unwrap());
+        s.rhs.clear();
+        s.rhs.extend(s.f.iter().map(|&v| -v));
+        let t_sol = time(&mut || s.program.solve_into(&s.rhs, &mut s.dx));
+        // Model-eval share of the fill.
+        let t_model = time(&mut || {
+            s.batch.begin();
             for e in c.elements() {
                 if let Element::Mos(m) = e {
-                    scratch.batch.bias(&m.dev, 1.2, 0.9, 0.0);
+                    s.batch.bias(&m.dev, 1.2, 0.9, 0.0);
                 }
             }
-            scratch.batch.evaluate_all();
-        }
-        let t_model = t0.elapsed().as_secs_f64() / reps as f64;
+            s.batch.evaluate_all();
+        });
         println!(
-            "assemble {:.0} ns (model {:.0} ns), factor {:.0} ns, solve {:.0} ns",
-            t_asm * 1e9,
-            t_model * 1e9,
-            t_fac * 1e9,
-            t_sol * 1e9
+            "fill {t_fill:.0} ns (model {t_model:.0} ns), scatter + factor {t_fac:.0} ns, \
+             solve {t_sol:.0} ns"
         );
     }
 
@@ -1325,13 +1319,7 @@ mod tests {
         );
         let s = solve(&c);
         let u = Unknowns::of(&c);
-        let mut x = vec![0.0; u.total];
-        for id in 1..c.num_nodes() {
-            x[id - 1] = s.v[id];
-        }
-        for (k, i) in s.branch_currents.iter().enumerate() {
-            x[u.nv_offset + k] = *i;
-        }
+        let x = unknowns_of(&c, &s);
         let (_, f) = assemble(&c, &u, &x, 1e-12, &AssembleMode::Dc { src_scale: 1.0 });
         for (row, r) in f.iter().enumerate() {
             assert!(r.abs() < 1e-8, "row {row} residual {r:e}");
@@ -1390,9 +1378,10 @@ mod tests {
     fn newton_from_zero(c: &Circuit, dense: bool) -> Vec<f64> {
         let u = Unknowns::of(c);
         let opts = DcOptions::default();
-        let mut scratch = NewtonScratch::new();
-        scratch.sparse_fallback = dense;
         let mode = AssembleMode::Dc { src_scale: 1.0 };
+        let mut scratch = NewtonScratch::default();
+        scratch.prepare(c, &u, false);
+        scratch.sparse_fallback = dense;
         let (x, _) = newton(
             c,
             &u,
@@ -1464,25 +1453,137 @@ mod tests {
         }
     }
 
+    /// `random_ladder` plus a source-degenerated PMOS with drain and
+    /// source diffusions, two capacitors and a floating voltage source:
+    /// every element kind, with every terminal off ground, so every stamp
+    /// of the program has its own position.
+    fn oracle_netlist(seed: &mut u64) -> Circuit {
+        let t = Technology::cmos06();
+        let mut c = random_ladder(4, seed);
+        c.vsource("vx", "nx", "n3", 0.2 * (1.5 + lcg(seed)));
+        c.resistor("rx", "nx", "0", 1e4);
+        let diff = DiffGeom {
+            area: 12e-12,
+            perimeter: 16e-6,
+        };
+        c.resistor("rps", "vdd", "ps", 2e3 * (1.5 + lcg(seed)));
+        c.mos(
+            "mp",
+            "n1",
+            "n0",
+            "ps",
+            "vdd",
+            Mosfet::new(t.pmos, 4e-6 * (1.5 + lcg(seed)), 0.6e-6),
+            t.caps.pdiff,
+            diff,
+            diff,
+        );
+        c.capacitor("c1", "n1", "0", 1e-12 * (1.5 + lcg(seed)));
+        c.capacitor("c2", "n0", "n2", 0.5e-12 * (1.5 + lcg(seed)));
+        c
+    }
+
+    /// The unknown vector of a solved operating point.
+    fn unknowns_of(c: &Circuit, s: &DcSolution) -> Vec<f64> {
+        let u = Unknowns::of(c);
+        let mut x = s.v[1..].to_vec();
+        x.extend_from_slice(&s.branch_currents);
+        assert_eq!(x.len(), u.total);
+        x
+    }
+
+    #[test]
+    fn program_jacobian_matches_central_differences_of_the_residual() {
+        let mut seed = 0x0a11_5eed_u64;
+        let mut worst = 0.0f64;
+        for _ in 0..8 {
+            let c = oracle_netlist(&mut seed);
+            let u = Unknowns::of(&c);
+            let x = unknowns_of(&c, &solve(&c));
+            let x_prev = x.clone();
+            let dc = AssembleMode::Dc { src_scale: 1.0 };
+            // With `x_prev = x` the companion current is zero at `x`, so the
+            // derivative of the capacitances themselves drops out.
+            let tran = AssembleMode::Tran {
+                h: 1e-9,
+                x_prev: &x_prev,
+                time: 0.0,
+            };
+            for mode in [&dc, &tran] {
+                let (jac, _) = assemble(&c, &u, &x, 1e-12, mode);
+                for k in 0..u.total {
+                    let step = 1e-6;
+                    let mut xp = x.clone();
+                    xp[k] += step;
+                    let mut xm = x.clone();
+                    xm[k] -= step;
+                    let (_, fp) = assemble(&c, &u, &xp, 1e-12, mode);
+                    let (_, fm) = assemble(&c, &u, &xm, 1e-12, mode);
+                    for i in 0..u.total {
+                        let fd = (fp[i] - fm[i]) / (2.0 * step);
+                        let a = jac.get(i, k);
+                        // Relative, with a 1 nS floor for the zero entries.
+                        let err = (a - fd).abs() / (a.abs() + 1e-9);
+                        worst = worst.max(err);
+                        assert!(err < 1e-6, "J[{i}][{k}] = {a:e}, central difference {fd:e}");
+                    }
+                }
+            }
+        }
+        println!("worst relative error {worst:e}");
+    }
+
+    #[test]
+    fn linearised_g_is_the_dc_jacobian_at_the_operating_point_bitwise() {
+        let mut seed = 0x6_b175_u64;
+        for _ in 0..8 {
+            let c = oracle_netlist(&mut seed);
+            let u = Unknowns::of(&c);
+            let s = solve(&c);
+            let x = unknowns_of(&c, &s);
+            let (jac, _) = assemble(&c, &u, &x, 1e-12, &AssembleMode::Dc { src_scale: 1.0 });
+            let lin = crate::linear::Linearized::build(&c, &s);
+            for i in 0..u.total {
+                for k in 0..u.total {
+                    assert_eq!(
+                        jac.get(i, k).to_bits(),
+                        lin.g.get(i, k).to_bits(),
+                        "entry ({i}, {k})"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn dc_session_survives_a_structure_change() {
-        // Reusing one session across circuits with different unknown counts
-        // must reset the cached pattern, not corrupt the restamp.
+        // One session across circuits must recompile when the wiring
+        // changes, with a different unknown count and with the same one:
+        // a 2-resistor divider, then a 3-resistor rewire of its nodes.
         let mut seed = 7_u64;
         let small = random_ladder(3, &mut seed);
         let large = random_ladder(7, &mut seed);
+        let mut divider = Circuit::new();
+        divider.vsource("v1", "in", "0", 2.0);
+        divider.resistor("r1", "in", "mid", 1e3);
+        divider.resistor("r2", "mid", "0", 1e3);
+        let mut rewired = Circuit::new();
+        rewired.vsource("v1", "in", "0", 2.0);
+        rewired.resistor("r1", "in", "mid", 1e3);
+        rewired.resistor("r2", "mid", "in", 2e3);
+        rewired.resistor("r3", "mid", "0", 1e3);
+        let opts = DcOptions::default();
         let mut session = DcSession::new();
-        let a = session.solve(&small, &DcOptions::default()).unwrap();
-        let b = session.solve(&large, &DcOptions::default()).unwrap();
-        let a_ref = dc_operating_point(&small, &DcOptions::default()).unwrap();
-        let b_ref = dc_operating_point(&large, &DcOptions::default()).unwrap();
-        assert_eq!(a.v.len(), a_ref.v.len());
-        assert_eq!(b.v.len(), b_ref.v.len());
-        for (x, y) in a.v.iter().zip(a_ref.v.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in b.v.iter().zip(b_ref.v.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
+        for c in [&small, &large, &divider, &rewired] {
+            let got = session.solve(c, &opts).unwrap();
+            let want = dc_operating_point(c, &opts).unwrap();
+            assert_eq!(got.v.len(), want.v.len());
+            for (x, y) in got.v.iter().zip(&want.v) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+            for (x, y) in got.branch_currents.iter().zip(&want.branch_currents) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
         }
     }
 }

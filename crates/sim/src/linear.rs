@@ -5,20 +5,22 @@
 //! matrix `C` (so the frequency-domain system is `(G + jωC)·x = b`), the
 //! AC source vector, and a list of noise generators.
 
-use crate::dc::{DcSolution, Unknowns};
-use crate::netlist::{Circuit, Element, MosInstance};
+use crate::dc::{
+    compile, mos_caps, quantities, set_mos_conductances, DcSolution, Unknowns, CGS, FIRST_ELEMENT,
+    GMIN, ONE,
+};
+use crate::netlist::{Circuit, Element};
 use crate::num::{Complex, Lu, LuWorkspace, Matrix, SingularMatrix};
 use crate::sparse::{SparseAcFactors, SparseAcSolver};
-use losac_device::caps::intrinsic_caps;
 use losac_device::ekv::evaluate_at;
 use losac_device::noise as devnoise;
 use losac_obs::Counter;
 use losac_tech::units::KBOLTZMANN;
 use std::sync::Arc;
 
-/// Non-positive bias-dependent MOS capacitances floored so their slots
-/// still enter the AC pattern (DESIGN §6i pattern stability; shares its
-/// slot with the transient-side counter of the same name in `dc.rs`).
+/// Non-positive bias-dependent MOS capacitances floored so their entries
+/// still enter the AC pattern (DESIGN §6i; shares its slot with the
+/// transient-side counter of the same name in `dc.rs`).
 static CAP_FLOORED: Counter = Counter::new("sim.stamp.cap_floored");
 
 /// Replacement value for a non-positive bias-dependent capacitance:
@@ -98,41 +100,24 @@ impl Linearized {
             "solution does not match circuit"
         );
         let u = Unknowns::of(circuit);
-        let mut g = Matrix::zeros(u.total);
-        let mut c = Matrix::zeros(u.total);
-        let mut b_ac = vec![Complex::ZERO; u.total];
-        let mut noise_sources = Vec::new();
-        let mut vsrc_idx = 0usize;
-
+        // The Newton loop's stamp program, capacitances included, filled
+        // with small-signal quantities: its conductance stamps form `G`,
+        // its capacitance stamps `C`.
+        let program = compile(circuit, &u, true);
+        let mut q = vec![0.0; program.quantities()];
         // Small gmin keeps the AC matrix nonsingular at very low
         // frequencies for nodes only connected through capacitors.
-        for i in 0..u.n_nodes {
-            g.add(i, i, 1e-12);
-        }
-
-        let stamp_g = |g: &mut Matrix<f64>, a: Option<usize>, b: Option<usize>, val: f64| {
-            if let Some(a) = a {
-                g.add(a, a, val);
-                if let Some(b) = b {
-                    g.add(a, b, -val);
-                }
-            }
-            if let Some(b) = b {
-                g.add(b, b, val);
-                if let Some(a) = a {
-                    g.add(b, a, -val);
-                }
-            }
-        };
-
+        q[GMIN] = 1e-12;
+        q[ONE] = 1.0;
+        let mut noise_sources = Vec::new();
         // Scenario temperature: T_NOMINAL exactly unless the circuit was
         // retargeted, so nominal runs stamp bit-identical matrices.
         let temp_k = circuit.temperature();
+        let mut base = FIRST_ELEMENT;
         for e in circuit.elements() {
             match e {
                 Element::Resistor { name, a, b, ohms } => {
-                    let (ia, ib) = (u.node(*a), u.node(*b));
-                    stamp_g(&mut g, ia, ib, 1.0 / ohms);
+                    q[base] = 1.0 / ohms;
                     noise_sources.push(NoiseSource {
                         element: name.clone(),
                         mechanism: "thermal",
@@ -143,51 +128,68 @@ impl Linearized {
                         af: 1.0,
                     });
                 }
-                Element::Capacitor { a, b, farads, .. } => {
-                    let (ia, ib) = (u.node(*a), u.node(*b));
-                    stamp_g(&mut c, ia, ib, *farads);
-                }
-                Element::Vsource(vs) => {
-                    let row = u.nv_offset + vsrc_idx;
-                    vsrc_idx += 1;
-                    let (ip, in_) = (u.node(vs.pos), u.node(vs.neg));
-                    if let Some(ip) = ip {
-                        g.add(row, ip, 1.0);
-                        g.add(ip, row, 1.0);
-                    }
-                    if let Some(in_) = in_ {
-                        g.add(row, in_, -1.0);
-                        g.add(in_, row, -1.0);
-                    }
-                    b_ac[row] = Complex::real(vs.ac);
-                }
-                Element::Isource(is) => {
-                    // AC current delivered into `to`.
-                    if let Some(ito) = u.node(is.to) {
-                        b_ac[ito] += Complex::real(is.ac);
-                    }
-                    if let Some(ifrom) = u.node(is.from) {
-                        b_ac[ifrom] -= Complex::real(is.ac);
-                    }
-                }
+                Element::Capacitor { farads, .. } => q[base] = *farads,
+                Element::Vsource(_) | Element::Isource(_) => {}
                 Element::Mos(m) => {
-                    stamp_mos(&u, &mut g, &mut c, &mut noise_sources, m, dc, temp_k);
+                    let (vd, vg, vs, vb) = (dc.v[m.d], dc.v[m.g], dc.v[m.s], dc.v[m.b]);
+                    let op = evaluate_at(&m.dev, vg - vs, vd - vs, vb - vs, temp_k);
+                    set_mos_conductances(&mut q, base, &op);
+                    for (k, c) in mos_caps(m, &op, vd, vs, vb).into_iter().enumerate() {
+                        // A capacitance that evaluates non-positive at this
+                        // bias must not vanish from the AC pattern: a
+                        // floored value keeps its entries structurally
+                        // present.
+                        q[base + CGS + k] = if c <= 0.0 {
+                            CAP_FLOORED.incr();
+                            CAP_FLOOR
+                        } else {
+                            c
+                        };
+                    }
+                    // Noise generators between drain and source.
+                    noise_sources.push(NoiseSource {
+                        element: m.name.clone(),
+                        mechanism: "thermal",
+                        a: m.d,
+                        b: m.s,
+                        psd_white: devnoise::thermal_current_psd(&op),
+                        psd_flicker_1hz: 0.0,
+                        af: 1.0,
+                    });
+                    noise_sources.push(NoiseSource {
+                        element: m.name.clone(),
+                        mechanism: "flicker",
+                        a: m.d,
+                        b: m.s,
+                        psd_white: 0.0,
+                        psd_flicker_1hz: devnoise::flicker_current_psd(&m.dev, &op, 1.0),
+                        af: m.dev.params.af,
+                    });
                 }
             }
+            base += quantities(e);
         }
+        let mut g = Matrix::zeros(u.total);
+        let mut c = Matrix::zeros(u.total);
+        program.scatter_dense(&q, &mut g, Some(&mut c));
 
-        // One symbolic analysis per linearisation: G and C are never
-        // restamped (only `b_ac` changes, via `restamp_excitation`), so
-        // their dense nonzero structure *is* the sweep-wide pattern.
+        // One symbolic analysis per linearisation, on the nonzeros of `G`
+        // and `C` rather than the program's positions: an entry that is
+        // zero here (a capacitor of zero farads, a stamp cancelled by its
+        // neighbours) stays out of the pattern and its elimination order.
+        // G and C are never restamped (only `b_ac` changes, via
+        // `restamp_excitation`), so this is the sweep-wide pattern.
         let sparse = Arc::new(SparseAcSolver::build(&g, &c, u.nv_offset));
-        Self {
+        let mut lin = Self {
+            b_ac: vec![Complex::ZERO; u.total],
             u,
             g,
             c,
-            b_ac,
             noise_sources,
             sparse,
-        }
+        };
+        lin.restamp_excitation(circuit);
+        lin
     }
 
     /// Factorise `G + jωC` at angular frequency `omega`.
@@ -368,113 +370,6 @@ impl AcWorkspace {
         }
         &self.x
     }
-}
-
-fn stamp_mos(
-    u: &Unknowns,
-    g: &mut Matrix<f64>,
-    c: &mut Matrix<f64>,
-    noise_sources: &mut Vec<NoiseSource>,
-    m: &MosInstance,
-    dc: &DcSolution,
-    temp_k: f64,
-) {
-    let (vd, vg_, vs, vb) = (dc.v[m.d], dc.v[m.g], dc.v[m.s], dc.v[m.b]);
-    let op = evaluate_at(&m.dev, vg_ - vs, vd - vs, vb - vs, temp_k);
-
-    // Conductance stamps (same pattern as the DC Jacobian).
-    let (gm, gds, gmb) = (op.gm, op.gds, op.gmb);
-    let g_s = -(gm + gds + gmb);
-    let (nd, ng, ns, nb) = (u.node(m.d), u.node(m.g), u.node(m.s), u.node(m.b));
-    if let Some(r) = nd {
-        if let Some(cg) = ng {
-            g.add(r, cg, gm);
-        }
-        if let Some(cd) = nd {
-            g.add(r, cd, gds);
-        }
-        if let Some(cb) = nb {
-            g.add(r, cb, gmb);
-        }
-        if let Some(cs) = ns {
-            g.add(r, cs, g_s);
-        }
-    }
-    if let Some(r) = ns {
-        if let Some(cg) = ng {
-            g.add(r, cg, -gm);
-        }
-        if let Some(cd) = nd {
-            g.add(r, cd, -gds);
-        }
-        if let Some(cb) = nb {
-            g.add(r, cb, -gmb);
-        }
-        if let Some(cs) = ns {
-            g.add(r, cs, -g_s);
-        }
-    }
-
-    // Capacitances: intrinsic + junction at this bias.
-    let ic = intrinsic_caps(&m.dev, &op);
-    let sign = m.dev.params.polarity.sign();
-    let vr_d = sign * (vd - vb);
-    let vr_s = sign * (vs - vb);
-    let cdb = m
-        .junction
-        .capacitance(m.drain_geom.area, m.drain_geom.perimeter, vr_d);
-    let csb = m
-        .junction
-        .capacitance(m.source_geom.area, m.source_geom.perimeter, vr_s);
-
-    let mut stamp_c = |a: Option<usize>, b: Option<usize>, val: f64| {
-        // A capacitance that evaluates non-positive at this bias must not
-        // vanish from the AC pattern (DESIGN §6i): stamp a floored value
-        // so the slots stay structurally present.
-        let val = if val <= 0.0 {
-            CAP_FLOORED.incr();
-            CAP_FLOOR
-        } else {
-            val
-        };
-        if let Some(a) = a {
-            c.add(a, a, val);
-            if let Some(b) = b {
-                c.add(a, b, -val);
-            }
-        }
-        if let Some(b) = b {
-            c.add(b, b, val);
-            if let Some(a) = a {
-                c.add(b, a, -val);
-            }
-        }
-    };
-    stamp_c(ng, ns, ic.cgs);
-    stamp_c(ng, nd, ic.cgd);
-    stamp_c(ng, nb, ic.cgb);
-    stamp_c(nd, nb, cdb);
-    stamp_c(ns, nb, csb);
-
-    // Noise generators between drain and source.
-    noise_sources.push(NoiseSource {
-        element: m.name.clone(),
-        mechanism: "thermal",
-        a: m.d,
-        b: m.s,
-        psd_white: devnoise::thermal_current_psd(&op),
-        psd_flicker_1hz: 0.0,
-        af: 1.0,
-    });
-    noise_sources.push(NoiseSource {
-        element: m.name.clone(),
-        mechanism: "flicker",
-        a: m.d,
-        b: m.s,
-        psd_white: 0.0,
-        psd_flicker_1hz: devnoise::flicker_current_psd(&m.dev, &op, 1.0),
-        af: m.dev.params.af,
-    });
 }
 
 #[cfg(test)]

@@ -20,6 +20,15 @@
 //!   preallocated factor arrays. Counted by `sim.matrix.numeric_refactors`
 //!   *and* by the universal `sim.matrix.factorizations` work counter.
 //!
+//! The DC and transient Newton matrices come from a `StampProgram`: a
+//! circuit's stamps compiled once from its structure, whose own positions
+//! define the pattern and each stamp's value slot. Every iteration is one
+//! scatter of a quantity array through it, so the pattern is stable by
+//! construction. The AC pattern instead comes from the nonzeros of the
+//! dense `G` and `C` the same program builds
+//! ([`SparsePattern::from_dense`]): entries that are numerically zero at
+//! the operating point stay out of it, and out of its elimination order.
+//!
 //! Pivot-free elimination on an MNA matrix is safe because the ordering is
 //! **constrained**: node unknowns (whose diagonals carry at least the gmin
 //! conductance) are eliminated before voltage-source branch unknowns
@@ -52,32 +61,6 @@ static SPARSE_NNZ: Gauge = Gauge::new("sim.sparse.nnz");
 
 pub(crate) fn record_sparse_fallback() {
     SPARSE_FALLBACKS.incr();
-}
-
-// ---------------------------------------------------------------------------
-// Stamp sink
-// ---------------------------------------------------------------------------
-
-/// Sink for MNA matrix stamps, so one assembly routine can fill a dense
-/// matrix, collect a sparsity pattern, or restamp cached sparse values.
-pub trait MatrixStamp {
-    /// Prepare to receive the stamps of an `n × n` assembly.
-    fn reset(&mut self, n: usize);
-    /// Add `v` to entry (i, j).
-    fn stamp(&mut self, i: usize, j: usize, v: f64);
-}
-
-impl MatrixStamp for Matrix<f64> {
-    fn reset(&mut self, n: usize) {
-        if self.n() != n {
-            *self = Matrix::zeros(n);
-        } else {
-            self.clear();
-        }
-    }
-    fn stamp(&mut self, i: usize, j: usize, v: f64) {
-        self.add(i, j, v);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -419,131 +402,180 @@ impl<T: Scalar> SparseFactors<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Real Newton system (pattern collection + cached values)
+// Stamp program
 // ---------------------------------------------------------------------------
 
-/// A pattern-cached real sparse system for Newton loops.
+/// One Jacobian contribution of a [`StampProgram`]: entry `(row, col)`
+/// gains quantity `src`, negated when `neg` is set.
+#[derive(Debug, Clone, Copy)]
+struct Stamp {
+    row: u32,
+    col: u32,
+    src: u32,
+    neg: bool,
+    /// A capacitance: part of the Jacobian as `C/h` in a transient, sent
+    /// to `C` by the AC build.
+    cap: bool,
+}
+
+impl Stamp {
+    /// The value this stamp adds for quantities `q`.
+    fn value(&self, q: &[f64]) -> f64 {
+        let v = q[self.src as usize];
+        if self.neg {
+            -v
+        } else {
+            v
+        }
+    }
+}
+
+/// An MNA Jacobian compiled from a circuit's structure alone (element
+/// kinds and node ids, no model evaluation): its stamps in emission
+/// order, each reading one entry of a quantity array the caller refills
+/// per Newton iteration.
 ///
-/// Life cycle: the first assembly runs in *collection* mode (stamps record
-/// structure only); [`SparseRealSystem::finalize`] then performs the
-/// symbolic analysis **and** converts the recorded stamp sequence into a
-/// slot replay list — the assembler emits stamps in a deterministic,
-/// pattern-stable order, so every later assembly is a straight cursor
-/// walk (`vals[slot_seq[cursor++]] += v`) with no index lookups at all,
-/// checked stamp by stamp against the recorded `(i, j)` sequence.
-/// The DC/transient Newton loops keep one of these per
-/// [`crate::dc::NewtonScratch`], so a whole transient run refactorises a
-/// single symbolic pattern.
+/// Scattering the quantities through the program builds the matrix: into
+/// a dense matrix for the pivoted fallback and the AC build, or into the
+/// value slots of the program's own sparse pattern. The pattern is the
+/// symbolic analysis of the stamps' positions, run on the first sparse
+/// factorisation, and each stamp's slot is resolved once then. No stamp
+/// can land in another structure's slot, so nothing is checked per stamp.
 #[derive(Debug, Default)]
-pub struct SparseRealSystem {
-    pattern: Option<Arc<SparsePattern>>,
-    /// Entry of each stamp of one assembly, in emission order.
-    collect: Vec<(usize, usize)>,
-    /// Value-slot of each stamp of one assembly, in emission order.
-    slot_seq: Vec<u32>,
-    /// Position in `slot_seq` during a value assembly.
-    cursor: usize,
+pub(crate) struct StampProgram {
     n: usize,
+    branch_start: usize,
+    quantities: usize,
+    stamps: Vec<Stamp>,
+    sparse: Option<SparseSystem>,
+}
+
+/// The sparse system of one [`StampProgram`].
+#[derive(Debug)]
+struct SparseSystem {
+    pattern: SparsePattern,
+    /// Value slot of each stamp, parallel to `StampProgram::stamps`.
+    slots: Vec<u32>,
     vals: Vec<f64>,
     factors: SparseFactors<f64>,
 }
 
-impl SparseRealSystem {
-    /// Whether the symbolic analysis has not run yet (the next assembly
-    /// is a structure-collection pass).
-    pub fn needs_pattern(&self) -> bool {
-        self.pattern.is_none()
+impl StampProgram {
+    /// An empty program for an `n × n` system whose unknowns at
+    /// `branch_start..` are eliminated last (see [`SparsePattern::build`]),
+    /// reading a quantity array of length `quantities`.
+    pub(crate) fn new(n: usize, branch_start: usize, quantities: usize) -> Self {
+        assert!(
+            u32::try_from(n.max(quantities)).is_ok(),
+            "stamp indices must fit in u32"
+        );
+        Self {
+            n,
+            branch_start,
+            quantities,
+            ..Self::default()
+        }
     }
 
-    /// Like [`Self::needs_pattern`], but also true when the cached
-    /// pattern was built for a different unknown count — a reused
-    /// [`crate::dc::DcSession`] that moved to another circuit must run a
-    /// fresh collection pass, not replay a stale slot sequence.
-    pub fn needs_pattern_for(&self, n: usize) -> bool {
-        self.pattern.as_ref().is_none_or(|p| p.n() != n)
+    /// Append the stamp `(row, col) += ±q[src]`.
+    pub(crate) fn push(&mut self, row: usize, col: usize, src: usize, neg: bool, cap: bool) {
+        debug_assert!(row < self.n && col < self.n && src < self.quantities);
+        self.stamps.push(Stamp {
+            row: row as u32,
+            col: col as u32,
+            src: src as u32,
+            neg,
+            cap,
+        });
     }
 
-    /// Run the symbolic analysis on the collected structure; unknowns at
-    /// `branch_start..` are eliminated last (see [`SparsePattern::build`]).
-    pub fn finalize(&mut self, branch_start: usize) {
-        let p = SparsePattern::build(self.n, branch_start, &self.collect);
-        self.vals.resize(p.nnz(), 0.0);
-        // The collection pass recorded every stamp in emission order;
-        // resolve each to its value slot once, here, so value assemblies
-        // never search.
-        self.slot_seq = self
-            .collect
-            .iter()
-            .map(|&(i, j)| p.slot(i, j).expect("collected entry is in the pattern") as u32)
-            .collect();
-        self.pattern = Some(Arc::new(p));
+    /// Length of the quantity array the program reads.
+    pub(crate) fn quantities(&self) -> usize {
+        self.quantities
     }
 
-    /// Numeric refactorisation of the last-stamped values.
+    /// Keep `old`'s sparse pattern when both programs stamp the same
+    /// positions in the same order: the slots are a function of those
+    /// positions alone. The comparison is exact, stamp for stamp.
+    pub(crate) fn reuse_pattern(&mut self, old: &mut StampProgram) {
+        let same = self.n == old.n
+            && self.branch_start == old.branch_start
+            && self.stamps.len() == old.stamps.len()
+            && self
+                .stamps
+                .iter()
+                .zip(&old.stamps)
+                .all(|(a, b)| (a.row, a.col) == (b.row, b.col));
+        if same {
+            self.sparse = old.sparse.take();
+        }
+    }
+
+    /// Scatter `q` into dense matrices, cleared first: capacitance stamps
+    /// into `c` when given, every other stamp into `g`.
+    pub(crate) fn scatter_dense(
+        &self,
+        q: &[f64],
+        g: &mut Matrix<f64>,
+        mut c: Option<&mut Matrix<f64>>,
+    ) {
+        for m in std::iter::once(&mut *g).chain(c.as_deref_mut()) {
+            if m.n() == self.n {
+                m.clear();
+            } else {
+                *m = Matrix::zeros(self.n);
+            }
+        }
+        for s in &self.stamps {
+            let m = match c.as_deref_mut() {
+                Some(c) if s.cap => c,
+                _ => &mut *g,
+            };
+            m.add(s.row as usize, s.col as usize, s.value(q));
+        }
+    }
+
+    /// Scatter `q` into the sparse value slots and refactorise numerically;
+    /// the first call runs the symbolic analysis.
     ///
     /// # Errors
     ///
     /// Returns [`SingularMatrix`] on pivot breakdown; see
     /// [`SparsePattern::factor`].
-    pub fn factor(&mut self) -> Result<(), SingularMatrix> {
-        assert_eq!(
-            self.cursor,
-            self.slot_seq.len(),
-            "assembly emitted a different stamp count than the collection \
-             pass — assembly is not pattern-stable"
-        );
-        let p = self.pattern.as_ref().expect("pattern not finalized");
-        p.factor(&self.vals, &mut self.factors)
+    pub(crate) fn factor(&mut self, q: &[f64]) -> Result<(), SingularMatrix> {
+        let sys = self.sparse.get_or_insert_with(|| {
+            let entries: Vec<_> = self
+                .stamps
+                .iter()
+                .map(|s| (s.row as usize, s.col as usize))
+                .collect();
+            let pattern = SparsePattern::build(self.n, self.branch_start, &entries);
+            let slots = entries
+                .iter()
+                .map(|&(i, j)| pattern.slot(i, j).expect("stamp is in its own pattern") as u32)
+                .collect();
+            SparseSystem {
+                vals: vec![0.0; pattern.nnz()],
+                pattern,
+                slots,
+                factors: SparseFactors::new(),
+            }
+        });
+        sys.vals.fill(0.0);
+        for (s, &slot) in self.stamps.iter().zip(&sys.slots) {
+            sys.vals[slot as usize] += s.value(q);
+        }
+        sys.pattern.factor(&sys.vals, &mut sys.factors)
     }
 
-    /// Solve against the last successful [`SparseRealSystem::factor`].
-    pub fn solve_into(&mut self, b: &[f64], x: &mut Vec<f64>) {
-        let p = self.pattern.as_ref().expect("pattern not finalized");
-        p.solve_into(&mut self.factors, b, x);
-    }
-}
-
-impl MatrixStamp for SparseRealSystem {
-    fn reset(&mut self, n: usize) {
-        match &self.pattern {
-            None => {
-                self.n = n;
-                self.collect.clear();
-            }
-            Some(p) if p.n() == n => {
-                self.vals.fill(0.0);
-                self.cursor = 0;
-            }
-            Some(_) => {
-                // A different unknown count under a cached pattern means the
-                // caller reuses this system across circuits (a [`crate::dc::
-                // DcSession`] moved on): drop the stale pattern and start a
-                // fresh collection pass instead of poisoning the restamp.
-                self.pattern = None;
-                self.slot_seq.clear();
-                self.vals.clear();
-                self.cursor = 0;
-                self.n = n;
-                self.collect.clear();
-            }
-        }
-    }
-    fn stamp(&mut self, i: usize, j: usize, v: f64) {
-        if self.pattern.is_none() {
-            self.collect.push((i, j));
-            return;
-        }
-        // Hot path: replay the recorded slot. The check holds in release
-        // builds: a stamp that leaves the collected sequence would
-        // otherwise be added into another entry's slot.
-        let k = self.cursor;
-        assert!(
-            self.collect.get(k) == Some(&(i, j)),
-            "stamp at ({i}, {j}) deviates from the collected sequence — \
-             assembly is not pattern-stable"
-        );
-        self.vals[self.slot_seq[k] as usize] += v;
-        self.cursor = k + 1;
+    /// Solve against the last successful [`StampProgram::factor`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program holds no sparse factorisation.
+    pub(crate) fn solve_into(&mut self, b: &[f64], x: &mut Vec<f64>) {
+        let sys = self.sparse.as_mut().expect("no sparse factorisation");
+        sys.pattern.solve_into(&mut sys.factors, b, x);
     }
 }
 
@@ -965,37 +997,27 @@ mod tests {
     }
 
     #[test]
-    fn real_system_collects_then_restamps() {
-        let mut sys = SparseRealSystem::default();
-        assert!(sys.needs_pattern());
-        sys.reset(2);
-        sys.stamp(0, 0, 0.0); // structure pass ignores values
-        sys.stamp(1, 1, 0.0);
-        sys.stamp(0, 1, 0.0);
-        sys.finalize(2);
-        assert!(!sys.needs_pattern());
+    fn program_scatters_into_its_own_pattern_and_dense_matrices() {
+        // A = [[q0, q2], [-q2, q1]] with the (1, 0) entry a capacitance.
+        let mut p = StampProgram::new(2, 2, 3);
+        p.push(0, 0, 0, false, false);
+        p.push(1, 1, 1, false, false);
+        p.push(0, 1, 2, false, false);
+        p.push(1, 0, 2, true, true);
         for scale in [1.0, 3.0] {
-            sys.reset(2);
-            sys.stamp(0, 0, 2.0 * scale);
-            sys.stamp(1, 1, 4.0 * scale);
-            sys.stamp(0, 1, 1.0 * scale);
-            sys.factor().unwrap();
+            let q = [2.0 * scale, 4.0 * scale, 1.0 * scale];
+            p.factor(&q).unwrap();
             let mut x = Vec::new();
-            sys.solve_into(&[3.0 * scale, 8.0 * scale], &mut x);
-            assert!((x[1] - 2.0).abs() < 1e-15);
-            assert!((x[0] - 0.5).abs() < 1e-15);
+            p.solve_into(&[4.0 * scale, 7.0 * scale], &mut x);
+            assert_eq!(x, [1.0, 2.0]);
+            let mut g = Matrix::zeros(1);
+            p.scatter_dense(&q, &mut g, None);
+            assert_eq!(g.get(1, 0), -q[2], "without C every stamp goes to g");
+            let mut c = Matrix::zeros(2);
+            p.scatter_dense(&q, &mut g, Some(&mut c));
+            assert_eq!((g.get(1, 0), c.get(1, 0)), (0.0, -q[2]));
+            assert_eq!((g.get(0, 1), c.get(0, 1)), (q[2], 0.0));
+            assert_eq!((g.get(0, 0), g.get(1, 1)), (q[0], q[1]));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not pattern-stable")]
-    fn pattern_violation_panics() {
-        let mut sys = SparseRealSystem::default();
-        sys.reset(2);
-        sys.stamp(0, 0, 0.0);
-        sys.stamp(1, 1, 0.0);
-        sys.finalize(2);
-        sys.reset(2);
-        sys.stamp(0, 1, 1.0); // not in the collected structure
     }
 }

@@ -6,9 +6,7 @@
 //! switched amplifier needs; the step size is fixed and chosen by the
 //! caller from the time constants of interest.
 
-use crate::dc::{
-    assemble, newton, AssembleMode, DcError, DcOptions, DcSolution, NewtonScratch, Unknowns,
-};
+use crate::dc::{newton, AssembleMode, DcError, DcOptions, DcSolution, NewtonScratch, Unknowns};
 use crate::netlist::Circuit;
 use std::fmt;
 
@@ -158,10 +156,12 @@ pub fn transient(
     let mut t = vec![0.0];
     let mut v = vec![dc.v.clone()];
     let mut time = 0.0;
-    // One scratch (Jacobian + LU workspace + update buffers) and one
-    // previous-state buffer reused across every step of the run.
-    let mut scratch = NewtonScratch::new();
+    // One scratch (stamp program, compiled once with its capacitance
+    // stamps, plus Jacobian and update buffers) and one previous-state
+    // buffer reused across every step of the run.
     let mut x_prev = vec![0.0; u.total];
+    let mut scratch = NewtonScratch::default();
+    scratch.prepare(circuit, &u, true);
     loop {
         let remaining = opts.tstop - time;
         // Skip a degenerate final sliver: C/h would explode and the step
@@ -199,15 +199,6 @@ pub fn transient(
         v.push(row);
     }
     Ok(TranResult { t, v })
-}
-
-/// Verify that a converged transient step satisfies KCL (used by property
-/// tests; exposed for integration testing).
-pub fn step_residual(circuit: &Circuit, x_prev: &[f64], x: &[f64], h: f64, time: f64) -> f64 {
-    let u = Unknowns::of(circuit);
-    let mode = AssembleMode::Tran { h, x_prev, time };
-    let (_, f) = assemble(circuit, &u, x, 1e-12, &mode);
-    f.iter().fold(0.0f64, |a, &b| a.max(b.abs()))
 }
 
 #[cfg(test)]

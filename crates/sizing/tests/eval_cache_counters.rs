@@ -33,13 +33,24 @@ fn evaluate_work_counts_are_exact_and_the_cache_cuts_them_to_zero() {
 
     // Exact work of one paper-example evaluation: every numeric
     // refactorisation it does, served by six symbolic analyses (one per
-    // distinct matrix pattern). A change of either count is a change of
-    // the simulator's work and must be explained.
+    // distinct matrix pattern), the Newton work behind them and the
+    // device-model calls. A change of any count is a change of the
+    // simulator's work and must be explained.
     let before = snapshot();
     evaluate_with(&ota, &tech, &mode, &EvalOptions::default()).expect("evaluate");
     let since = snapshot().counters_since(&before);
-    assert_eq!(since.get(FACTS).copied(), Some(3568));
-    assert_eq!(since.get("sim.matrix.symbolic_analyses").copied(), Some(6));
+    for (name, count) in [
+        (FACTS, 3568),
+        ("sim.matrix.symbolic_analyses", 6),
+        ("sim.dc.newton_iters", 3246),
+        ("sim.dc.solves", 65),
+        // Every floored capacitance comes from the AC linearisations.
+        ("sim.stamp.cap_floored", 44),
+        ("device.model.evals", 36443),
+        ("device.model.transcendentals", 473759),
+    ] {
+        assert_eq!(since.get(name).copied(), Some(count), "{name}");
+    }
 
     // A cache hit answers from the table: zero simulator work, and the
     // hit/miss counters record exactly one of each.

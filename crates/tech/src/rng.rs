@@ -12,7 +12,7 @@
 //! This module is the single canonical implementation for the whole
 //! workspace; `losac_sizing::rng` re-exports it, so historical call
 //! sites keep compiling and — crucially — keep producing the identical
-//! bit stream (pinned by [`tests::golden_bit_stream`]).
+//! bit stream (pinned by `tests::golden_bit_stream`).
 
 /// SplitMix64 step — used to expand one 64-bit seed into the generator
 /// state. Never returns two equal values in a row, so the xorshift state

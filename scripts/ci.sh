@@ -25,6 +25,14 @@ else
     echo "WARN: clippy not installed, skipping"
 fi
 
+# Docs build warning-free, so no intra-doc link can point at a deleted
+# or private item.
+echo "==> cargo doc -D warnings"
+if ! RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps; then
+    echo "FAIL: rustdoc"
+    fail=1
+fi
+
 echo "==> tier-1: cargo build --release"
 # --workspace so the bench binaries the later gates invoke
 # (batch_sweep, table1_cases) are guaranteed to exist.

@@ -1,5 +1,7 @@
 //! Wall-time + factorisation-count snapshot of the simulator hot path,
-//! written to `BENCH_PR10.json`.
+//! written to `target/bench_snapshot.json` (the committed
+//! `BENCH_PR3.json`–`BENCH_PR10.json` are history and are never
+//! rewritten).
 //!
 //! Measures the Table-1 measurement pipeline (uncached and cached), the
 //! raw AC sweep (fresh linearisation vs reused), a full case-4 synthesis
@@ -17,7 +19,7 @@
 //! robust against scheduler noise on shared hosts). The dense-kernel,
 //! finite-difference and thread-count ablation rows of earlier
 //! snapshots live on in the committed `BENCH_PR8.json`–`BENCH_PR10.json`.
-//! `scripts/bench_check.sh` diffs a fresh `BENCH_PR10.json` against the
+//! `scripts/bench_check.sh` diffs a fresh snapshot against the
 //! committed `BENCH_PR9.json` baseline and fails on hot-path
 //! regressions.
 //!
@@ -36,6 +38,10 @@ use losac_sizing::{FoldedCascodePlan, InputDrive, OtaSpecs, ParasiticMode};
 use losac_tech::Technology;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Where the snapshot goes, relative to the workspace root: a build
+/// output, so running the benchmark leaves the committed tree clean.
+const SNAPSHOT: &str = "target/bench_snapshot.json";
 
 /// Mean and best-rep wall time plus factorisations/rep across `f`.
 fn timed(reps: usize, mut f: impl FnMut()) -> (f64, f64, u64) {
@@ -332,6 +338,7 @@ fn main() {
          \"run_case4_factorizations\": 10884 }\n}\n",
     );
 
-    std::fs::write("BENCH_PR10.json", &out).expect("write BENCH_PR10.json");
-    println!("wrote BENCH_PR10.json");
+    std::fs::create_dir_all("target").expect("create target/");
+    std::fs::write(SNAPSHOT, &out).unwrap_or_else(|e| panic!("write {SNAPSHOT}: {e}"));
+    println!("wrote {SNAPSHOT}");
 }

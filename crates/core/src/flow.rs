@@ -26,7 +26,7 @@ use crate::telemetry::FlowTelemetry;
 use losac_layout::plan::{GeneratedLayout, ParasiticReport};
 use losac_layout::slicing::ShapeConstraint;
 use losac_obs::f;
-use losac_sizing::{EvalOptions, OtaSpecs, ParasiticMode, SizingError, Topology, TopologyPlan};
+use losac_sizing::{OtaSpecs, ParasiticMode, SizingError, Topology, TopologyPlan};
 use losac_tech::Technology;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -168,10 +168,6 @@ pub struct FlowOptions {
     /// Cooperative cancellation / deadline control (defaults to "never
     /// stop").
     pub control: FlowControl,
-    /// Evaluation options for every `evaluate` the flow's callers run on
-    /// its results: a shared evaluation cache (bitwise-neutral) and the
-    /// scenario. The default is nominal with no cache.
-    pub eval: EvalOptions,
 }
 
 impl Default for FlowOptions {
@@ -183,7 +179,6 @@ impl Default for FlowOptions {
             max_layout_calls: 10,
             diffusion_only: false,
             control: FlowControl::default(),
-            eval: EvalOptions::default(),
         }
     }
 }
@@ -245,12 +240,6 @@ impl FlowOptionsBuilder {
     /// Set the cancellation / deadline control.
     pub fn with_control(mut self, control: FlowControl) -> Self {
         self.opts.control = control;
-        self
-    }
-
-    /// Set the evaluation performance knobs.
-    pub fn with_eval(mut self, eval: EvalOptions) -> Self {
-        self.opts.eval = eval;
         self
     }
 
@@ -339,7 +328,7 @@ impl FlowResult {
 /// Marked `#[non_exhaustive]`: callers outside this crate must keep a
 /// wildcard arm so new variants (as `TimedOut` and `Cancelled` were) can
 /// be added without a breaking change.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum FlowError {
     /// The options were rejected before the flow started.
@@ -693,7 +682,7 @@ mod tests {
             "counters: {:?}",
             t.counters
         );
-        assert!(t.counter("layout.generate.calls") >= r.layout_calls as u64 + 1);
+        assert!(t.counter("layout.generate.calls") > r.layout_calls as u64);
         let json = t.to_json();
         assert!(json.contains("\"total_s\""), "{json}");
     }

@@ -261,8 +261,8 @@ impl SynthesisJob {
     }
 
     /// The [`CaseOptions`] this job implies, with the given run control
-    /// attached. Evaluation knobs default to serial/uncached here; the
-    /// engine overrides them per batch (shared cache, sim-thread count).
+    /// attached. The evaluation options carry the job's scenario and no
+    /// cache; the engine attaches its per-batch evaluation cache.
     pub fn case_options(&self, control: FlowControl) -> CaseOptions {
         CaseOptions::builder()
             .with_plan(self.plan.clone())

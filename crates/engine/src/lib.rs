@@ -17,7 +17,10 @@
 //!   indexed by submission order regardless of completion order), per-job
 //!   panic isolation ([`JobOutcome::Panicked`]), per-job wall-clock
 //!   budgets ([`JobOutcome::TimedOut`]) and cooperative cancellation
-//!   ([`CancelToken`], [`JobOutcome::Cancelled`]);
+//!   ([`CancelToken`], [`JobOutcome::Cancelled`]). Jobs with equal flow
+//!   inputs — the scenario jobs of one design point — share one case
+//!   preparation per batch and each measure their own scenario from it
+//!   ([`BatchTelemetry::prepared`]);
 //! * [`RetryPolicy`] — opt-in retry of *transient* failures
 //!   (non-convergence, singular systems, panics) with exponential
 //!   backoff and deterministic jitter; recovered or exhausted jobs

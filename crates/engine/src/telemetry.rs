@@ -191,6 +191,12 @@ pub struct BatchTelemetry {
     /// Number of jobs that ended [`Degraded`](crate::JobOutcome::Degraded)
     /// — they needed their retry policy, whether or not they recovered.
     pub degraded: usize,
+    /// Case preparations the batch ran (sizing or flow plus the
+    /// verification layout), failed ones included. Jobs with equal flow
+    /// inputs share one, so a scenario sweep prepares once per design
+    /// point; a job with its own budget or fault plan prepares alone, on
+    /// every attempt.
+    pub prepared: u64,
     /// Distribution of per-job wall-clock times, in milliseconds
     /// (p50/p90/p99 via [`HistogramSnapshot`]'s quantile readouts).
     pub job_ms: HistogramSnapshot,
@@ -234,6 +240,7 @@ impl BatchTelemetry {
             .f64("utilization", self.utilization())
             .u64("retries", self.retries)
             .u64("degraded", self.degraded as u64)
+            .u64("prepared", self.prepared)
             .raw("worker_busy_s", array(self.worker_busy.iter().map(secs)))
             .raw(
                 "worker_jobs",
@@ -263,6 +270,7 @@ mod tests {
             serial_estimate: Duration::from_secs(3),
             retries: 5,
             degraded: 2,
+            prepared: 3,
             job_ms: {
                 let h = losac_obs::HistogramCore::new();
                 h.observe(900.0);
@@ -278,6 +286,7 @@ mod tests {
         assert!(j.contains("\"worker_jobs\":[3,1]"), "{j}");
         assert!(j.contains("\"retries\":5"), "{j}");
         assert!(j.contains("\"degraded\":2"), "{j}");
+        assert!(j.contains("\"prepared\":3"), "{j}");
         assert!(j.contains("\"job_ms\":{\"count\":2,"), "{j}");
         assert!(j.contains("\"p99\":"), "{j}");
     }

@@ -11,8 +11,8 @@ use losac_core::prelude::{Case, OtaSpecs};
 use losac_engine::{Engine, EngineOptions, JobOutcome, RetryPolicy, SynthesisJob};
 use losac_obs::failpoint::{FailAction, FailPlan};
 use losac_sizing::rng::Xorshift128Plus;
-use losac_sizing::TopologyRegistry;
-use losac_tech::Technology;
+use losac_sizing::{FoldedCascodePlan, TopologyPlan, TopologyRegistry};
+use losac_tech::{Corner, Scenario, Technology};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -105,6 +105,26 @@ fn seeded_batch(seed: u64) -> Vec<SynthesisJob> {
         };
         jobs.push(j);
     }
+    // One design point under three corners, with equal flow inputs and
+    // one plan `Arc` (the technology is equal by value, not by pointer):
+    // the two healthy jobs share one case preparation, while the job
+    // with a fault plan prepares alone, fails once and retries.
+    let plan: Arc<dyn TopologyPlan> = Arc::new(FoldedCascodePlan::default());
+    for (k, corner) in [Corner::Typical, Corner::Slow, Corner::Fast]
+        .into_iter()
+        .enumerate()
+    {
+        let j = job(Case::AllParasitics)
+            .with_topology_plan(plan.clone())
+            .with_scenario(Scenario::corner(corner))
+            .with_label(format!("chaos-shared-{k}"))
+            .with_retry(retry.clone());
+        jobs.push(if k == 1 {
+            j.with_fail_plan(FailPlan::new().once("sizing.evaluate", FailAction::Fail))
+        } else {
+            j
+        });
+    }
     // One permanently-broken job: a NaN load capacitance is rejected by
     // netlist validation, a failure no retry can fix.
     let mut bad = OtaSpecs::paper_example();
@@ -138,6 +158,7 @@ fn seeded_chaos_batch_is_deterministic_across_worker_counts() {
     );
     assert_eq!(serial.telemetry.retries, parallel.telemetry.retries);
     assert_eq!(serial.telemetry.degraded, parallel.telemetry.degraded);
+    assert_eq!(serial.telemetry.prepared, parallel.telemetry.prepared);
 
     // The schedule exercises every classification: injected panics are
     // retried (never reported as Panicked), some jobs degrade, healthy
@@ -169,6 +190,27 @@ fn seeded_chaos_batch_is_deterministic_across_worker_counts() {
     );
     assert!(serial.telemetry.retries >= 1);
     assert!(serial.telemetry.degraded >= 1);
+    // The shared design point: its healthy jobs finish from the one
+    // shared preparation, and the faulted job recovers on its second
+    // attempt.
+    let shared = &outcomes[outcomes.len() - 4..outcomes.len() - 1];
+    assert!(
+        shared[0].is_finished() && shared[2].is_finished(),
+        "{:?}",
+        digest(shared)
+    );
+    assert!(
+        matches!(
+            &shared[1],
+            JobOutcome::Degraded {
+                attempts: 2,
+                partial: Some(_),
+                ..
+            }
+        ),
+        "{:?}",
+        digest(shared)
+    );
 }
 
 #[test]

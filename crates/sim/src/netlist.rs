@@ -597,7 +597,8 @@ mod tests {
         // Regression: these used to `assert!` inside the builder, killing
         // a whole engine worker through `catch_unwind` instead of failing
         // the one job with a typed error.
-        let cases: [(fn(&mut Circuit), &str); 4] = [
+        type BadElement = (fn(&mut Circuit), &'static str);
+        let cases: [BadElement; 4] = [
             (
                 |c| {
                     c.resistor("r1", "a", "0", 0.0);

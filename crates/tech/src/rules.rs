@@ -151,7 +151,6 @@ impl DesignRules {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Technology;
 
     #[test]

@@ -31,6 +31,7 @@ pub const T_NOMINAL: f64 = 300.15;
 
 /// Thermal voltage kT/q at the default temperature (V), ≈ 25.9 mV.
 pub const UT_NOMINAL: f64 = KBOLTZMANN * T_NOMINAL / QELECTRON;
+const _: () = assert!(UT_NOMINAL > 0.0255 && UT_NOMINAL < 0.0262);
 
 /// Convert micrometres to integer nanometres (rounds to nearest).
 ///
@@ -118,11 +119,6 @@ mod tests {
         assert!((ma(1.0) - 1e-3).abs() < 1e-12);
         assert!((mw(2.0) - 2e-3).abs() < 1e-12);
         assert!((khz(1.0) - 1e3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn thermal_voltage_reasonable() {
-        assert!(UT_NOMINAL > 0.0255 && UT_NOMINAL < 0.0262);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Hot-path regression gate: regenerate BENCH_PR10.json (unless it
-# already exists and --no-run is passed) and diff it against the
-# committed PR-9 baseline. Fails on >25% regression in the two numbers
-# the simulator work is judged by: `evaluate.reuse_1t.ms` and
-# `run_case4.cache_warm_repeat.ms`. Also reports the device-model
+# Hot-path regression gate: regenerate the snapshot
+# target/bench_snapshot.json (unless it already exists and --no-run is
+# passed) and diff it against the committed PR-9 baseline. Fails on >25%
+# regression in the two numbers the simulator work is judged by:
+# `evaluate.reuse_1t.ms` and `run_case4.cache_warm_repeat.ms`. Also reports the device-model
 # counters that pin the model share of an evaluate (DESIGN §6j), the
 # sparse-kernel counters, the evaluate latency percentiles and the
 # scenario-sweep yield row (corner × MC grid through the engine).
@@ -13,7 +13,8 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-if [ "${1:-}" != "--no-run" ] || [ ! -f BENCH_PR10.json ]; then
+SNAPSHOT=target/bench_snapshot.json
+if [ "${1:-}" != "--no-run" ] || [ ! -f "$SNAPSHOT" ]; then
     cargo run --release -q -p losac-bench --bin bench_snapshot
 fi
 
@@ -22,13 +23,13 @@ if [ ! -f BENCH_PR9.json ]; then
     exit 1
 fi
 
-python3 - <<'EOF'
+python3 - "$SNAPSHOT" <<'EOF'
 import json
 import sys
 
 with open("BENCH_PR9.json") as fh:
     base = json.load(fh)
-with open("BENCH_PR10.json") as fh:
+with open(sys.argv[1]) as fh:
     now = json.load(fh)
 
 LIMIT = 0.25  # fail on >25% slowdown

@@ -14,10 +14,10 @@ if ! cargo fmt --all -- --check; then
 fi
 
 # Clippy blocks when the toolchain component is present; an absent clippy
-# must not break the offline gate.
+# must not break the offline gate. Every workspace crate is linted.
 echo "==> cargo clippy -D warnings"
 if command -v cargo-clippy >/dev/null 2>&1; then
-    if ! cargo clippy -q --all-targets -- -D warnings; then
+    if ! cargo clippy -q --workspace --all-targets -- -D warnings; then
         echo "FAIL: clippy"
         fail=1
     fi
@@ -247,7 +247,7 @@ rm -rf "$serve_cache"
 rm -f "$serve_log"
 
 # Hot-path regression gate against the committed PR-9 baseline.
-echo "==> bench_check (BENCH_PR10 vs BENCH_PR9 baseline)"
+echo "==> bench_check (fresh snapshot vs BENCH_PR9 baseline)"
 if ! scripts/bench_check.sh; then
     echo "FAIL: bench_check"
     fail=1

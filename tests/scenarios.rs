@@ -9,11 +9,15 @@
 //!   1 and 4 workers** — the statistics are a pure fold over
 //!   submission-ordered outcomes, never over completion order;
 //! * corner-aware acceptance (`CaseOptions::scenarios`) reports the
-//!   per-metric worst case over the scenario set.
+//!   per-metric worst case over the scenario set;
+//! * scenario jobs of one design point share one case preparation per
+//!   batch, and every outcome still equals that job run alone through
+//!   `run_case_with`, at 1 and 4 workers.
 
 use losac::prelude::*;
 use losac::tech::pvt::NOMINAL_TEMP_C;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn sweep_jobs() -> Vec<SynthesisJob> {
     // One design point (Case 1, min-area) measured under a corner ×
@@ -146,4 +150,133 @@ fn corner_aware_acceptance_reports_the_worst_case_row() {
     // The slow corner genuinely bites: the worst-case row sits below
     // the nominal row.
     assert!(worst.extracted.gbw < rows[0].extracted.gbw);
+}
+
+/// One outcome in comparable form: its status plus both rows and the
+/// layout-call count of a result (`f64` Debug round-trips, so equal text
+/// means equal bits), or the text of a failure.
+fn digest(result: Result<&CaseResult, String>) -> String {
+    match result {
+        Ok(r) => format!(
+            "finished {:?} {:?} {}",
+            r.synthesized, r.extracted, r.layout_calls
+        ),
+        Err(e) => format!("failed [{e}]"),
+    }
+}
+
+fn batch_digest(o: &JobOutcome) -> String {
+    match o {
+        JobOutcome::Finished(r) => digest(Ok(r)),
+        JobOutcome::Failed(e) => digest(Err(e.to_string())),
+        other => other.status().to_owned(),
+    }
+}
+
+/// The digest of `job` run alone through `run_case_with`, outside any
+/// batch.
+fn alone_digest(job: &SynthesisJob) -> String {
+    let opts = job.case_options(FlowControl::default());
+    let r = run_case_with(&job.tech, &job.specs, job.case, &opts);
+    digest(r.as_ref().map_err(ToString::to_string))
+}
+
+/// Batch `jobs` at 1 and 4 workers; every outcome must equal its job run
+/// alone, and the batch must run `prepared` case preparations. Returns
+/// the lone runs' digests.
+fn assert_batches_match_lone_runs(
+    jobs: impl Fn() -> Vec<SynthesisJob>,
+    prepared: u64,
+) -> Vec<String> {
+    let alone: Vec<String> = jobs().iter().map(alone_digest).collect();
+    for workers in [1, 4] {
+        let batch = Engine::new(EngineOptions::with_workers(workers)).run_batch(jobs());
+        let got: Vec<String> = batch.outcomes.iter().map(batch_digest).collect();
+        assert_eq!(got, alone, "{workers} workers");
+        assert_eq!(batch.telemetry.prepared, prepared, "{workers} workers");
+    }
+    alone
+}
+
+#[test]
+fn scenario_jobs_share_one_preparation_per_design_point() {
+    // Two case-4 design points under four scenarios each, plus a
+    // budgeted copy of one job of the first point: the copy prepares
+    // alone, so the batch prepares 3 times. Both points share one plan
+    // and carry the design-point label `Case 4/min_area`; only their GBW
+    // specs differ, and that alone must keep them apart.
+    let jobs = || {
+        let tech = Arc::new(Technology::cmos06());
+        let plan = TopologyRegistry::builtin()
+            .get("folded_cascode")
+            .expect("builtin topology");
+        let point = |gbw: f64| {
+            let specs = OtaSpecs {
+                gbw,
+                ..OtaSpecs::paper_example()
+            };
+            SweepBuilder::new(tech.clone(), specs)
+                .with_topology_plan(plan.clone())
+                .over_cases([Case::AllParasitics])
+                .corners([Corner::Typical, Corner::Slow])
+                .temperatures([NOMINAL_TEMP_C, 125.0])
+                .build()
+        };
+        let mut jobs = point(65.0e6);
+        let budgeted = jobs[3].clone().with_budget(Duration::from_secs(600));
+        jobs.extend(point(60.0e6));
+        jobs.push(budgeted);
+        jobs
+    };
+    let alone = assert_batches_match_lone_runs(jobs, 3);
+    let finished = alone.iter().filter(|d| d.starts_with("finished")).count();
+    assert!(finished >= 4, "only {finished} of 9 lone runs finished");
+}
+
+#[test]
+fn a_rejected_design_point_fails_every_scenario_job_from_one_preparation() {
+    // The telescopic plan rejects the paper's output range, which only
+    // the folded cascode reaches: the one shared preparation fails, and
+    // every scenario job reports the lone run's typed error.
+    let plan = TopologyRegistry::builtin()
+        .get("telescopic")
+        .expect("builtin topology");
+    let jobs = || {
+        SweepBuilder::new(Arc::new(Technology::cmos06()), OtaSpecs::paper_example())
+            .with_topology_plan(plan.clone())
+            .over_cases([Case::AllParasitics])
+            .corners([Corner::Typical, Corner::Slow, Corner::Fast])
+            .build()
+    };
+    for d in assert_batches_match_lone_runs(jobs, 1) {
+        assert!(
+            d.starts_with("failed") && d.contains("folded cascode"),
+            "{d}"
+        );
+    }
+}
+
+#[test]
+fn a_failed_synthesized_measurement_is_reported_before_a_failed_layout() {
+    // No layout fits a 1 nm width, and at 0.9 × VDD the case-1 design
+    // cannot centre its output. The two scenario jobs share the
+    // preparation that holds the layout failure, yet the one measured at
+    // 0.9 × VDD still reports its evaluation error first, as a lone run
+    // always has.
+    let jobs = || {
+        SweepBuilder::new(Arc::new(Technology::cmos06()), OtaSpecs::paper_example())
+            .over_cases([Case::NoParasitics])
+            .over_shapes([ShapeConstraint::MaxWidth(1)])
+            .supplies([1.0, 0.9])
+            .build()
+    };
+    let alone = assert_batches_match_lone_runs(jobs, 1);
+    assert!(
+        alone[0].starts_with("failed [flow failed in layout:"),
+        "{alone:?}"
+    );
+    assert!(
+        alone[1].starts_with("failed [evaluation failed: output cannot be centred"),
+        "{alone:?}"
+    );
 }

@@ -10,9 +10,9 @@
 //! | `fig5_layout` | Fig. 5 — generated layout of the case-4 OTA (SVG) |
 //! | `table1_cases` | Table 1 — the four sizing cases, synthesized vs extracted |
 //!
-//! Criterion benches cover the performance claims (procedural layout is
-//! fast enough to sit inside the sizing loop; the whole flow finishes in
-//! seconds) and the ablation studies listed in `DESIGN.md` §5.
+//! The ablation studies listed in `DESIGN.md` §5 are the workspace test
+//! `tests/ablations.rs`; wall-clock performance is measured by
+//! `bench_snapshot` and the `perfbench` harness.
 
 use losac_obs::json::Object;
 use losac_sizing::Performance;

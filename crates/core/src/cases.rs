@@ -457,20 +457,8 @@ fn verification_mode(
     opts: &CaseOptions,
 ) -> Result<ParasiticMode, CaseError> {
     opts.control.check()?;
-    let lplan = topology_layout_plan(tech, ota, &opts.layout);
-    let generated = lplan.generate(tech, opts.shape)?;
-    let report = losac_layout::plan::ParasiticReport {
-        devices: generated.devices,
-        net_cap: generated.extraction.net_cap,
-        coupling: generated.extraction.coupling,
-        well_cap: generated.extraction.well_cap,
-        bbox: generated
-            .cell
-            .bbox()
-            .map(|b| (b.width(), b.height()))
-            .unwrap_or((0, 0)),
-        em_clean: generated.em_clean,
-    };
+    let report =
+        topology_layout_plan(tech, ota, &opts.layout).calculate_parasitics(tech, opts.shape)?;
     Ok(ParasiticMode::Full(to_feedback(&report, false)))
 }
 

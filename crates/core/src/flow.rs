@@ -183,84 +183,7 @@ impl Default for FlowOptions {
     }
 }
 
-/// Fluent constructor for [`FlowOptions`]; validates on
-/// [`build`](FlowOptionsBuilder::build). Obtained from
-/// [`FlowOptions::builder`].
-///
-/// ```
-/// use losac_core::flow::FlowOptions;
-/// use losac_layout::slicing::ShapeConstraint;
-///
-/// let opts = FlowOptions::builder()
-///     .with_tolerance(0.01)
-///     .with_shape(ShapeConstraint::Aspect(1.0))
-///     .with_max_layout_calls(6)
-///     .build()
-///     .unwrap();
-/// assert_eq!(opts.max_layout_calls, 6);
-/// assert!(FlowOptions::builder().with_tolerance(-1.0).build().is_err());
-/// ```
-#[derive(Debug, Clone, Default)]
-#[must_use = "call .build() to obtain the validated FlowOptions"]
-pub struct FlowOptionsBuilder {
-    opts: FlowOptions,
-}
-
-impl FlowOptionsBuilder {
-    /// Set the convergence tolerance.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.opts.tolerance = tolerance;
-        self
-    }
-
-    /// Set the layout shape constraint.
-    pub fn with_shape(mut self, shape: ShapeConstraint) -> Self {
-        self.opts.shape = shape;
-        self
-    }
-
-    /// Set the layout-call budget.
-    pub fn with_max_layout_calls(mut self, calls: usize) -> Self {
-        self.opts.max_layout_calls = calls;
-        self
-    }
-
-    /// Feed back only diffusion information (Table 1 case 3).
-    pub fn with_diffusion_only(mut self, diffusion_only: bool) -> Self {
-        self.opts.diffusion_only = diffusion_only;
-        self
-    }
-
-    /// Set the layout implementation options.
-    pub fn with_layout(mut self, layout: LayoutOptions) -> Self {
-        self.opts.layout = layout;
-        self
-    }
-
-    /// Set the cancellation / deadline control.
-    pub fn with_control(mut self, control: FlowControl) -> Self {
-        self.opts.control = control;
-        self
-    }
-
-    /// Validate and return the options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::InvalidOptions`] under the same conditions as
-    /// [`FlowOptions::validate`].
-    pub fn build(self) -> Result<FlowOptions, FlowError> {
-        self.opts.validate()?;
-        Ok(self.opts)
-    }
-}
-
 impl FlowOptions {
-    /// Start a fluent builder with the default options.
-    pub fn builder() -> FlowOptionsBuilder {
-        FlowOptionsBuilder::default()
-    }
-
     /// Check that the options describe a runnable flow.
     ///
     /// # Errors
@@ -443,7 +366,6 @@ pub fn layout_oriented_synthesis(
         // cancelled or timed out without leaving partial state behind.
         opts.control.check()?;
         // Call the layout tool in parasitic-calculation mode.
-        #[cfg(feature = "failpoints")]
         if losac_obs::failpoint::hit("flow.layout_call").is_some() {
             return Err(FlowError::Layout(
                 losac_layout::plan::PlanError::with_message(
@@ -747,29 +669,6 @@ mod tests {
         })
         .unwrap();
         assert!(!r.converged);
-    }
-
-    #[test]
-    fn builder_validates_and_builds() {
-        let opts = FlowOptions::builder()
-            .with_tolerance(0.05)
-            .with_shape(ShapeConstraint::Aspect(2.0))
-            .with_max_layout_calls(4)
-            .with_diffusion_only(true)
-            .build()
-            .unwrap();
-        assert_eq!(opts.tolerance, 0.05);
-        assert_eq!(opts.shape, ShapeConstraint::Aspect(2.0));
-        assert_eq!(opts.max_layout_calls, 4);
-        assert!(opts.diffusion_only);
-        assert!(matches!(
-            FlowOptions::builder().with_tolerance(f64::NAN).build(),
-            Err(FlowError::InvalidOptions(_))
-        ));
-        assert!(matches!(
-            FlowOptions::builder().with_max_layout_calls(0).build(),
-            Err(FlowError::InvalidOptions(_))
-        ));
     }
 
     #[test]

@@ -57,10 +57,8 @@ pub use cases::{
     prepare_case, run_case, run_case_with, same_preparation, Case, CaseError, CaseOptions,
     CaseOptionsBuilder, CaseResult, PreparedCase,
 };
-pub use flow::{
-    layout_oriented_synthesis, FlowControl, FlowError, FlowOptions, FlowOptionsBuilder, FlowResult,
-};
-pub use layout_gen::{ota_layout_plan, to_feedback, topology_layout_plan, LayoutOptions};
+pub use flow::{layout_oriented_synthesis, FlowControl, FlowError, FlowOptions, FlowResult};
+pub use layout_gen::{to_feedback, topology_layout_plan, LayoutOptions};
 pub use telemetry::FlowTelemetry;
 pub use traditional::{traditional_flow, traditional_flow_with, TraditionalResult};
 

@@ -79,11 +79,7 @@ fn classify(r: std::thread::Result<Result<CaseResult, CaseError>>) -> Attempt {
 /// another job's flow; so does a job with a fault plan, whose faults
 /// must fire on its own thread.
 fn shares_preparation(job: &SynthesisJob) -> bool {
-    #[cfg(feature = "failpoints")]
-    if job.fail_plan.is_some() {
-        return false;
-    }
-    job.budget.is_none()
+    job.fail_plan.is_none() && job.budget.is_none()
 }
 
 /// Group the jobs that may share a case preparation by their flow
@@ -184,15 +180,10 @@ pub struct EngineOptions {
 }
 
 impl EngineOptions {
-    /// A builder starting from [`EngineOptions::default`]. The struct is
-    /// `#[non_exhaustive]`, so downstream crates construct it through
-    /// this builder (or [`EngineOptions::with_workers`]) — new fields
-    /// are then non-breaking.
-    pub fn builder() -> EngineOptionsBuilder {
-        EngineOptionsBuilder::default()
-    }
-
-    /// Options with an explicit worker count (`0` = auto).
+    /// Options with an explicit worker count (`0` = auto) and every
+    /// other field at its default. The struct is `#[non_exhaustive]`, so
+    /// downstream crates start from this or [`EngineOptions::default`]
+    /// and assign the remaining fields.
     pub fn with_workers(workers: usize) -> Self {
         Self {
             workers,
@@ -208,41 +199,6 @@ impl EngineOptions {
                 .map(|n| n.get())
                 .unwrap_or(1)
         }
-    }
-}
-
-/// Builder for [`EngineOptions`] (see [`EngineOptions::builder`]).
-///
-/// `build` is infallible: every knob has a valid default and out-of-range
-/// values (worker count 0, past deadlines) already have defined meanings.
-#[derive(Debug, Clone, Default)]
-#[must_use = "call .build() to obtain the EngineOptions"]
-pub struct EngineOptionsBuilder {
-    opts: EngineOptions,
-}
-
-impl EngineOptionsBuilder {
-    /// Worker threads (see [`EngineOptions::workers`]).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.opts.workers = workers;
-        self
-    }
-
-    /// Shared evaluation cache (see [`EngineOptions::cache`]).
-    pub fn with_cache(mut self, cache: Arc<losac_sizing::EvalCache>) -> Self {
-        self.opts.cache = Some(cache);
-        self
-    }
-
-    /// Batch-wide absolute deadline (see [`EngineOptions::deadline`]).
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.opts.deadline = Some(deadline);
-        self
-    }
-
-    /// The finished options.
-    pub fn build(self) -> EngineOptions {
-        self.opts
     }
 }
 
@@ -448,7 +404,6 @@ impl Engine {
             // The fault plan is installed once, outside the attempt
             // loop, so its hit counters persist across retries — a
             // `once` fault fails attempt 1 and spares attempt 2.
-            #[cfg(feature = "failpoints")]
             let _fail_guard = job.fail_plan.clone().map(losac_obs::failpoint::install);
             let retry = job.retry.clone().filter(|p| p.max_attempts > 1);
             let mut attempt: u32 = 1;

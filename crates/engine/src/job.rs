@@ -133,9 +133,8 @@ pub struct SynthesisJob {
     /// Deterministic fault-injection plan, installed on the worker for
     /// the duration of this job (all attempts share the plan's hit
     /// counters, so a `once` fault fails the first attempt only).
-    /// Testing/chaos-engineering hook; absent without the `failpoints`
-    /// feature.
-    #[cfg(feature = "failpoints")]
+    /// Testing/chaos-engineering hook; `None` (the default) injects
+    /// nothing.
     pub fail_plan: Option<losac_obs::failpoint::FailPlan>,
 }
 
@@ -160,7 +159,6 @@ impl SynthesisJob {
             scenario: Scenario::nominal(),
             scenarios: Vec::new(),
             design_point: None,
-            #[cfg(feature = "failpoints")]
             fail_plan: None,
         }
     }
@@ -253,7 +251,6 @@ impl SynthesisJob {
     }
 
     /// Install a fault-injection plan for this job (testing only).
-    #[cfg(feature = "failpoints")]
     #[must_use]
     pub fn with_fail_plan(mut self, plan: losac_obs::failpoint::FailPlan) -> Self {
         self.fail_plan = Some(plan);

@@ -26,9 +26,9 @@
 //!   backoff and deterministic jitter; recovered or exhausted jobs
 //!   report [`JobOutcome::Degraded`], while permanent failures (invalid
 //!   options, bad netlists, sizing/layout rejections) and budget stops
-//!   are never retried. With the `failpoints` feature, per-job fault
-//!   plans (`SynthesisJob::with_fail_plan`) drive the seeded chaos
-//!   suite in `tests/chaos.rs`;
+//!   are never retried. Per-job fault plans
+//!   ([`SynthesisJob::with_fail_plan`]) drive the seeded chaos suite in
+//!   `tests/chaos.rs`;
 //! * [`SweepBuilder`] — cartesian job grids over cases, shape
 //!   constraints, specification axes ([`SpecAxis`]) and *scenario* axes:
 //!   process corners, temperatures, supply scales and seeded Monte-Carlo
@@ -61,7 +61,7 @@ pub mod pool;
 mod sweep;
 mod telemetry;
 
-pub use engine::{BatchResult, CancelToken, Engine, EngineOptions, EngineOptionsBuilder};
+pub use engine::{BatchResult, CancelToken, Engine, EngineOptions};
 pub use job::{JobOutcome, RetryPolicy, SynthesisJob};
 pub use sweep::{SpecAxis, SweepBuilder};
 pub use telemetry::{BatchTelemetry, DesignPointYield, MetricSpread};

@@ -1,4 +1,4 @@
-//! Named fault-injection points (compiled in by the `failpoints` feature).
+//! Named fault-injection points.
 //!
 //! A fail point is a named site inside production code — `sim.dc.newton`,
 //! `sizing.evaluate`, `flow.layout_call` — at which a test can inject a
@@ -15,21 +15,23 @@
 //! are scheduled across workers. That is what lets the chaos suite assert
 //! bitwise-identical batch outcomes at 1 and 4 workers.
 //!
-//! ## Zero cost when off
+//! ## Cost when unarmed
 //!
 //! Sites are written as
 //!
 //! ```ignore
-//! #[cfg(feature = "failpoints")]
 //! if let Some(action) = losac_obs::failpoint::hit("sim.dc.newton") { ... }
 //! ```
 //!
-//! so with the feature disabled (the default everywhere, including every
-//! release build) no code is emitted at all — the equivalence gates in
-//! `ci.sh` run feature-off and hold the production paths bitwise fixed.
+//! and are always compiled. [`hit`] first reads a process-wide count of
+//! installed plans; while it is zero — every production run — a site
+//! costs that one relaxed load, the same as a disabled span. A `Relaxed`
+//! load suffices because a plan only fires on the thread that installed
+//! it, and a thread always sees its own increment.
 
 use crate::Counter;
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Injections that actually fired (any action, any site).
@@ -120,6 +122,9 @@ thread_local! {
     static ACTIVE: RefCell<Vec<Armed>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Plans installed and not yet uninstalled, over all threads.
+static INSTALLED: AtomicUsize = AtomicUsize::new(0);
+
 /// Uninstalls the plan (restoring whatever was active before) on drop.
 #[must_use = "the plan is uninstalled when the guard drops"]
 #[derive(Debug)]
@@ -130,6 +135,7 @@ pub struct FailGuard {
 impl Drop for FailGuard {
     fn drop(&mut self) {
         ACTIVE.with(|a| *a.borrow_mut() = std::mem::take(&mut self.prev));
+        INSTALLED.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -144,6 +150,7 @@ pub fn install(plan: FailPlan) -> FailGuard {
         .map(|spec| Armed { spec, hits: 0 })
         .collect();
     let prev = ACTIVE.with(|a| std::mem::replace(&mut *a.borrow_mut(), armed));
+    INSTALLED.fetch_add(1, Ordering::Relaxed);
     FailGuard { prev }
 }
 
@@ -152,8 +159,20 @@ pub fn install(plan: FailPlan) -> FailGuard {
 /// Returns `Some(Fail | Nan)` when an armed spec's window covers this
 /// hit; [`FailAction::Delay`] sleeps here and returns `None`;
 /// [`FailAction::Panic`] panics here (with a message naming the site).
-/// With no plan installed this is a thread-local read and compare.
+/// With no plan installed on any thread this is one relaxed load.
+#[inline]
 pub fn hit(site: &str) -> Option<FailAction> {
+    if INSTALLED.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    hit_armed(site)
+}
+
+/// [`hit`] while some thread has a plan installed: match `site` against
+/// this thread's plan and act on the first open window.
+#[cold]
+#[inline(never)]
+fn hit_armed(site: &str) -> Option<FailAction> {
     let action = ACTIVE.with(|a| {
         let mut armed = a.borrow_mut();
         let mut fired = None;

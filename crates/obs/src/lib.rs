@@ -16,10 +16,9 @@
 //! * **Sinks** ([`Sink`], [`install`]) — a pretty stderr printer
 //!   ([`PrettySink`]), a JSONL file writer ([`JsonlSink`]) and a
 //!   thread-safe in-memory [`Collector`] for tests and benches.
-//! * **Fail points** (`failpoint` module, behind the non-default
-//!   `failpoints` feature) — named thread-local fault-injection sites the
-//!   chaos suite uses to drive the engine through synthetic failures;
-//!   zero code is emitted when the feature is off.
+//! * **Fail points** ([`failpoint`]) — named thread-local
+//!   fault-injection sites the chaos suite uses to drive the engine
+//!   through synthetic failures; an unarmed site costs one relaxed load.
 //!
 //! ## Zero cost when idle
 //!
@@ -56,7 +55,6 @@
 //! ```
 
 pub mod collector;
-#[cfg(feature = "failpoints")]
 pub mod failpoint;
 pub mod field;
 pub mod histogram;

@@ -31,7 +31,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut addr = "127.0.0.1:0".to_owned();
-    let mut engine = EngineOptions::builder();
+    let mut workers = 0;
     let mut opts = ServeOptions::default();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -42,10 +42,9 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--addr" => addr = value("--addr")?,
             "--workers" => {
-                let n = value("--workers")?
+                workers = value("--workers")?
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
-                engine = engine.with_workers(n);
             }
             "--quota" => {
                 let n = value("--quota")?
@@ -64,7 +63,9 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown option {other:?}\n{USAGE}")),
         }
     }
-    opts = opts.with_addr(addr).with_engine(engine.build());
+    opts = opts
+        .with_addr(addr)
+        .with_engine(EngineOptions::with_workers(workers));
     Ok(Args { opts })
 }
 

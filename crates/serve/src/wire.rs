@@ -47,7 +47,8 @@ pub enum ErrorCode {
     /// supported.
     Unsupported,
     /// A `submit`'s sweep references unknown technologies, topologies,
-    /// cases or shapes, or expands to nothing runnable.
+    /// cases or shapes, expands to nothing runnable, or expands to more
+    /// jobs than one sweep may hold.
     BadSweep,
     /// The client already has its maximum number of submits in flight.
     QuotaExceeded,
@@ -252,6 +253,11 @@ fn shape_from_wire(s: &str) -> Option<ShapeConstraint> {
     None
 }
 
+/// The most jobs one sweep may expand to. The daemon expands a sweep
+/// when it accepts it, before any quota or queue check, so the bound is
+/// checked on the axis lengths before anything is allocated.
+const MAX_SWEEP_JOBS: u64 = 65_536;
+
 impl SweepSpec {
     /// Expand into the same job list an offline [`SweepBuilder`] with
     /// these axes produces — *the* property the daemon's bitwise-equality
@@ -261,8 +267,31 @@ impl SweepSpec {
     /// # Errors
     ///
     /// [`ErrorCode::BadSweep`] on unknown technology, topology, case or
-    /// shape names.
+    /// shape names, and when the sweep would expand to more than 65 536
+    /// jobs.
     pub fn to_jobs(&self) -> Result<Vec<SynthesisJob>, WireError> {
+        // An empty axis contributes its one default point.
+        let draws = self.monte_carlo.map_or(1, |(n, _)| u64::from(n));
+        [
+            self.topologies.len(),
+            self.cases.len(),
+            self.shapes.len(),
+            self.gbw.len(),
+            self.pm.len(),
+            self.cl.len(),
+            self.vdd.len(),
+            self.corners.len(),
+            self.temps_c.len(),
+            self.supply_scales.len(),
+        ]
+        .into_iter()
+        .map(|n| n as u64)
+        .chain([draws])
+        .try_fold(1u64, |jobs, n| jobs.checked_mul(n.max(1)))
+        .filter(|&jobs| jobs <= MAX_SWEEP_JOBS)
+        .ok_or_else(|| {
+            WireError::bad_sweep(format!("sweep expands to more than {MAX_SWEEP_JOBS} jobs"))
+        })?;
         let tech = match self.tech.as_str() {
             "" | "cmos06" => Technology::cmos06(),
             "cmos035" => Technology::cmos035(),

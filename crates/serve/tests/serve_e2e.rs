@@ -31,7 +31,7 @@ fn start_server(opts: ServeOptions) -> (SocketAddr, std::thread::JoinHandle<std:
 fn offline_digest(sweep: &SweepSpec, workers: usize) -> Vec<(String, String, Vec<[u64; 11]>)> {
     let jobs = sweep.to_jobs().expect("valid sweep");
     let labels: Vec<String> = jobs.iter().map(|j| j.label.clone()).collect();
-    let engine = Engine::new(EngineOptions::builder().with_workers(workers).build());
+    let engine = Engine::new(EngineOptions::with_workers(workers));
     let batch = engine.run_batch(jobs);
     labels
         .into_iter()
@@ -65,9 +65,8 @@ fn wire_digest(outcomes: &[OutcomeSummary]) -> Vec<(String, String, Vec<[u64; 11
 #[test]
 fn concurrent_clients_get_bitwise_identical_results() {
     let reference = offline_digest(&small_sweep(), 2);
-    let (addr, handle) = start_server(
-        ServeOptions::default().with_engine(EngineOptions::builder().with_workers(2).build()),
-    );
+    let (addr, handle) =
+        start_server(ServeOptions::default().with_engine(EngineOptions::with_workers(2)));
     let digests: Vec<_> = std::thread::scope(|scope| {
         let threads: Vec<_> = (0..2)
             .map(|i| {

@@ -1,7 +1,9 @@
 //! Wire-protocol conformance: every frame round-trips through its JSON
 //! form, malformed input maps to *typed* error codes (never a dropped
-//! parse), unknown fields and unknown frame types are tolerated, and
-//! performance rows survive the wire bit-for-bit.
+//! parse or a panic, also under seeded mutations of valid lines, and
+//! never an oversized sweep expanded), unknown fields and unknown frame
+//! types are tolerated, and performance rows survive the wire
+//! bit-for-bit.
 
 use losac_engine::JobOutcome;
 use losac_layout::slicing::ShapeConstraint;
@@ -13,6 +15,7 @@ use losac_serve::wire::{
     WireError,
 };
 use losac_sizing::Performance;
+use losac_tech::rng::Xorshift128Plus;
 use losac_tech::Corner;
 
 fn full_spec() -> SweepSpec {
@@ -40,9 +43,9 @@ fn full_spec() -> SweepSpec {
     }
 }
 
-#[test]
-fn every_request_round_trips() {
-    let requests = [
+/// One request of every kind, the submit with every sweep field set.
+fn every_request() -> [Request; 7] {
+    [
         Request::Submit(Box::new(SubmitRequest {
             id: Some("alpha".to_owned()),
             priority: -3,
@@ -62,8 +65,12 @@ fn every_request_round_trips() {
             mode: ShutdownMode::Abort,
         },
         Request::Ping,
-    ];
-    for req in requests {
+    ]
+}
+
+#[test]
+fn every_request_round_trips() {
+    for req in every_request() {
         let line = req.to_json();
         let back = Request::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
         assert_eq!(back, req, "round trip of {line}");
@@ -217,11 +224,17 @@ fn malformed_input_yields_typed_errors() {
         assert_eq!(err.code, *want, "{line} → {err}");
     }
     // Structural sweep errors parse fine but fail expansion with a
-    // BadSweep, carrying enough detail to act on.
-    let Request::Submit(s) = Request::parse(cases[9].0).unwrap() else {
-        panic!("submit should parse structurally");
-    };
-    assert_eq!(s.sweep.to_jobs().unwrap_err().code, ErrorCode::BadSweep);
+    // BadSweep, carrying enough detail to act on. That includes sweeps
+    // too large to expand: 2^32 - 1 Monte-Carlo draws, or two 300-point
+    // axes. The bound is checked before anything is allocated.
+    let huge_mc = "{\"type\":\"submit\",\"sweep\":{\"mc_samples\":4294967295}}";
+    for line in [cases[9].0, huge_mc] {
+        let Request::Submit(s) = Request::parse(line).unwrap() else {
+            panic!("submit should parse structurally");
+        };
+        assert_eq!(s.sweep.to_jobs().unwrap_err().code, ErrorCode::BadSweep);
+    }
+    let axis: Vec<f64> = (0..300).map(|i| 1e6 + f64::from(i)).collect();
     for bad in [
         SweepSpec {
             tech: "cmos9000".to_owned(),
@@ -231,15 +244,55 @@ fn malformed_input_yields_typed_errors() {
             topologies: vec!["ring_oscillator".to_owned()],
             ..SweepSpec::default()
         },
+        SweepSpec {
+            gbw: axis.clone(),
+            cl: axis,
+            ..SweepSpec::default()
+        },
     ] {
         assert_eq!(bad.to_jobs().unwrap_err().code, ErrorCode::BadSweep);
     }
+    // A large sweep inside the bound still expands.
+    assert_eq!(full_spec().to_jobs().expect("full spec").len(), 3456);
     // Mistyped sweep fields are BadSweep at parse time, with the request
     // id attached for correlation.
     let err = Request::parse("{\"type\":\"submit\",\"id\":\"x\",\"sweep\":{\"gbw\":\"fast\"}}")
         .expect_err("mistyped sweep axis");
     assert_eq!(err.code, ErrorCode::BadSweep);
     assert_eq!(err.id.as_deref(), Some("x"));
+
+    // Seeded mutations of every valid request line: each truncation, and
+    // byte flips and inserted bytes at random positions. Parsing returns
+    // a request or a typed error, and never panics.
+    let mut rng = Xorshift128Plus::seed_from_u64(0x5EED);
+    let parse = |bytes: &[u8]| {
+        let line = String::from_utf8_lossy(bytes);
+        if let Err(err) = Request::parse(&line) {
+            assert!(
+                matches!(
+                    err.code,
+                    ErrorCode::Malformed | ErrorCode::Unsupported | ErrorCode::BadSweep
+                ),
+                "{line} → {err}"
+            );
+        }
+    };
+    for req in every_request() {
+        let line = req.to_json().into_bytes();
+        for cut in 0..line.len() {
+            parse(&line[..cut]);
+        }
+        for _ in 0..64 {
+            let at = rng.next_u64() as usize % line.len();
+            let byte = rng.next_u64() as u8;
+            let mut flipped = line.clone();
+            flipped[at] ^= byte.max(1);
+            parse(&flipped);
+            let mut inserted = line.clone();
+            inserted.insert(at, byte);
+            parse(&inserted);
+        }
+    }
 }
 
 #[test]

@@ -245,7 +245,6 @@ pub fn ac_point_on(lin: &Linearized, f: f64) -> Result<Vec<Complex>, AcError> {
 /// [`ac_sweep_on`] and [`ac_point_on`] so both perform identical
 /// arithmetic.
 fn solve_point(lin: &Linearized, f: f64, ws: &mut AcWorkspace) -> Result<Vec<Complex>, AcError> {
-    #[cfg(feature = "failpoints")]
     if losac_obs::failpoint::hit("sim.ac.sweep").is_some() {
         return Err(AcError {
             frequency: f,

@@ -571,7 +571,6 @@ pub(crate) fn newton(
         // Budget/cancellation hole fix: a stuck iteration must notice the
         // job's stop flag or deadline here, not at the next phase boundary.
         crate::interrupt::poll().map_err(DcError::Interrupted)?;
-        #[cfg(feature = "failpoints")]
         if let Some(action) = losac_obs::failpoint::hit("sim.dc.newton") {
             return Err(match action {
                 losac_obs::failpoint::FailAction::Nan => {

@@ -142,7 +142,6 @@ fn solve_noise_point(
     scratch: &mut NoiseScratch,
     out: usize,
 ) -> Result<NoisePoint, NoiseError> {
-    #[cfg(feature = "failpoints")]
     if losac_obs::failpoint::hit("sim.noise").is_some() {
         return Err(NoiseError {
             frequency: f,

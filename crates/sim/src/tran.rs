@@ -171,7 +171,6 @@ pub fn transient(
         }
         let h = opts.dt.min(remaining);
         let t_next = time + h;
-        #[cfg(feature = "failpoints")]
         if losac_obs::failpoint::hit("sim.tran.step").is_some() {
             return Err(TranError {
                 time: t_next,

@@ -840,7 +840,6 @@ pub fn evaluate_with(
     opts: &EvalOptions,
 ) -> Result<Performance, EvalError> {
     let _span = losac_obs::span("sizing.evaluate");
-    #[cfg(feature = "failpoints")]
     if let Some(action) = losac_obs::failpoint::hit("sizing.evaluate") {
         return Err(match action {
             losac_obs::failpoint::FailAction::Nan => {

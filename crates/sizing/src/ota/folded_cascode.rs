@@ -623,24 +623,6 @@ pub(crate) fn diffusion_geometry(
 }
 
 impl FoldedCascodeOta {
-    /// Drawn width of a device (m): the layout feedback's grid-snapped
-    /// width when it corresponds to *this* sizing (within 5 %), the
-    /// synthesised width otherwise. Feedback carried over from a previous
-    /// sizing iteration describes the old geometry and must not override
-    /// freshly computed widths — only the final snap of the same widths.
-    pub fn drawn_w(&self, mode: &ParasiticMode, name: &str) -> f64 {
-        let w = self.devices[name].w;
-        if let Some(fb) = mode.feedback() {
-            if let Some(d) = fb.device(name) {
-                let drawn = d.drawn_w as f64 * 1e-9;
-                if (drawn - w).abs() <= 0.05 * w {
-                    return drawn;
-                }
-            }
-        }
-        w
-    }
-
     /// Total quiescent current estimate (A): tail plus both mirror
     /// branches.
     pub fn supply_current_estimate(&self) -> f64 {
@@ -932,10 +914,6 @@ impl Topology for FoldedCascodeOta {
 
     fn supply_current_estimate(&self) -> f64 {
         FoldedCascodeOta::supply_current_estimate(self)
-    }
-
-    fn drawn_w(&self, mode: &ParasiticMode, name: &str) -> f64 {
-        FoldedCascodeOta::drawn_w(self, mode, name)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

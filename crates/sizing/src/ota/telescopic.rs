@@ -208,13 +208,6 @@ impl TelescopicPlan {
 }
 
 impl TelescopicOta {
-    /// Drawn width of a device (m) — the layout feedback's grid-snapped
-    /// width when it corresponds to this sizing (see
-    /// [`Topology::drawn_w`] for the 5 % guard).
-    pub fn drawn_w(&self, mode: &ParasiticMode, name: &str) -> f64 {
-        Topology::drawn_w(self, mode, name)
-    }
-
     /// Total quiescent current estimate (A): one tail current feeds both
     /// telescopic branches — there is no separate cascode branch.
     pub fn supply_current_estimate(&self) -> f64 {

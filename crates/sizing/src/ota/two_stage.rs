@@ -250,13 +250,6 @@ impl TwoStagePlan {
 }
 
 impl TwoStageOta {
-    /// Drawn width of a device (m) — the layout feedback's grid-snapped
-    /// width when it corresponds to this sizing (see
-    /// [`Topology::drawn_w`] for the 5 % guard).
-    pub fn drawn_w(&self, mode: &ParasiticMode, name: &str) -> f64 {
-        Topology::drawn_w(self, mode, name)
-    }
-
     /// Total quiescent current estimate (A): the first-stage tail plus
     /// the second-stage branch.
     pub fn supply_current_estimate(&self) -> f64 {

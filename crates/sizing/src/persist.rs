@@ -259,15 +259,18 @@ mod tests {
         let enc = encode(&k, &perf());
         // A different key must not verify even against an intact file.
         assert!(decode(&enc, &key("attacker")).is_none());
-        // Truncation at any point fails.
-        for cut in [0, 1, 12, enc.len() - 1] {
+        // Truncation at every length fails.
+        for cut in 0..enc.len() {
             assert!(decode(&enc[..cut], &k).is_none(), "cut at {cut}");
         }
-        // A single flipped bit anywhere fails the checksum.
-        for i in [0, 9, 20, 40, enc.len() - 3] {
-            let mut bad = enc.clone();
-            bad[i] ^= 0x40;
-            assert!(decode(&bad, &k).is_none(), "flip at {i}");
+        // Flipped bits at every byte position fail: in the checksum
+        // itself, or in the body it covers.
+        for i in 0..enc.len() {
+            for mask in [0x01, 0x40, 0x80, 0xFF] {
+                let mut bad = enc.clone();
+                bad[i] ^= mask;
+                assert!(decode(&bad, &k).is_none(), "flip {mask:#04x} at {i}");
+            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! Counter-level gates for the evaluation cache and the simulator work of
-//! one evaluation.
+//! one evaluation: one evaluation does exactly its pinned number of
+//! factorisations, and a cache hit does none.
 //!
 //! Kept as a **single test in its own binary**: the `losac-obs` counters
 //! are process-global, so factorisation deltas would race against sibling

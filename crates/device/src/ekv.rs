@@ -349,33 +349,13 @@ fn current_parts(
 }
 
 /// Raw drain current for bulk-referenced, NMOS-normalised terminal
-/// voltages. Returns (id, i_f, i_r, vp, n, veff).
-fn drain_current_pre(
-    m: &Mosfet,
-    pre: &Precomputed,
-    vg: f64,
-    vs: f64,
-    vd: f64,
-) -> (f64, f64, f64, f64, f64, f64) {
+/// voltages.
+fn drain_current_pre(m: &Mosfet, pre: &Precomputed, vg: f64, vs: f64, vd: f64) -> f64 {
     let p = &m.params;
     let (vp, n) = pinch_off(p, pre, vg);
     let i_f = ekv_f((vp - vs) / pre.ut);
     let i_r = ekv_f((vp - vd) / pre.ut);
-    let veff = 2.0 * n * pre.ut * i_f.sqrt();
-    let id = current_parts(p, pre, n, i_f, i_r, smooth_abs(vd - vs, pre.ut)).id;
-    (id, i_f, i_r, vp, n, veff)
-}
-
-/// Raw drain current for bulk-referenced, NMOS-normalised terminal
-/// voltages at temperature `temp_k`. Returns (id, i_f, i_r, vp, n, veff).
-fn drain_current(
-    m: &Mosfet,
-    vg: f64,
-    vs: f64,
-    vd: f64,
-    temp_k: f64,
-) -> (f64, f64, f64, f64, f64, f64) {
-    drain_current_pre(m, &Precomputed::of(m, temp_k), vg, vs, vd)
+    current_parts(p, pre, n, i_f, i_r, smooth_abs(vd - vs, pre.ut)).id
 }
 
 /// Classify the operating region and compute vdsat from the forward
@@ -394,12 +374,13 @@ fn region_of(i_f: f64, sif: f64, vds_n: f64, ut: f64) -> (f64, Region) {
     (vdsat, region)
 }
 
-/// Final stage of an evaluation: given the per-device transcendental
-/// results (pinch-off with derivatives, both interpolation-function values
-/// with their sigmoids, smoothed |VDS| with its tanh), assemble the
-/// current — through the *unchanged* [`current_parts`] expression, so the
-/// value is bit-identical to [`OpEval::drain_current`] — and the three
-/// conductances by the chain rule:
+/// Analytic evaluation on NMOS-normalised, bulk-referenced voltages: the
+/// transcendentals (pinch-off with its derivatives, both interpolation-
+/// function values with their sigmoids, smoothed |VDS| with its tanh),
+/// then the current — through the *unchanged* [`current_parts`]
+/// expression, so the value is bit-identical to
+/// [`OpEval::drain_current`] — and the three conductances by the chain
+/// rule:
 ///
 /// ```text
 /// ∂Id/∂vg = clm·( mob'·v_deg'_g·Is·Δi + mob·(Is'_g·Δi + Is·(i_f'_g − i_r'_g)) )
@@ -410,27 +391,14 @@ fn region_of(i_f: f64, sif: f64, vds_n: f64, ut: f64) -> (f64, Region) {
 /// with `i_f'_g = √i_f·σf·vp'/Ut`, `v_deg'_g = n'·Ut·(√i_f+√i_r) +
 /// n·vp'·(σf+σr)/2`, `Is'_g = 2·n'·β·Ut²` and `mob' = −mob·(θ/d1 +
 /// 1/(EcritL·d2))`. The bulk transconductance is `−(∂vg + ∂vs + ∂vd)`,
-/// because a bulk wiggle moves all three normalised voltages. This stage is
-/// pure arithmetic — all transcendentals happen in the flat loops before
-/// it (see [`MosBatch`]).
-#[allow(clippy::too_many_arguments)]
-fn assemble_analytic_op(
-    p: &MosParams,
-    pre: &Precomputed,
-    vs: f64,
-    vd: f64,
-    vp: f64,
-    n: f64,
-    dvp: f64,
-    dn: f64,
-    lf: f64,
-    sf: f64,
-    lr: f64,
-    sr: f64,
-    sabs: f64,
-    tt: f64,
-) -> MosOp {
+/// because a bulk wiggle moves all three normalised voltages.
+fn eval_analytic(m: &Mosfet, pre: &Precomputed, vg: f64, vs: f64, vd: f64) -> MosOp {
+    let p = &m.params;
     let ut = pre.ut;
+    let (vp, n, dvp, dn) = pinch_off_d(p, pre, vg);
+    let (lf, sf) = ln1pexp_sig((vp - vs) / ut / 2.0);
+    let (lr, sr) = ln1pexp_sig((vp - vd) / ut / 2.0);
+    let (sabs, tt) = smooth_abs_pair(vd - vs, ut);
     let i_f = lf * lf;
     let i_r = lr * lr;
     let parts = current_parts(p, pre, n, i_f, i_r, sabs);
@@ -480,19 +448,6 @@ fn assemble_analytic_op(
         slope_n: n,
         region,
     }
-}
-
-/// Scalar analytic evaluation on NMOS-normalised, bulk-referenced
-/// voltages: exactly the four stages of [`MosBatch::evaluate_all`] run
-/// back-to-back for one element, so scalar and batched results are
-/// bit-identical by construction.
-fn eval_analytic(m: &Mosfet, pre: &Precomputed, vg: f64, vs: f64, vd: f64) -> MosOp {
-    let p = &m.params;
-    let (vp, n, dvp, dn) = pinch_off_d(p, pre, vg);
-    let (lf, sf) = ln1pexp_sig((vp - vs) / pre.ut / 2.0);
-    let (lr, sr) = ln1pexp_sig((vp - vd) / pre.ut / 2.0);
-    let (sabs, tt) = smooth_abs_pair(vd - vs, pre.ut);
-    assemble_analytic_op(p, pre, vs, vd, vp, n, dvp, dn, lf, sf, lr, sr, sabs, tt)
 }
 
 /// Evaluate on NMOS-normalised voltages, attributing the telemetry
@@ -563,9 +518,9 @@ impl OpEval {
         )
     }
 
-    /// [`drain_current_only`] through the cached precomputation: the
-    /// probe evaluator the inverse solvers hoist out of their bisection
-    /// loops. Bit-identical to the rebuild-per-call path.
+    /// The drain current alone (A, polarity-normalised), through the
+    /// cached precomputation: the probe evaluator the inverse solvers
+    /// hoist out of their bisection loops.
     pub fn drain_current(&self, vgs: f64, vds: f64, vbs: f64) -> f64 {
         let s = self.m.params.polarity.sign();
         drain_current_pre(
@@ -575,51 +530,31 @@ impl OpEval {
             s * (-vbs),
             s * (vds - vbs),
         )
-        .0
     }
 }
 
-/// Batched model evaluation over flat arrays (structure-of-arrays).
-///
-/// The Newton assembler used to evaluate its MOSFETs one struct at a
-/// time; this evaluator splits the work into **staged flat loops** — one
-/// per transcendental group — over parallel `f64` arrays the compiler can
-/// vectorise, and caches one [`OpEval`] per device slot across
-/// iterations (rebuilt only when the slot's device or temperature
-/// changes, which a [`losac-sim` `DcSession`] never does mid-solve).
+/// Batched model evaluation for the Newton assembler: one cached
+/// [`OpEval`] per device slot across iterations (rebuilt only when the
+/// slot's device or temperature changes, which a `losac-sim` `DcSession`
+/// never does mid-solve), and the model-evaluation counters added once
+/// per pass rather than once per device.
 ///
 /// Usage follows a cursor protocol mirroring the assembler's element
 /// order: [`MosBatch::begin`], one [`MosBatch::bias`] per device,
 /// [`MosBatch::evaluate_all`], then [`MosBatch::op`] by index in the same
-/// order.
-///
-/// Every stage calls the same per-element helpers as the scalar path, so
-/// batched results are bit-identical to calling [`OpEval::eval`] per
+/// order. Results are bit-identical to calling [`OpEval::eval`] per
 /// device.
 #[derive(Debug)]
 pub struct MosBatch {
     devs: Vec<OpEval>,
+    /// NMOS-normalised, bulk-referenced `(vg, vs, vd)` per slot.
+    biases: Vec<(f64, f64, f64)>,
     /// Cursor: number of biases staged since the last [`MosBatch::begin`].
     n: usize,
     /// Temperature (K) every staged bias evaluates at; set by
     /// [`MosBatch::begin_at`], part of each slot's cache key through
     /// [`OpEval::matches`].
     temp_k: f64,
-    // NMOS-normalised, bulk-referenced terminal voltages.
-    vg: Vec<f64>,
-    vs: Vec<f64>,
-    vd: Vec<f64>,
-    // Stage outputs.
-    vp: Vec<f64>,
-    sn: Vec<f64>,
-    dvp: Vec<f64>,
-    dn: Vec<f64>,
-    lf: Vec<f64>,
-    sf: Vec<f64>,
-    lr: Vec<f64>,
-    sr: Vec<f64>,
-    sabs: Vec<f64>,
-    tt: Vec<f64>,
     ops: Vec<MosOp>,
 }
 
@@ -627,21 +562,9 @@ impl Default for MosBatch {
     fn default() -> Self {
         Self {
             devs: Vec::new(),
+            biases: Vec::new(),
             n: 0,
             temp_k: T_NOMINAL,
-            vg: Vec::new(),
-            vs: Vec::new(),
-            vd: Vec::new(),
-            vp: Vec::new(),
-            sn: Vec::new(),
-            dvp: Vec::new(),
-            dn: Vec::new(),
-            lf: Vec::new(),
-            sf: Vec::new(),
-            lr: Vec::new(),
-            sr: Vec::new(),
-            sabs: Vec::new(),
-            tt: Vec::new(),
             ops: Vec::new(),
         }
     }
@@ -682,21 +605,16 @@ impl MosBatch {
     /// scenarios between passes.
     pub fn bias(&mut self, m: &Mosfet, vgs: f64, vds: f64, vbs: f64) {
         let i = self.n;
+        let s = m.params.polarity.sign();
+        let bias = (s * (vgs - vbs), s * (-vbs), s * (vds - vbs));
         if i == self.devs.len() {
             self.devs.push(OpEval::new(m, self.temp_k));
-        } else if !self.devs[i].matches(m, self.temp_k) {
-            self.devs[i] = OpEval::new(m, self.temp_k);
-        }
-        let s = m.params.polarity.sign();
-        let (vg, vs, vd) = (s * (vgs - vbs), s * (-vbs), s * (vds - vbs));
-        if i == self.vg.len() {
-            self.vg.push(vg);
-            self.vs.push(vs);
-            self.vd.push(vd);
+            self.biases.push(bias);
         } else {
-            self.vg[i] = vg;
-            self.vs[i] = vs;
-            self.vd[i] = vd;
+            if !self.devs[i].matches(m, self.temp_k) {
+                self.devs[i] = OpEval::new(m, self.temp_k);
+            }
+            self.biases[i] = bias;
         }
         self.n += 1;
     }
@@ -720,68 +638,12 @@ impl MosBatch {
         }
         MODEL_EVALS.add(n as u64);
         MODEL_TRANSCENDENTALS.add(TRANSCENDENTALS * n as u64);
-        for v in [
-            &mut self.vp,
-            &mut self.sn,
-            &mut self.dvp,
-            &mut self.dn,
-            &mut self.lf,
-            &mut self.sf,
-            &mut self.lr,
-            &mut self.sr,
-            &mut self.sabs,
-            &mut self.tt,
-        ] {
-            v.resize(n, 0.0);
-        }
-        // Stage 1: pinch-off (sqrt group), gate voltage only.
-        for i in 0..n {
-            let d = &self.devs[i];
-            let (vp, sn, dvp, dn) = pinch_off_d(&d.m.params, &d.pre, self.vg[i]);
-            self.vp[i] = vp;
-            self.sn[i] = sn;
-            self.dvp[i] = dvp;
-            self.dn[i] = dn;
-        }
-        // Stage 2: interpolation function and its sigmoid (exp/ln
-        // group), forward and reverse.
-        for i in 0..n {
-            let ut = self.devs[i].pre.ut;
-            let (lf, sf) = ln1pexp_sig((self.vp[i] - self.vs[i]) / ut / 2.0);
-            let (lr, sr) = ln1pexp_sig((self.vp[i] - self.vd[i]) / ut / 2.0);
-            self.lf[i] = lf;
-            self.sf[i] = sf;
-            self.lr[i] = lr;
-            self.sr[i] = sr;
-        }
-        // Stage 3: smoothed |VDS| and its tanh (cosh/ln/tanh group).
-        for i in 0..n {
-            let ut = self.devs[i].pre.ut;
-            let vds_n = self.vd[i] - self.vs[i];
-            let (sabs, tt) = smooth_abs_pair(vds_n, ut);
-            self.sabs[i] = sabs;
-            self.tt[i] = tt;
-        }
-        // Stage 4: pure-arithmetic assembly.
-        for i in 0..n {
-            let d = &self.devs[i];
-            self.ops.push(assemble_analytic_op(
-                &d.m.params,
-                &d.pre,
-                self.vs[i],
-                self.vd[i],
-                self.vp[i],
-                self.sn[i],
-                self.dvp[i],
-                self.dn[i],
-                self.lf[i],
-                self.sf[i],
-                self.lr[i],
-                self.sr[i],
-                self.sabs[i],
-                self.tt[i],
-            ));
-        }
+        self.ops.extend(
+            self.devs[..n]
+                .iter()
+                .zip(&self.biases)
+                .map(|(d, &(vg, vs, vd))| eval_analytic(&d.m, &d.pre, vg, vs, vd)),
+        );
     }
 
     /// Operating point of the `i`-th staged device (same order as the
@@ -821,8 +683,7 @@ pub fn evaluate_at(m: &Mosfet, vgs: f64, vds: f64, vbs: f64, temp_k: f64) -> Mos
 /// [`evaluate`] when derivatives are not needed (inner Newton loops use the
 /// full version).
 pub fn drain_current_only(m: &Mosfet, vgs: f64, vds: f64, vbs: f64) -> f64 {
-    let s = m.params.polarity.sign();
-    drain_current(m, s * (vgs - vbs), s * (-vbs), s * (vds - vbs), T_NOMINAL).0
+    OpEval::new(m, T_NOMINAL).drain_current(vgs, vds, vbs)
 }
 
 /// Threshold voltage magnitude at a given source-bulk reverse bias
@@ -1014,28 +875,6 @@ mod tests {
         let op = evaluate(&m, 0.0, 2.0, 0.0);
         assert_eq!(op.region, Region::Cutoff);
         assert!(op.id < 1e-12);
-    }
-
-    #[test]
-    fn op_eval_matches_one_shot_entry_points_bitwise() {
-        // Caching `Precomputed` cannot change a bit: it is a pure function
-        // of (device, temperature).
-        for m in [nmos(12e-6, 0.8e-6), pmos(30e-6, 1.2e-6)] {
-            for temp in [250.0, T_NOMINAL, 400.0] {
-                let ev = OpEval::new(&m, temp);
-                for &(vgs, vds, vbs) in &[(1.25, 1.7, -0.2), (0.6, 0.05, 0.0), (1.8, 2.5, -0.5)] {
-                    let s = m.params.polarity.sign();
-                    let (vgs, vds, vbs) = (s * vgs, s * vds, s * vbs);
-                    assert_eq!(ev.eval(vgs, vds, vbs), evaluate_at(&m, vgs, vds, vbs, temp));
-                    if temp == T_NOMINAL {
-                        assert_eq!(
-                            ev.drain_current(vgs, vds, vbs).to_bits(),
-                            drain_current_only(&m, vgs, vds, vbs).to_bits()
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

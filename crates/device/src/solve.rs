@@ -304,31 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn hoisted_evaluator_probes_bit_identical_to_old_path() {
-        // The solver loops probe through a hoisted `OpEval` now; every
-        // probe must match the historical rebuild-per-call path bitwise,
-        // or the bisection trajectories (and with them every sizing plan)
-        // would drift.
-        for params in [nparams(), pparams()] {
-            let sign = params.polarity.sign();
-            let m = Mosfet::new(params, 17e-6, 0.9e-6);
-            let ev = OpEval::new(&m, T_NOMINAL);
-            for vgs_mag in [0.0, 0.4, 0.77, 1.3, 2.6, 4.9] {
-                for vds_mag in [0.05, 1.5, 3.0] {
-                    for vbs_mag in [0.0, 0.8] {
-                        let (vgs, vds, vbs) = (sign * vgs_mag, sign * vds_mag, -sign * vbs_mag);
-                        assert_eq!(
-                            ev.drain_current(vgs, vds, vbs).to_bits(),
-                            drain_current_only(&m, vgs, vds, vbs).to_bits(),
-                            "at vgs={vgs} vds={vds} vbs={vbs}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn vgs_for_current_bitwise_stable_vs_unhoisted_bisection() {
         // Replay the exact bisection with per-probe rebuilds and require
         // the identical result bit for bit.

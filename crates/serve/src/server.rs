@@ -14,8 +14,8 @@ use losac_engine::{CancelToken, Engine, EngineOptions, SynthesisJob};
 use losac_obs::{Record, RecordKind, Sink};
 use losac_sizing::EvalCache;
 use std::collections::BinaryHeap;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -451,6 +451,17 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         }
     }
     client.alive.store(false, Ordering::Release);
+    if shared.stopping.load(Ordering::Acquire) {
+        // A socket dropped with unread input is answered with a reset,
+        // which can reach the client before the frames already sent. So
+        // close the write half, letting the client read EOF, and consume
+        // its input until it closes too or the read timeout passes.
+        let mut stream = reader.into_inner();
+        let _ = stream.shutdown(Shutdown::Write);
+        let until = Instant::now() + READ_TIMEOUT;
+        let mut sink = [0u8; 512];
+        while Instant::now() < until && matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    }
 }
 
 fn handle_line(line: &str, client: &Arc<ClientHandle>, shared: &Arc<Shared>) {

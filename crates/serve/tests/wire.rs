@@ -5,7 +5,7 @@
 //! types are tolerated, and performance rows survive the wire
 //! bit-for-bit.
 
-use losac_engine::JobOutcome;
+use losac_engine::{Engine, EngineOptions, JobOutcome};
 use losac_layout::slicing::ShapeConstraint;
 use losac_serve::json::Value;
 use losac_serve::wire::{
@@ -260,6 +260,15 @@ fn malformed_input_yields_typed_errors() {
         .expect_err("mistyped sweep axis");
     assert_eq!(err.code, ErrorCode::BadSweep);
     assert_eq!(err.id.as_deref(), Some("x"));
+    // A sweep nested 100 000 deep is Malformed, refused by the parser's
+    // depth limit before it can overflow the stack.
+    let deep = format!(
+        "{{\"type\":\"submit\",\"sweep\":{}{}}}",
+        "[".repeat(100_000),
+        "]".repeat(100_000)
+    );
+    let err = Request::parse(&deep).expect_err("nested 100 000 deep");
+    assert_eq!(err.code, ErrorCode::Malformed);
 
     // Seeded mutations of every valid request line: each truncation, and
     // byte flips and inserted bytes at random positions. Parsing returns
@@ -291,6 +300,70 @@ fn malformed_input_yields_typed_errors() {
             let mut inserted = line.clone();
             inserted.insert(at, byte);
             parse(&inserted);
+        }
+    }
+}
+
+#[test]
+fn hostile_sweep_fields_fail_typed_and_never_finish() {
+    // Non-finite, negative, zero and huge sweep fields either fail
+    // expansion with BadSweep or expand to jobs the engine fails with a
+    // typed error: no job panics, and none finishes on nonsense input.
+    let on = |case: u8| SweepSpec {
+        cases: vec![case],
+        ..SweepSpec::default()
+    };
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let mut specs = Vec::new();
+    let mut push = |case: u8, set: &dyn Fn(&mut SweepSpec)| {
+        let mut spec = on(case);
+        set(&mut spec);
+        specs.push(spec);
+    };
+    for v in [nan, inf, 0.0, -1.0] {
+        push(1, &|s| s.gbw = vec![v]);
+        push(1, &|s| s.pm = vec![v]);
+        push(1, &|s| s.cl = vec![v]);
+        push(1, &|s| s.vdd = vec![v]);
+    }
+    for t in [nan, inf, -inf, -300.0] {
+        push(1, &|s| s.temps_c = vec![t]);
+    }
+    for k in [nan, inf, 0.0, -1.0, 1e300] {
+        push(1, &|s| s.supply_scales = vec![k]);
+    }
+    for t in [nan, inf, -1.0] {
+        push(4, &|s| s.tolerance = Some(t));
+    }
+    push(4, &|s| s.max_layout_calls = Some(0));
+    for shape in [
+        ShapeConstraint::Aspect(nan),
+        ShapeConstraint::Aspect(0.0),
+        ShapeConstraint::Aspect(-1.0),
+        ShapeConstraint::Aspect(inf),
+        ShapeConstraint::MaxHeight(-5),
+        ShapeConstraint::MaxWidth(0),
+    ] {
+        push(1, &|s| s.shapes = vec![shape]);
+    }
+    let engine = Engine::new(EngineOptions::with_workers(1));
+    // The specs unmodified finish, so every failure below is the hostile
+    // field's.
+    for case in [1, 4] {
+        let outcomes = engine.run_batch(on(case).to_jobs().unwrap()).outcomes;
+        assert!(outcomes[0].is_finished(), "case {case}: {:?}", outcomes[0]);
+    }
+    for spec in specs {
+        match spec.to_jobs() {
+            Err(err) => assert_eq!(err.code, ErrorCode::BadSweep, "{spec:?}"),
+            Ok(jobs) => {
+                for outcome in engine.run_batch(jobs).outcomes {
+                    assert!(
+                        matches!(outcome, JobOutcome::Failed(_)),
+                        "{spec:?} -> {outcome:?}"
+                    );
+                }
+            }
         }
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::interrupt::Interrupted;
 use crate::netlist::{Circuit, Element, MosInstance, NodeId, GROUND};
-use crate::num::{Matrix, SingularMatrix};
+use crate::num::{LuWorkspace, Matrix, SingularMatrix};
 use crate::sparse::StampProgram;
 use losac_device::caps::intrinsic_caps;
 use losac_device::ekv::{evaluate_at, MosBatch, MosOp};
@@ -390,13 +390,13 @@ fn fill(
     f.resize(u.total, 0.0);
 
     // Device-model pre-pass: stage every MOSFET's bias, then evaluate the
-    // whole set in one batched call over flat arrays (the transcendental
-    // hot spot of a Newton assembly — cost shares in DESIGN §6j). The batch
-    // also caches the bias-independent per-device precomputation across
-    // iterations; results are bit-identical to per-device evaluation. The
-    // circuit's analysis temperature is part of each slot's cache key, so
-    // a scenario change between solves can never serve a stale
-    // precomputation.
+    // whole set in one batched call (the transcendental hot spot of a
+    // Newton assembly — cost shares in DESIGN §6j). The batch counts the
+    // evaluations once per pass and caches the bias-independent
+    // per-device precomputation across iterations; results are
+    // bit-identical to per-device evaluation. The circuit's analysis
+    // temperature is part of each slot's cache key, so a scenario change
+    // between solves can never serve a stale precomputation.
     batch.begin_at(circuit.temperature());
     for e in circuit.elements() {
         if let Element::Mos(m) = e {
@@ -515,16 +515,15 @@ fn fill(
 /// program (which owns the sparse pattern, built on first use — one
 /// symbolic analysis per DC solve, per whole transient run, or per
 /// [`DcSession`] structure), the quantity array, the dense Jacobian
-/// fallback (factored in place — the next scatter rebuilds it), pivot
-/// vector, residual, negated right-hand side and update vector. The
-/// inner loop allocates and copies nothing.
+/// fallback and its LU factors, residual, negated right-hand side and
+/// update vector. The sparse inner loop allocates and copies nothing.
 #[derive(Debug, Default)]
 pub(crate) struct NewtonScratch {
     program: StampProgram,
     q: Vec<f64>,
     j: Matrix<f64>,
+    lu: LuWorkspace<f64>,
     f: Vec<f64>,
-    perm: Vec<usize>,
     rhs: Vec<f64>,
     dx: Vec<f64>,
     /// Batched device-model evaluator: caches one precomputation block
@@ -616,11 +615,9 @@ pub(crate) fn newton(
                 .scatter_dense(&scratch.q, &mut scratch.j, None);
             scratch
                 .j
-                .factor_in_place(&mut scratch.perm)
+                .factor_into(&mut scratch.lu)
                 .map_err(DcError::Singular)?;
-            scratch
-                .j
-                .solve_factored(&scratch.perm, &scratch.rhs, &mut scratch.dx);
+            scratch.lu.solve_into(&scratch.rhs, &mut scratch.dx);
         }
         let dx = &scratch.dx;
         // Damping on the node-voltage part.

@@ -15,7 +15,8 @@
 //! * [`meas`] — Bode summaries: DC gain, GBW, phase margin, margins;
 //! * [`num`] — the dense real/complex LU kernel (pivoted fallback);
 //! * [`sparse`] — the default pattern-cached sparse LU kernel with a
-//!   symbolic/numeric split and a vectorisable SoA complex AC path;
+//!   symbolic/numeric split, one generic kernel for the real DC and
+//!   transient systems and the complex AC and noise systems;
 //! * [`spice`] — SPICE-deck export of any netlist;
 //! * [`interrupt`] — cooperative stop-flag/deadline polling inside the
 //!   Newton and continuation loops (per-job budgets in the batch engine).

@@ -10,8 +10,8 @@ use crate::dc::{
     GMIN, ONE,
 };
 use crate::netlist::{Circuit, Element};
-use crate::num::{Complex, Lu, LuWorkspace, Matrix, SingularMatrix};
-use crate::sparse::{SparseAcFactors, SparseAcSolver};
+use crate::num::{Complex, LuWorkspace, Matrix, SingularMatrix};
+use crate::sparse::{SparseFactors, SparsePattern};
 use losac_device::ekv::evaluate_at;
 use losac_device::noise as devnoise;
 use losac_obs::Counter;
@@ -80,10 +80,13 @@ pub struct Linearized {
     pub b_ac: Vec<Complex>,
     /// Noise generators.
     pub noise_sources: Vec<NoiseSource>,
-    /// Sparse `(G + jωC)` kernel: the symbolic analysis runs once here,
+    /// Sparse pattern of `G + jωC`: the symbolic analysis runs once here,
     /// in [`Linearized::build`], and every frequency point of every AC
     /// and noise sweep refactorises it numerically.
-    pub(crate) sparse: Arc<SparseAcSolver>,
+    pattern: Arc<SparsePattern>,
+    /// `G` and `C` in the pattern's value slots.
+    g_slots: Vec<f64>,
+    c_slots: Vec<f64>,
 }
 
 impl Linearized {
@@ -179,63 +182,56 @@ impl Linearized {
         // neighbours) stays out of the pattern and its elimination order.
         // G and C are never restamped (only `b_ac` changes, via
         // `restamp_excitation`), so this is the sweep-wide pattern.
-        let sparse = Arc::new(SparseAcSolver::build(&g, &c, u.nv_offset));
+        let pattern = SparsePattern::from_dense(&g, Some(&c), u.nv_offset);
+        let mut g_slots = vec![0.0; pattern.nnz()];
+        let mut c_slots = vec![0.0; pattern.nnz()];
+        for i in 0..u.total {
+            for j in 0..u.total {
+                if let Some(s) = pattern.slot(i, j) {
+                    g_slots[s] = g.get(i, j);
+                    c_slots[s] = c.get(i, j);
+                }
+            }
+        }
         let mut lin = Self {
             b_ac: vec![Complex::ZERO; u.total],
             u,
             g,
             c,
             noise_sources,
-            sparse,
+            pattern: Arc::new(pattern),
+            g_slots,
+            c_slots,
         };
         lin.restamp_excitation(circuit);
         lin
     }
 
-    /// Factorise `G + jωC` at angular frequency `omega`.
-    ///
-    /// Allocates a fresh matrix per call; hot loops should prefer
-    /// [`Linearized::factor_into`] with a reused [`AcWorkspace`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the singularity error from the LU factorisation.
-    pub fn factor(&self, omega: f64) -> Result<Lu<Complex>, SingularMatrix> {
-        let n = self.g.n();
-        let mut a = Matrix::<Complex>::zeros(n);
-        for i in 0..n {
-            for j in 0..n {
-                a.set(
-                    i,
-                    j,
-                    Complex::new(self.g.get(i, j), omega * self.c.get(i, j)),
-                );
-            }
-        }
-        a.lu()
-    }
-
-    /// Factorise `G + jωC` into a reusable workspace — zero allocations
-    /// once the workspace is sized.
+    /// Factorise `G + jωC` at angular frequency `omega` into a reusable
+    /// workspace — zero allocations once the workspace is sized.
     ///
     /// This is a numeric-only sparse refactorisation of the symbolic
     /// pattern cached at build time; a pivot breakdown falls back to the
     /// dense pivoted kernel for this frequency point only
-    /// (`sim.matrix.sparse_fallbacks`), whose factors are bitwise
-    /// identical to [`Linearized::factor`].
+    /// (`sim.matrix.sparse_fallbacks`), whose failure is the error.
     ///
     /// # Errors
     ///
-    /// Returns the singularity error from the LU factorisation.
+    /// Returns the singularity error from the dense LU factorisation.
     pub fn factor_into(&self, omega: f64, ws: &mut AcWorkspace) -> Result<(), SingularMatrix> {
-        match self.sparse.refactor(omega, &mut ws.sp) {
-            Ok(()) => {
-                ws.last_sparse = true;
-                return Ok(());
-            }
-            Err(_) => crate::sparse::record_sparse_fallback(),
+        ws.vals.clear();
+        ws.vals.extend(
+            self.g_slots
+                .iter()
+                .zip(&self.c_slots)
+                .map(|(&g, &c)| Complex::new(g, omega * c)),
+        );
+        if self.pattern.factor(&ws.vals, &mut ws.sp).is_ok() {
+            ws.sparse = Some(Arc::clone(&self.pattern));
+            return Ok(());
         }
-        ws.last_sparse = false;
+        crate::sparse::record_sparse_fallback();
+        ws.sparse = None;
         let n = self.g.n();
         if ws.a.n() != n {
             ws.a = Matrix::zeros(n);
@@ -333,17 +329,20 @@ impl Linearized {
 }
 
 /// Reusable buffers for repeated `(G + jωC)` factor/solve cycles: the
-/// complex system matrix, the LU factor workspace and a solution vector.
-/// One workspace per sweep (or per worker thread) means the per-frequency
-/// inner loop performs no allocations at all.
+/// sparse slot values and factors, the dense fallback's matrix and LU
+/// factors, and a solution vector. One workspace per sweep (or per worker
+/// thread) means the per-frequency inner loop performs no allocations at
+/// all.
 #[derive(Debug, Default)]
 pub struct AcWorkspace {
+    vals: Vec<Complex>,
+    sp: SparseFactors<Complex>,
+    /// The pattern of the sparse factors currently held, or `None` when
+    /// the dense fallback produced them — set by
+    /// [`Linearized::factor_into`], consumed by [`AcWorkspace::solve`].
+    sparse: Option<Arc<SparsePattern>>,
     a: Matrix<Complex>,
     lu: LuWorkspace<Complex>,
-    sp: SparseAcFactors,
-    /// Which kernel produced the factors currently held — set by
-    /// [`Linearized::factor_into`], consumed by [`AcWorkspace::solve`].
-    last_sparse: bool,
     x: Vec<Complex>,
 }
 
@@ -355,18 +354,16 @@ impl AcWorkspace {
 
     /// Solve against the factors of the last successful
     /// [`Linearized::factor_into`], returning the internal solution
-    /// buffer. On the dense path this is bitwise identical to
-    /// [`Lu::solve`] on the same system.
+    /// buffer.
     ///
     /// # Panics
     ///
     /// Panics if the workspace holds no factorisation or the length of
     /// `b` does not match it.
     pub fn solve(&mut self, b: &[Complex]) -> &[Complex] {
-        if self.last_sparse {
-            self.sp.solve_into(b, &mut self.x);
-        } else {
-            self.lu.solve_into(b, &mut self.x);
+        match &self.sparse {
+            Some(pattern) => pattern.solve_into(&mut self.sp, b, &mut self.x),
+            None => self.lu.solve_into(b, &mut self.x),
         }
         &self.x
     }
@@ -389,9 +386,10 @@ mod tests {
 
         // At the pole frequency |H| = 1/√2.
         let f0 = 1.0 / (2.0 * std::f64::consts::PI * 1e3 * 1e-9);
-        let lu = lin.factor(2.0 * std::f64::consts::PI * f0).unwrap();
-        let x = lu.solve(&lin.b_ac);
-        let out = lin.voltage(&x, c.find_node("out").unwrap());
+        let mut ws = AcWorkspace::new();
+        lin.factor_into(2.0 * std::f64::consts::PI * f0, &mut ws)
+            .unwrap();
+        let out = lin.voltage(ws.solve(&lin.b_ac), c.find_node("out").unwrap());
         assert!(
             (out.abs() - 1.0 / 2f64.sqrt()).abs() < 1e-3,
             "|H| = {}",
@@ -427,6 +425,38 @@ mod tests {
         let r_noise = &lin.noise_sources[0];
         assert!((r_noise.psd(1e3) - 4.0 * KBOLTZMANN * 398.15 / 1e3).abs() < 1e-28);
         assert!(r_noise.psd(1e3) > 4.0 * KBOLTZMANN * T_NOMINAL / 1e3);
+    }
+
+    #[test]
+    fn singular_ac_system_falls_back_to_the_dense_kernel() {
+        // A source with both terminals on `a` stamps its branch row and
+        // column to exact zeros, so the sparse elimination breaks down on
+        // the branch pivot and the pivoted dense kernel, which fails on
+        // the same column, decides the error.
+        let mut c = Circuit::new();
+        c.resistor("r1", "a", "0", 1e3);
+        c.vsource("v1", "a", "a", 0.0);
+        let dc = DcSolution {
+            v: vec![0.0; c.num_nodes()],
+            branch_currents: vec![0.0],
+            mos_ops: Default::default(),
+            iterations: 0,
+        };
+        let lin = Linearized::build(&c, &dc);
+        let fallbacks = || {
+            let counters = losac_obs::metrics::snapshot().counters;
+            counters
+                .get("sim.matrix.sparse_fallbacks")
+                .copied()
+                .unwrap_or(0)
+        };
+        let before = fallbacks();
+        let err = crate::ac::ac_point_on(&lin, 1e3).unwrap_err();
+        assert_eq!(err.cause, SingularMatrix { column: 1 });
+        assert!(fallbacks() > before, "the dense fallback did not run");
+        let out = c.find_node("a").unwrap();
+        let err = crate::noise::noise_analysis_on(&lin, &[1e3], out).unwrap_err();
+        assert_eq!(err.cause, SingularMatrix { column: 1 });
     }
 
     #[test]

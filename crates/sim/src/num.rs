@@ -1,9 +1,11 @@
 //! Numeric kernel: complex arithmetic and dense LU factorisation.
 //!
-//! The circuits this workspace simulates have a few dozen nodes, so a
-//! dense solver with partial pivoting is both simple and fast. The solver
-//! is generic over [`Scalar`] and instantiated at `f64` (DC, transient)
-//! and [`Complex`] (AC, noise).
+//! The dense solver with partial pivoting is the fallback of the sparse
+//! kernel in [`crate::sparse`]: a solve whose pivot-free sparse
+//! elimination breaks down is retried here. It is generic over [`Scalar`]
+//! and instantiated at `f64` (DC, transient) and [`Complex`] (AC, noise);
+//! [`Matrix::lu`] and [`Matrix::factor_into`] both produce one factor
+//! type, [`LuWorkspace`].
 
 use losac_obs::Counter;
 use std::fmt;
@@ -318,16 +320,22 @@ impl<T: Scalar> Matrix<T> {
         &mut self.data
     }
 
-    /// LU-factorise in place with partial pivoting.
+    /// LU-factorise with partial pivoting, in place: the matrix's storage
+    /// becomes the returned workspace's factors.
     ///
     /// # Errors
     ///
     /// Returns [`SingularMatrix`] when no usable pivot exists (the system
     /// has no unique solution — e.g. a floating circuit node).
-    pub fn lu(mut self) -> Result<Lu<T>, SingularMatrix> {
+    pub fn lu(mut self) -> Result<LuWorkspace<T>, SingularMatrix> {
         let mut perm = Vec::new();
         factor_in_place(self.n, &mut self.data, &mut perm)?;
-        Ok(Lu { mat: self, perm })
+        Ok(LuWorkspace {
+            n: self.n,
+            factored: true,
+            data: self.data,
+            perm,
+        })
     }
 
     /// LU-factorise into a reusable workspace, leaving `self` untouched.
@@ -347,39 +355,6 @@ impl<T: Scalar> Matrix<T> {
         let res = factor_in_place(self.n, &mut ws.data, &mut ws.perm);
         ws.factored = res.is_ok();
         res
-    }
-
-    /// LU-factorise this matrix **in place**, overwriting its entries
-    /// with the L/U factors and writing the row permutation into `perm`.
-    ///
-    /// This is the zero-copy variant of [`Matrix::factor_into`] for loops
-    /// that rebuild the matrix from scratch before every factorisation
-    /// anyway (the Newton assemble–factor–solve cycle): no factor-storage
-    /// copy, no allocation once `perm` has capacity. Factors and pivots
-    /// are bitwise identical to [`Matrix::lu`]'s. Solve against the
-    /// result with [`Matrix::solve_factored`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrix`] when no usable pivot exists; the matrix
-    /// contents are unspecified afterwards.
-    pub fn factor_in_place(&mut self, perm: &mut Vec<usize>) -> Result<(), SingularMatrix> {
-        factor_in_place(self.n, &mut self.data, perm)
-    }
-
-    /// Solve `A·x = b` against factors produced by a preceding
-    /// [`Matrix::factor_in_place`] with the matching permutation, writing
-    /// into `x` (resized as needed). Bitwise identical to [`Lu::solve`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` or `perm.len()` does not match the dimension.
-    pub fn solve_factored(&self, perm: &[usize], b: &[T], x: &mut Vec<T>) {
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
-        assert_eq!(perm.len(), self.n, "permutation length mismatch");
-        x.clear();
-        x.extend(perm.iter().map(|&p| b[p]));
-        solve_in_place(self.n, &self.data, x);
     }
 }
 
@@ -435,30 +410,6 @@ fn factor_in_place<T: Scalar>(
     Ok(())
 }
 
-/// Forward/back substitution over row-major LU factors; shared by
-/// [`Lu::solve`] and [`LuWorkspace::solve_into`]. `x` must already hold
-/// the permuted right-hand side.
-fn solve_in_place<T: Scalar>(n: usize, data: &[T], x: &mut [T]) {
-    // Forward substitution (L has unit diagonal).
-    for i in 1..n {
-        let row = &data[i * n..i * n + i];
-        let mut acc = x[i];
-        for (&m, &xv) in row.iter().zip(x.iter()) {
-            acc -= m * xv;
-        }
-        x[i] = acc;
-    }
-    // Back substitution.
-    for i in (0..n).rev() {
-        let row = &data[i * n..(i + 1) * n];
-        let mut acc = x[i];
-        for (&m, &xv) in row[(i + 1)..].iter().zip(x[(i + 1)..].iter()) {
-            acc -= m * xv;
-        }
-        x[i] = acc / row[i];
-    }
-}
-
 /// Reusable LU factor storage: one backing buffer and pivot vector that
 /// survive across factorisations, so hot loops (Newton iterations, AC
 /// frequency points, transient steps) stop allocating per solve.
@@ -500,9 +451,8 @@ impl<T: Scalar> LuWorkspace<T> {
     }
 
     /// Solve `A·x = b` against the factors of the last successful
-    /// [`Matrix::factor_into`], writing into `x` (resized as needed, no
-    /// allocation once capacity is reached). Bitwise identical to
-    /// [`Lu::solve`].
+    /// [`Matrix::factor_into`] or [`Matrix::lu`], writing into `x`
+    /// (resized as needed, no allocation once capacity is reached).
     ///
     /// # Panics
     ///
@@ -510,10 +460,28 @@ impl<T: Scalar> LuWorkspace<T> {
     /// not match its dimension.
     pub fn solve_into(&self, b: &[T], x: &mut Vec<T>) {
         assert!(self.factored, "workspace holds no LU factorisation");
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
+        let (n, data) = (self.n, &self.data);
+        assert_eq!(b.len(), n, "rhs length mismatch");
         x.clear();
         x.extend(self.perm.iter().map(|&p| b[p]));
-        solve_in_place(self.n, &self.data, x);
+        // Forward substitution (L has unit diagonal).
+        for i in 1..n {
+            let row = &data[i * n..i * n + i];
+            let mut acc = x[i];
+            for (&m, &xv) in row.iter().zip(x.iter()) {
+                acc -= m * xv;
+            }
+            x[i] = acc;
+        }
+        // Back substitution.
+        for i in (0..n).rev() {
+            let row = &data[i * n..(i + 1) * n];
+            let mut acc = x[i];
+            for (&m, &xv) in row[(i + 1)..].iter().zip(x[(i + 1)..].iter()) {
+                acc -= m * xv;
+            }
+            x[i] = acc / row[i];
+        }
     }
 
     /// Convenience wrapper over [`LuWorkspace::solve_into`] that
@@ -540,39 +508,6 @@ impl fmt::Display for SingularMatrix {
 }
 
 impl std::error::Error for SingularMatrix {}
-
-/// An LU factorisation; solves many right-hand sides cheaply.
-#[derive(Debug, Clone)]
-pub struct Lu<T> {
-    mat: Matrix<T>,
-    perm: Vec<usize>,
-}
-
-impl<T: Scalar> Lu<T> {
-    /// Solve `A·x = b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` does not match the matrix dimension.
-    pub fn solve(&self, b: &[T]) -> Vec<T> {
-        let mut x = Vec::new();
-        self.solve_into(b, &mut x);
-        x
-    }
-
-    /// Solve `A·x = b` into a caller-owned buffer, reused across calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` does not match the matrix dimension.
-    pub fn solve_into(&self, b: &[T], x: &mut Vec<T>) {
-        let n = self.mat.n;
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        x.clear();
-        x.extend(self.perm.iter().map(|&p| b[p]));
-        solve_in_place(n, &self.mat.data, x);
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -706,36 +641,6 @@ mod tests {
             for (a, f) in x.iter().zip(&fresh) {
                 assert_eq!(a.to_bits(), f.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn in_place_factors_match_fresh_lu_bitwise() {
-        let n = 16;
-        let mut seed = 11u64;
-        let mut rnd = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-        };
-        let mut m = Matrix::<f64>::zeros(n);
-        for i in 0..n {
-            for j in 0..n {
-                m.set(i, j, rnd());
-            }
-            m.add(i, i, 4.0);
-        }
-        let b: Vec<f64> = (0..n).map(|_| rnd()).collect();
-        let fresh = m.clone().lu().unwrap().solve(&b);
-
-        let mut work = m.clone();
-        let mut perm = Vec::new();
-        let mut x = Vec::new();
-        work.factor_in_place(&mut perm).unwrap();
-        work.solve_factored(&perm, &b, &mut x);
-        for (a, f) in x.iter().zip(&fresh) {
-            assert_eq!(a.to_bits(), f.to_bits());
         }
     }
 

@@ -14,11 +14,11 @@
 //!   CSC storage for the L/U factors. Counted by
 //!   `sim.matrix.symbolic_analyses`; the factor size is published on the
 //!   `sim.sparse.nnz` gauge.
-//! * **Numeric refactorisation** ([`SparsePattern::factor`],
-//!   [`SparseAcSolver::refactor`]) — per solve: a left-looking column LU
-//!   over the cached structure with **no pivoting**, writing into the
-//!   preallocated factor arrays. Counted by `sim.matrix.numeric_refactors`
-//!   *and* by the universal `sim.matrix.factorizations` work counter.
+//! * **Numeric refactorisation** ([`SparsePattern::factor`]) — per
+//!   solve: a left-looking column LU over the cached structure with **no
+//!   pivoting**, writing into the preallocated factor arrays. Counted by
+//!   `sim.matrix.numeric_refactors` *and* by the universal
+//!   `sim.matrix.factorizations` work counter.
 //!
 //! The DC and transient Newton matrices come from a `StampProgram`: a
 //! circuit's stamps compiled once from its structure, whose own positions
@@ -39,16 +39,13 @@
 //! that solve (`sim.matrix.sparse_fallbacks`), so error semantics match
 //! the dense path exactly.
 //!
-//! The AC kernel ([`SparseAcSolver`]) additionally stores the complex
-//! factors as structure-of-arrays (separate re/im slot arrays): the
-//! per-frequency `ω·C` stamp update is one flat multiply over the
-//! capacitance slot array, and the elimination inner loops run over
-//! parallel `f64` arrays the compiler can vectorise — an entire sweep
-//! refactorises one symbolic pattern at many frequencies.
+//! One kernel serves every analysis: it is generic over [`Scalar`], so
+//! the DC and transient Newton loops factor `f64` values, and the AC and
+//! noise sweeps factor one pattern's [`Complex`](crate::num::Complex)
+//! values `g + jω·c` at every frequency point.
 
-use crate::num::{Complex, Matrix, Scalar, SingularMatrix};
+use crate::num::{Matrix, Scalar, SingularMatrix};
 use losac_obs::{Counter, Gauge};
-use std::sync::Arc;
 
 /// Symbolic analyses performed (one per distinct pattern lifetime).
 static SYMBOLIC_ANALYSES: Counter = Counter::new("sim.matrix.symbolic_analyses");
@@ -253,7 +250,7 @@ impl SparsePattern {
 
     /// Value-slot index of original entry (i, j), or `None` if the entry
     /// is not part of the pattern. Slots index the value arrays passed to
-    /// [`SparsePattern::factor`] (and [`SparseAcSolver`]'s g/c arrays).
+    /// [`SparsePattern::factor`].
     pub fn slot(&self, i: usize, j: usize) -> Option<usize> {
         let (c, r) = (self.iperm[j], self.iperm[i]);
         let rows = &self.a_rows[self.a_colptr[c]..self.a_colptr[c + 1]];
@@ -579,215 +576,6 @@ impl StampProgram {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Complex AC kernel (structure of arrays)
-// ---------------------------------------------------------------------------
-
-/// Sparse `(G + jωC)` solver for AC/noise sweeps: one symbolic pattern
-/// shared by every frequency point, with G and C values stored as flat
-/// slot arrays so the per-ω imaginary stamp update is a single
-/// vectorisable multiply.
-#[derive(Debug)]
-pub struct SparseAcSolver {
-    pattern: Arc<SparsePattern>,
-    g_vals: Vec<f64>,
-    c_vals: Vec<f64>,
-}
-
-impl SparseAcSolver {
-    /// Build from dense `G`/`C` matrices (structural union of their
-    /// nonzeros); `branch_start` as in [`SparsePattern::build`].
-    pub fn build(g: &Matrix<f64>, c: &Matrix<f64>, branch_start: usize) -> Self {
-        let pattern = SparsePattern::from_dense(g, Some(c), branch_start);
-        let nnz = pattern.nnz();
-        let mut g_vals = vec![0.0; nnz];
-        let mut c_vals = vec![0.0; nnz];
-        for i in 0..pattern.n {
-            for j in 0..pattern.n {
-                if let Some(s) = pattern.slot(i, j) {
-                    g_vals[s] = g.get(i, j);
-                    c_vals[s] = c.get(i, j);
-                }
-            }
-        }
-        Self {
-            pattern: Arc::new(pattern),
-            g_vals,
-            c_vals,
-        }
-    }
-
-    /// The shared symbolic pattern.
-    pub fn pattern(&self) -> &SparsePattern {
-        &self.pattern
-    }
-
-    /// Numeric refactorisation of `G + jωC` into `f` — the SoA complex
-    /// twin of [`SparsePattern::factor`], arithmetic-for-arithmetic
-    /// identical to the generic kernel on [`Complex`] values (verified by
-    /// a bitwise test).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrix`] on pivot breakdown; callers retry the
-    /// point on the dense kernel.
-    pub fn refactor(&self, omega: f64, f: &mut SparseAcFactors) -> Result<(), SingularMatrix> {
-        crate::num::record_factorization();
-        NUMERIC_REFACTORS.incr();
-        let p = &*self.pattern;
-        f.ensure(p);
-        // ω-dependent stamp update: one flat pass over the C slot array.
-        for (iv, &cv) in f.im_vals.iter_mut().zip(&self.c_vals) {
-            *iv = omega * cv;
-        }
-        for j in 0..p.n {
-            for idx in p.a_colptr[j]..p.a_colptr[j + 1] {
-                let r = p.a_rows[idx];
-                f.w_re[r] = self.g_vals[idx];
-                f.w_im[r] = f.im_vals[idx];
-            }
-            for pos in p.u_colptr[j]..p.u_colptr[j + 1] {
-                let k = p.u_rows[pos];
-                let (ur, ui) = (f.w_re[k], f.w_im[k]);
-                f.w_re[k] = 0.0;
-                f.w_im[k] = 0.0;
-                f.u_re[pos] = ur;
-                f.u_im[pos] = ui;
-                if ur != 0.0 || ui != 0.0 {
-                    for lp in p.l_colptr[k]..p.l_colptr[k + 1] {
-                        let i = p.l_rows[lp];
-                        let (lr, li) = (f.l_re[lp], f.l_im[lp]);
-                        f.w_re[i] -= lr * ur - li * ui;
-                        f.w_im[i] -= lr * ui + li * ur;
-                    }
-                }
-            }
-            let (pr, pi) = (f.w_re[j], f.w_im[j]);
-            f.w_re[j] = 0.0;
-            f.w_im[j] = 0.0;
-            let mag = pr.hypot(pi);
-            if !(mag.is_finite() && mag > 0.0) {
-                for lp in p.l_colptr[j]..p.l_colptr[j + 1] {
-                    let i = p.l_rows[lp];
-                    f.w_re[i] = 0.0;
-                    f.w_im[i] = 0.0;
-                }
-                f.factored = false;
-                return Err(SingularMatrix { column: p.perm[j] });
-            }
-            f.d_re[j] = pr;
-            f.d_im[j] = pi;
-            // Division by reciprocal multiplication, mirroring
-            // `Complex::div` exactly (same expression order).
-            let den = pr * pr + pi * pi;
-            let (qr, qi) = (pr / den, -pi / den);
-            for lp in p.l_colptr[j]..p.l_colptr[j + 1] {
-                let i = p.l_rows[lp];
-                let (wr, wi) = (f.w_re[i], f.w_im[i]);
-                f.l_re[lp] = wr * qr - wi * qi;
-                f.l_im[lp] = wr * qi + wi * qr;
-                f.w_re[i] = 0.0;
-                f.w_im[i] = 0.0;
-            }
-        }
-        f.pattern = Some(self.pattern.clone());
-        f.factored = true;
-        Ok(())
-    }
-}
-
-/// SoA complex factor storage for [`SparseAcSolver::refactor`], plus the
-/// pattern reference the solve needs — a factored `SparseAcFactors` is
-/// self-contained, so `AcWorkspace::solve` keeps its signature.
-#[derive(Debug, Default)]
-pub struct SparseAcFactors {
-    pattern: Option<Arc<SparsePattern>>,
-    im_vals: Vec<f64>,
-    l_re: Vec<f64>,
-    l_im: Vec<f64>,
-    u_re: Vec<f64>,
-    u_im: Vec<f64>,
-    d_re: Vec<f64>,
-    d_im: Vec<f64>,
-    w_re: Vec<f64>,
-    w_im: Vec<f64>,
-    y_re: Vec<f64>,
-    y_im: Vec<f64>,
-    factored: bool,
-}
-
-impl SparseAcFactors {
-    /// An empty workspace; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure(&mut self, p: &SparsePattern) {
-        self.im_vals.resize(p.a_rows.len(), 0.0);
-        self.l_re.resize(p.l_rows.len(), 0.0);
-        self.l_im.resize(p.l_rows.len(), 0.0);
-        self.u_re.resize(p.u_rows.len(), 0.0);
-        self.u_im.resize(p.u_rows.len(), 0.0);
-        self.d_re.resize(p.n, 0.0);
-        self.d_im.resize(p.n, 0.0);
-        self.w_re.resize(p.n, 0.0);
-        self.w_im.resize(p.n, 0.0);
-    }
-
-    /// Solve `(G + jωC)·x = b` against the last successful
-    /// [`SparseAcSolver::refactor`] (`b`/`x` in original index order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no factorisation is held or `b.len()` ≠ n.
-    pub fn solve_into(&mut self, b: &[Complex], x: &mut Vec<Complex>) {
-        assert!(self.factored, "no sparse AC factorisation available");
-        let p = self
-            .pattern
-            .as_ref()
-            .expect("factored workspace holds a pattern")
-            .clone();
-        assert_eq!(b.len(), p.n, "rhs length mismatch");
-        self.y_re.clear();
-        self.y_im.clear();
-        self.y_re.extend(p.perm.iter().map(|&q| b[q].re));
-        self.y_im.extend(p.perm.iter().map(|&q| b[q].im));
-        for j in 0..p.n {
-            let (yr, yi) = (self.y_re[j], self.y_im[j]);
-            if yr != 0.0 || yi != 0.0 {
-                for lp in p.l_colptr[j]..p.l_colptr[j + 1] {
-                    let i = p.l_rows[lp];
-                    let (lr, li) = (self.l_re[lp], self.l_im[lp]);
-                    self.y_re[i] -= lr * yr - li * yi;
-                    self.y_im[i] -= lr * yi + li * yr;
-                }
-            }
-        }
-        for j in (0..p.n).rev() {
-            let (dr, di) = (self.d_re[j], self.d_im[j]);
-            let den = dr * dr + di * di;
-            let (qr, qi) = (dr / den, -di / den);
-            let (yr, yi) = (self.y_re[j], self.y_im[j]);
-            let (xr, xi) = (yr * qr - yi * qi, yr * qi + yi * qr);
-            self.y_re[j] = xr;
-            self.y_im[j] = xi;
-            if xr != 0.0 || xi != 0.0 {
-                for up in p.u_colptr[j]..p.u_colptr[j + 1] {
-                    let k = p.u_rows[up];
-                    let (ur, ui) = (self.u_re[up], self.u_im[up]);
-                    self.y_re[k] -= ur * xr - ui * xi;
-                    self.y_im[k] -= ur * xi + ui * xr;
-                }
-            }
-        }
-        x.clear();
-        x.resize(p.n, Complex::ZERO);
-        for (k, &q) in p.perm.iter().enumerate() {
-            x[q] = Complex::new(self.y_re[k], self.y_im[k]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -945,55 +733,6 @@ mod tests {
         vals[p.slot(1, 1).unwrap()] = 4.0;
         let mut f = SparseFactors::new();
         assert!(p.factor(&vals, &mut f).is_err());
-    }
-
-    #[test]
-    fn soa_complex_kernel_matches_generic_bitwise() {
-        // The SoA refactor must reproduce the generic Scalar kernel on
-        // Complex values bit for bit — same expression order everywhere.
-        let n = 14;
-        let (entries, g_dense) = ring_system(n, 21);
-        let (_, c_seed) = ring_system(n, 22);
-        // C values scaled to capacitance-like magnitudes.
-        let mut c_dense = Matrix::zeros(n);
-        for i in 0..n {
-            for j in 0..n {
-                c_dense.set(i, j, c_seed.get(i, j) * 1e-12);
-            }
-        }
-        let mut g = Matrix::zeros(n);
-        for &(i, j) in &entries {
-            g.set(i, j, g_dense.get(i, j));
-        }
-        let solver = SparseAcSolver::build(&g, &c_dense, n);
-        let p = solver.pattern();
-        let omega = 2.0 * std::f64::consts::PI * 1e6;
-        let mut soa = SparseAcFactors::new();
-        solver.refactor(omega, &mut soa).unwrap();
-
-        let mut vals = vec![Complex::ZERO; p.nnz()];
-        for i in 0..n {
-            for j in 0..n {
-                if let Some(s) = p.slot(i, j) {
-                    vals[s] = Complex::new(g.get(i, j), omega * c_dense.get(i, j));
-                }
-            }
-        }
-        let mut gen = SparseFactors::<Complex>::new();
-        solver.pattern.factor(&vals, &mut gen).unwrap();
-
-        let mut seed = 99u64;
-        let b: Vec<Complex> = (0..n)
-            .map(|_| Complex::new(lcg(&mut seed), lcg(&mut seed)))
-            .collect();
-        let mut x_soa = Vec::new();
-        soa.solve_into(&b, &mut x_soa);
-        let mut x_gen = Vec::new();
-        solver.pattern.solve_into(&mut gen, &b, &mut x_gen);
-        for (a, d) in x_soa.iter().zip(&x_gen) {
-            assert_eq!(a.re.to_bits(), d.re.to_bits());
-            assert_eq!(a.im.to_bits(), d.im.to_bits());
-        }
     }
 
     #[test]

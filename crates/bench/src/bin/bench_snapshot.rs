@@ -34,7 +34,7 @@ use losac_sim::ac::{ac_sweep, ac_sweep_on, AcOptions};
 use losac_sim::dc::{dc_operating_point, DcOptions};
 use losac_sim::linear::Linearized;
 use losac_sizing::eval::{evaluate, evaluate_with, EvalCache, EvalOptions};
-use losac_sizing::{FoldedCascodePlan, InputDrive, OtaSpecs, ParasiticMode};
+use losac_sizing::{FoldedCascodePlan, InputDrive, OtaSpecs, ParasiticMode, Topology};
 use losac_tech::Technology;
 use std::sync::Arc;
 use std::time::Instant;

@@ -76,8 +76,7 @@ impl fmt::Display for Case {
 pub struct CaseResult {
     /// Which case this is.
     pub case: Case,
-    /// The sized circuit. Recover the concrete type — when it is known —
-    /// through [`Topology::as_any`].
+    /// The sized circuit.
     pub ota: Arc<dyn Topology>,
     /// What the sizing tool believes (Table 1's plain numbers).
     pub synthesized: Performance,

@@ -210,10 +210,7 @@ impl FlowOptions {
 #[derive(Debug)]
 pub struct FlowResult {
     /// The final sized circuit, behind the object-safe [`Topology`]
-    /// interface (evaluation, device map, layout spec, supply current).
-    /// Callers that need topology-specific data (bias voltages, branch
-    /// currents) can recover the concrete type through
-    /// [`Topology::as_any`].
+    /// interface (evaluation, device map, layout spec and net currents).
     pub ota: Arc<dyn Topology>,
     /// The parasitic mode the final sizing used (carries the feedback).
     pub mode: ParasiticMode,

@@ -13,7 +13,7 @@
 use losac_layout::plan::{DeviceDef, FoldPolicy, LayoutPlan, Module, ParasiticReport};
 use losac_layout::slicing::SlicingTree;
 use losac_layout::stack::{StackDevice, StackSpec, StackStyle};
-use losac_sizing::{DeviceFeedback, DiffGeom, LayoutFeedback, LayoutModule, Topology};
+use losac_sizing::{DeviceFeedback, LayoutFeedback, LayoutModule, Topology};
 use losac_tech::units::{m_to_nm, Nm};
 use losac_tech::Technology;
 use std::collections::HashMap;
@@ -168,44 +168,22 @@ fn tree_of_rows(rows: &[Vec<usize>]) -> SlicingTree {
 /// Convert the layout tool's parasitic report into the sizing tool's
 /// feedback structure.
 pub fn to_feedback(report: &ParasiticReport, lump_coupling_to_ground: bool) -> LayoutFeedback {
-    let mut fb = LayoutFeedback {
+    let devices = report.devices.iter().map(|(name, d)| {
+        let fb = DeviceFeedback {
+            folds: d.folds,
+            drawn_w: d.drawn_w,
+            drain: d.drain,
+            source: d.source,
+        };
+        (name.clone(), fb)
+    });
+    LayoutFeedback {
+        devices: devices.collect(),
+        net_caps: report.net_cap.clone(),
+        coupling: report.coupling.clone(),
+        well_caps: report.well_cap.clone(),
         lump_coupling_to_ground,
-        ..Default::default()
-    };
-    for (name, d) in &report.devices {
-        fb.devices.insert(
-            name.clone(),
-            DeviceFeedback {
-                folds: d.folds,
-                drawn_w: d.drawn_w,
-                drain: DiffGeom {
-                    area: d.drain.area,
-                    perimeter: d.drain.perimeter,
-                },
-                source: DiffGeom {
-                    area: d.source.area,
-                    perimeter: d.source.perimeter,
-                },
-            },
-        );
     }
-    for (net, c) in &report.net_cap {
-        fb.net_caps.insert(map_net(net), *c);
-    }
-    for ((a, b), c) in &report.coupling {
-        fb.coupling.insert((map_net(a), map_net(b)), *c);
-    }
-    for (net, c) in &report.well_cap {
-        fb.well_caps.insert(map_net(net), *c);
-    }
-    fb
-}
-
-/// Net-name mapping between the layout plan and the simulation netlist
-/// (ground is `gnd` in layout, `0` in SPICE-style netlists — the
-/// simulator aliases them, so only the identity mapping is needed today).
-fn map_net(net: &str) -> String {
-    net.to_owned()
 }
 
 #[cfg(test)]

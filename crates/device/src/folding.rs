@@ -145,6 +145,17 @@ pub fn factor(nf: u32, drain: DrainPosition) -> f64 {
     }
 }
 
+/// Diffusion geometry of one transistor terminal (SI units): what the
+/// layout reports per device, what the sizing feedback carries and what a
+/// netlist MOS instance evaluates its junction capacitance from.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct DiffGeom {
+    /// Bottom-plate area (m²).
+    pub area: f64,
+    /// Sidewall perimeter (m).
+    pub perimeter: f64,
+}
+
 /// Exact diffusion geometry of one terminal of a folded transistor:
 /// the inputs to the junction-capacitance model (SI units).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -41,7 +41,7 @@ pub mod solve;
 
 pub use caps::IntrinsicCaps;
 pub use ekv::{evaluate, evaluate_at, MosBatch, MosOp, OpEval, Region};
-pub use folding::{DiffusionGeometry, DrainPosition, FoldSpec};
+pub use folding::{DiffGeom, DiffusionGeometry, DrainPosition, FoldSpec};
 pub use losac_tech::{MosParams, Polarity};
 
 /// A sized MOS transistor: a model card plus drawn dimensions.

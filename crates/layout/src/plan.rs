@@ -24,6 +24,7 @@ use crate::row::{build_row, min_finger_width, Finger, Row, RowSpec};
 use crate::shape::{ShapeFunction, Variant};
 use crate::slicing::{optimize_xy, Realization, ShapeConstraint, SlicingTree};
 use crate::stack::{plan_stack, stack_row_spec, StackPlan, StackSpec};
+use losac_device::DiffGeom;
 use losac_obs::Counter;
 use losac_tech::units::Nm;
 use losac_tech::{Polarity, Technology};
@@ -90,15 +91,6 @@ impl Module {
     }
 }
 
-/// Diffusion geometry of one transistor terminal (SI units).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DiffGeometry {
-    /// Bottom-plate area (m²).
-    pub area: f64,
-    /// Sidewall perimeter (m).
-    pub perimeter: f64,
-}
-
 /// Per-transistor layout outcome reported to the sizing tool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceLayout {
@@ -111,9 +103,9 @@ pub struct DeviceLayout {
     /// residual offset voltage).
     pub drawn_w: Nm,
     /// Drain diffusion geometry.
-    pub drain: DiffGeometry,
+    pub drain: DiffGeom,
     /// Source diffusion geometry.
-    pub source: DiffGeometry,
+    pub source: DiffGeom,
 }
 
 /// The full result of running a plan.
@@ -168,10 +160,16 @@ impl ParasiticReport {
     pub fn lumped_on(&self, net: &str) -> f64 {
         let mut c = self.net_cap.get(net).copied().unwrap_or(0.0)
             + self.well_cap.get(net).copied().unwrap_or(0.0);
-        for ((a, b), v) in &self.coupling {
-            if a == net || b == net {
-                c += v;
-            }
+        // Sorted order: a float sum in `HashMap` order would differ in the
+        // last bits from one map instance to the next.
+        let mut couplings: Vec<_> = self
+            .coupling
+            .iter()
+            .filter(|((a, b), _)| a == net || b == net)
+            .collect();
+        couplings.sort_by(|x, y| x.0.cmp(y.0));
+        for (_, v) in couplings {
+            c += v;
         }
         c
     }
@@ -547,11 +545,11 @@ fn device_layout(tech: &Technology, def: &DeviceDef, nf: u32, row: &Row) -> Devi
         folds: nf,
         finger_w,
         drawn_w: finger_w * nf as Nm,
-        drain: DiffGeometry {
+        drain: DiffGeom {
             area: row.diff_area.get(&def.d).copied().unwrap_or(0.0),
             perimeter: row.diff_perimeter.get(&def.d).copied().unwrap_or(0.0),
         },
-        source: DiffGeometry {
+        source: DiffGeom {
             area: row.diff_area.get(&def.s).copied().unwrap_or(0.0),
             perimeter: row.diff_perimeter.get(&def.s).copied().unwrap_or(0.0),
         },
@@ -574,8 +572,8 @@ fn stack_device_layouts(
 
     #[derive(Default, Clone)]
     struct Acc {
-        drain: DiffGeometry,
-        source: DiffGeometry,
+        drain: DiffGeom,
+        source: DiffGeom,
         fingers: u32,
     }
     let mut acc: HashMap<String, Acc> = HashMap::new();
@@ -726,6 +724,41 @@ mod tests {
         // Lumped capacitance positive on the routed nets.
         assert!(rep.lumped_on("out") > 0.0);
         assert!(rep.lumped_on("g") > 0.0);
+    }
+
+    #[test]
+    fn lumped_on_sums_couplings_in_a_map_independent_order() {
+        // Magnitudes far apart, so the rounding of the sum depends on the
+        // order the couplings are added in.
+        let couplings = [
+            (("a", "out"), 1.0e-12),
+            (("b", "out"), 3.3e-16),
+            (("out", "c"), 7.7e-17),
+            (("d", "out"), 2.9e-13),
+            (("out", "e"), 5.1e-18),
+        ];
+        let report_of = || ParasiticReport {
+            devices: HashMap::new(),
+            net_cap: HashMap::from([("out".to_owned(), 1.7e-14)]),
+            coupling: couplings
+                .iter()
+                .map(|&((a, b), v)| ((a.to_owned(), b.to_owned()), v))
+                .collect(),
+            well_cap: HashMap::new(),
+            bbox: (0, 0),
+            em_clean: true,
+        };
+        let mut want = 1.7e-14;
+        let mut sorted_couplings = couplings;
+        sorted_couplings.sort_by(|x, y| x.0.cmp(&y.0));
+        for (_, v) in sorted_couplings {
+            want += v;
+        }
+        // Every fresh `HashMap` draws its own hash seed, and with it its
+        // own iteration order.
+        for _ in 0..32 {
+            assert_eq!(report_of().lumped_on("out").to_bits(), want.to_bits());
+        }
     }
 
     #[test]

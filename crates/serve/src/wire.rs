@@ -258,6 +258,46 @@ fn shape_from_wire(s: &str) -> Option<ShapeConstraint> {
 /// checked on the axis lengths before anything is allocated.
 const MAX_SWEEP_JOBS: u64 = 65_536;
 
+/// Refuse a job the engine would fail only later, some of them after a
+/// whole preparation: specs or flow options outside their validated
+/// ranges, a temperature not above absolute zero, a scaled supply
+/// outside the specs' supply window, or shape bounds that are not finite
+/// and positive.
+fn check_job(job: &SynthesisJob) -> Result<(), WireError> {
+    let bad = |what: String| WireError::bad_sweep(format!("job {}: {what}", job.label));
+    job.specs.validate().map_err(bad)?;
+    job.flow_options()
+        .validate()
+        .map_err(|e| bad(e.to_string()))?;
+    let pvt = &job.scenario.pvt;
+    if !(pvt.temp_k().is_finite() && pvt.temp_k() > 0.0) {
+        return Err(bad(format!(
+            "temperature {} °C is not above absolute zero",
+            pvt.temp_c
+        )));
+    }
+    let vdd = job.specs.vdd * pvt.vdd_scale;
+    let (lo, hi) = OtaSpecs::VDD_RANGE;
+    if !(vdd > lo && vdd < hi) {
+        return Err(bad(format!(
+            "supply {vdd} V (scale {}) is outside {lo}-{hi} V",
+            pvt.vdd_scale
+        )));
+    }
+    let shape_ok = match job.shape {
+        ShapeConstraint::MinArea => true,
+        ShapeConstraint::MaxHeight(nm) | ShapeConstraint::MaxWidth(nm) => nm > 0,
+        ShapeConstraint::Aspect(r) => r.is_finite() && r > 0.0,
+    };
+    if !shape_ok {
+        return Err(bad(format!(
+            "shape {:?} needs a finite, positive bound",
+            job.shape
+        )));
+    }
+    Ok(())
+}
+
 impl SweepSpec {
     /// Expand into the same job list an offline [`SweepBuilder`] with
     /// these axes produces — *the* property the daemon's bitwise-equality
@@ -365,6 +405,7 @@ impl SweepSpec {
             if let Some(m) = self.max_layout_calls {
                 job.max_layout_calls = m;
             }
+            check_job(job)?;
         }
         Ok(jobs)
     }

@@ -306,9 +306,9 @@ fn malformed_input_yields_typed_errors() {
 
 #[test]
 fn hostile_sweep_fields_fail_typed_and_never_finish() {
-    // Non-finite, negative, zero and huge sweep fields either fail
-    // expansion with BadSweep or expand to jobs the engine fails with a
-    // typed error: no job panics, and none finishes on nonsense input.
+    // Non-finite, negative, zero and huge sweep fields fail expansion
+    // with BadSweep: the daemon answers the submit, and no job reaches
+    // the engine, let alone a design point's preparation.
     let on = |case: u8| SweepSpec {
         cases: vec![case],
         ..SweepSpec::default()
@@ -355,15 +355,8 @@ fn hostile_sweep_fields_fail_typed_and_never_finish() {
     }
     for spec in specs {
         match spec.to_jobs() {
-            Err(err) => assert_eq!(err.code, ErrorCode::BadSweep, "{spec:?}"),
-            Ok(jobs) => {
-                for outcome in engine.run_batch(jobs).outcomes {
-                    assert!(
-                        matches!(outcome, JobOutcome::Failed(_)),
-                        "{spec:?} -> {outcome:?}"
-                    );
-                }
-            }
+            Err(err) => assert_eq!(err.code, ErrorCode::BadSweep, "{spec:?}: {err}"),
+            Ok(jobs) => panic!("{spec:?} expanded to {} jobs", jobs.len()),
         }
     }
 }

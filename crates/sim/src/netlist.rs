@@ -17,6 +17,7 @@
 //! diffusion geometry, so the simulator never needs the technology object:
 //! the netlist builders (sizing / extraction) bake everything in.
 
+pub use losac_device::DiffGeom;
 use losac_device::Mosfet;
 use losac_tech::JunctionCaps;
 use std::collections::HashMap;
@@ -131,16 +132,6 @@ pub struct Isource {
     pub dc: f64,
     /// AC magnitude (A, signed).
     pub ac: f64,
-}
-
-/// Diffusion geometry of one MOS terminal, for junction-capacitance
-/// evaluation (SI units).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DiffGeom {
-    /// Bottom-plate area (m²).
-    pub area: f64,
-    /// Sidewall perimeter (m).
-    pub perimeter: f64,
 }
 
 /// A MOS transistor instance.

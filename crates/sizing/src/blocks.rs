@@ -20,8 +20,9 @@ use losac_tech::{Polarity, Technology};
 /// # Errors
 ///
 /// Propagates the width-solver failures (unreachable current, width
-/// bounds).
+/// bounds), prefixed with the device `name`.
 pub fn size_device(
+    name: &str,
     tech: &Technology,
     polarity: Polarity,
     l: f64,
@@ -33,7 +34,7 @@ pub fn size_device(
     let sgn = polarity.sign();
     let vgs = sgn * (threshold(params, 0.0) + veff);
     let w = width_for_current(params, l, vgs, sgn * vds, 0.0, i, WidthBounds::default())
-        .map_err(|e| SizingError::new(e.to_string()))?;
+        .map_err(|e| SizingError::new(format!("{name}: {e}")))?;
     Ok(SizedDevice { polarity, w, l })
 }
 
@@ -71,7 +72,7 @@ pub fn size_diff_pair(
         ));
     }
     let i_side = gm_target / gm_over_id;
-    let dev = size_device(tech, polarity, l, veff, i_side, 0.9)?;
+    let dev = size_device("pair device", tech, polarity, l, veff, i_side, 0.9)?;
     Ok((dev, i_side))
 }
 
@@ -94,6 +95,7 @@ pub fn size_mirror(
 ) -> Result<Vec<SizedDevice>, SizingError> {
     let mut out = Vec::with_capacity(ratios.len() + 1);
     let diode = size_device(
+        "mirror diode",
         tech,
         polarity,
         l,
@@ -165,7 +167,7 @@ mod tests {
     #[test]
     fn size_device_hits_current() {
         let t = tech();
-        let d = size_device(&t, Polarity::Nmos, 1e-6, 0.2, 100e-6, 1.0).unwrap();
+        let d = size_device("m1", &t, Polarity::Nmos, 1e-6, 0.2, 100e-6, 1.0).unwrap();
         let m = Mosfet::new(t.nmos, d.w, d.l);
         let i = drain_current_only(&m, t.nmos.vt0 + 0.2, 1.0, 0.0);
         assert!((i - 100e-6).abs() < 1e-9);
@@ -203,7 +205,7 @@ mod tests {
     #[test]
     fn gate_bias_roundtrip() {
         let t = tech();
-        let d = size_device(&t, Polarity::Nmos, 1e-6, 0.25, 80e-6, 0.5).unwrap();
+        let d = size_device("m1", &t, Polarity::Nmos, 1e-6, 0.25, 80e-6, 0.5).unwrap();
         let vg = gate_bias_for(&t, &d, 80e-6, 0.3, 0.5).unwrap();
         // Source at 0.3 V: gate must sit roughly VT + veff above it.
         assert!((vg - (0.3 + t.nmos.vt0 + 0.25)).abs() < 0.15, "vg = {vg}");

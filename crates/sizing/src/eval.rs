@@ -10,6 +10,7 @@
 
 use crate::feedback::ParasiticMode;
 use crate::specs::OtaSpecs;
+use crate::topology::Topology;
 use losac_obs::Counter;
 use losac_sim::ac::{ac_point_on, ac_sweep, ac_sweep_on, log_grid, AcOptions};
 use losac_sim::dc::{dc_operating_point, DcError, DcOptions, DcSession, DcSolution};
@@ -56,59 +57,6 @@ pub enum InputDrive {
         /// Rise time (s).
         rise: f64,
     },
-}
-
-/// An amplifier that the measurement pipeline can characterise.
-///
-/// All provided topologies implement this; new topologies get the whole
-/// Table-1 measurement suite by implementing these three methods.
-pub trait Amplifier {
-    /// The specification the amplifier was sized for.
-    fn specs(&self) -> &OtaSpecs;
-    /// Build the amplifier netlist in the requested testbench, with
-    /// parasitics per `mode`. Sources must be named `vinp`/`vinn`, the
-    /// supply `vdd`, and the output node `out`.
-    fn netlist(&self, tech: &Technology, mode: &ParasiticMode, drive: InputDrive) -> Circuit;
-    /// Rough slew-rate estimate (V/s), used only to choose the transient
-    /// time scale.
-    fn slew_estimate(&self) -> f64;
-    /// Mix every field that influences [`Amplifier::netlist`] and
-    /// [`Amplifier::slew_estimate`] — geometries, bias points, passives
-    /// and specs — into `h`, and return `true` to opt into [`EvalCache`]
-    /// keying. The hasher records the exact byte stream alongside the
-    /// hash, so the cache verifies the full key on lookup and a 64-bit
-    /// hash collision can never alias two designs.
-    ///
-    /// The default (write nothing, return `false`) opts the topology out
-    /// of caching entirely, so an implementor that forgets to cover a
-    /// field can only ever be slower, never wrong *if* it hashes
-    /// everything it exposes to the netlist. [`FnvHasher`] keeps float
-    /// quantisation uniform across the whole key.
-    fn write_fingerprint(&self, h: &mut FnvHasher) -> bool {
-        let _ = h;
-        false
-    }
-    /// Topology discriminant prefixed to every cache key *before*
-    /// [`Amplifier::write_fingerprint`] runs, written through the same
-    /// [`FnvHasher`] so byte-level verification covers it. Two topologies
-    /// that happen to emit identical fingerprint byte streams can
-    /// therefore never alias in a shared [`EvalCache`] as long as their
-    /// discriminants differ. Implementors that opt into caching must
-    /// return a string unique to the topology (its stable name); the
-    /// empty default is only safe for topologies that never cache.
-    fn fingerprint_discriminant(&self) -> &str {
-        ""
-    }
-    /// Hash of the amplifier part of the cache key, or `None` when the
-    /// topology opts out. Derived from
-    /// [`Amplifier::fingerprint_discriminant`] +
-    /// [`Amplifier::write_fingerprint`]; implement those methods, not
-    /// this one, so byte-level verification keeps working.
-    fn cache_fingerprint(&self) -> Option<u64> {
-        let mut h = FnvHasher::new();
-        h.write_str(self.fingerprint_discriminant());
-        self.write_fingerprint(&mut h).then(|| h.finish())
-    }
 }
 
 /// Everything the paper's Table 1 reports for one sizing case.
@@ -471,9 +419,9 @@ impl EvalCache {
 ///
 /// Floats are quantised before hashing so that values differing only in
 /// the last few mantissa bits (float noise from a different summation
-/// order upstream) land on the same key. Amplifier implementations use
-/// this in [`Amplifier::write_fingerprint`] so quantisation is uniform
-/// across the whole key.
+/// order upstream) land on the same key. Topologies use this in
+/// [`Topology::write_fingerprint`] so quantisation is uniform across the
+/// whole key.
 ///
 /// Besides the rolling 64-bit hash, the hasher records every mixed byte;
 /// the cache stores that byte stream with each entry and verifies it on
@@ -570,19 +518,18 @@ pub fn hash_common_fingerprint(
     h.write_f64(specs.output_range.1);
 }
 
-/// Cache key for one evaluation, or `None` when the amplifier does not
-/// fingerprint itself.
+/// Cache key for one evaluation: the topology name, then the
+/// topology's fingerprint, the technology, the mode and any non-nominal
+/// scenario.
 fn eval_key(
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     tech: &Technology,
     mode: &ParasiticMode,
     scenario: &Scenario,
-) -> Option<EvalKey> {
+) -> EvalKey {
     let mut h = FnvHasher::new();
-    h.write_str(ota.fingerprint_discriminant());
-    if !ota.write_fingerprint(&mut h) {
-        return None;
-    }
+    h.write_str(ota.topology_name());
+    ota.write_fingerprint(&mut h);
     hash_technology(&mut h, tech);
     hash_mode(&mut h, mode);
     // The scenario is hashed only when non-nominal: the nominal scenario
@@ -592,7 +539,7 @@ fn eval_key(
     if !scenario.is_nominal() {
         hash_scenario(&mut h, scenario);
     }
-    Some(h.into_key())
+    h.into_key()
 }
 
 /// Mix a non-nominal scenario into the key: every coordinate that alters
@@ -649,7 +596,7 @@ impl<'a> ScenarioEnv<'a> {
     /// apply the mismatch draw. Every patch is skipped at its nominal
     /// value, so the nominal scenario returns the exact circuit the
     /// plain `ota.netlist` call produces.
-    fn netlist(&self, ota: &dyn Amplifier, mode: &ParasiticMode, drive: InputDrive) -> Circuit {
+    fn netlist(&self, ota: &dyn Topology, mode: &ParasiticMode, drive: InputDrive) -> Circuit {
         let mut c = ota.netlist(&self.tech, mode, drive);
         let pvt = &self.scenario.pvt;
         if pvt.temp_c != NOMINAL_TEMP_C {
@@ -676,7 +623,7 @@ impl<'a> ScenarioEnv<'a> {
     /// The supply rail voltage under this scenario (V). `vdd_scale` is
     /// exactly `1.0` at nominal, and `x * 1.0` is bit-exact for finite
     /// `x`, so nominal power numbers are unchanged.
-    fn vdd(&self, ota: &dyn Amplifier) -> f64 {
+    fn vdd(&self, ota: &dyn Topology) -> f64 {
         ota.specs().vdd * self.scenario.pvt.vdd_scale
     }
 }
@@ -742,7 +689,7 @@ fn hash_mode(h: &mut FnvHasher, mode: &ParasiticMode) {
 /// Fails when DC analysis fails or the output cannot be centred within
 /// ±50 mV of differential input (broken amplifier).
 pub fn balance(
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     tech: &Technology,
     mode: &ParasiticMode,
 ) -> Result<(f64, Circuit, DcSolution), EvalError> {
@@ -756,7 +703,7 @@ pub fn balance(
 /// corner fail to centre (a real, reportable failure).
 fn balance_env(
     env: &ScenarioEnv<'_>,
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     mode: &ParasiticMode,
 ) -> Result<(f64, Circuit, DcSolution), EvalError> {
     let target = ota.specs().output_mid();
@@ -821,7 +768,7 @@ fn balance_env(
 ///
 /// Propagates any analysis failure with context.
 pub fn evaluate(
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     tech: &Technology,
     mode: &ParasiticMode,
 ) -> Result<Performance, EvalError> {
@@ -834,7 +781,7 @@ pub fn evaluate(
 ///
 /// Propagates any analysis failure with context.
 pub fn evaluate_with(
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     tech: &Technology,
     mode: &ParasiticMode,
     opts: &EvalOptions,
@@ -848,11 +795,11 @@ pub fn evaluate_with(
             _ => EvalError::new("injected failure at `sizing.evaluate`"),
         });
     }
-    let key = match &opts.cache {
-        Some(_) => eval_key(ota, tech, mode, &opts.scenario),
-        None => None,
-    };
-    if let (Some(cache), Some(key)) = (&opts.cache, &key) {
+    let cached = opts
+        .cache
+        .as_ref()
+        .map(|cache| (cache, eval_key(ota, tech, mode, &opts.scenario)));
+    if let Some((cache, key)) = &cached {
         if let Some(perf) = cache.lookup(key) {
             return Ok(perf);
         }
@@ -872,7 +819,7 @@ pub fn evaluate_with(
     let perf = evaluate_uncached(ota, tech, mode, &opts.scenario)?;
     EVAL_MS.observe_duration(begun.elapsed());
     EVAL_FACTS.observe(MATRIX_FACTS.get().saturating_sub(facts_before) as f64);
-    if let (Some(cache), Some(key)) = (&opts.cache, &key) {
+    if let Some((cache, key)) = &cached {
         cache.store(key, perf);
     }
     Ok(perf)
@@ -882,7 +829,7 @@ pub fn evaluate_with(
 /// the small-signal measurements, then the slew-rate transient on its
 /// own netlist and operating point.
 fn evaluate_uncached(
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     tech: &Technology,
     mode: &ParasiticMode,
     scenario: &Scenario,
@@ -907,7 +854,7 @@ fn evaluate_uncached(
 /// probes are single-frequency solves at the low-frequency end.
 fn small_signal(
     env: &ScenarioEnv<'_>,
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     mode: &ParasiticMode,
 ) -> Result<Performance, EvalError> {
     // --- balanced operating point (also yields the offset) ----------------
@@ -984,7 +931,7 @@ fn small_signal(
 ///
 /// Propagates analysis failures.
 pub fn measure_psrr(
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     tech: &Technology,
     mode: &ParasiticMode,
 ) -> Result<f64, EvalError> {
@@ -1015,7 +962,7 @@ pub fn measure_psrr(
 /// scenario.
 fn measure_slew_rate_env(
     env: &ScenarioEnv<'_>,
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     mode: &ParasiticMode,
 ) -> Result<f64, EvalError> {
     let mid = ota.specs().output_mid();
@@ -1171,12 +1118,16 @@ mod tests {
 
     #[test]
     fn topologies_with_identical_fingerprints_do_not_alias() {
-        // Regression: before the discriminant prefix, two different
+        // Regression: before the topology-name prefix, two different
         // topologies emitting identical `write_fingerprint` byte streams
         // keyed identically in a shared cache — the second topology was
         // served the first one's numbers.
+        #[derive(Debug)]
         struct Twin(&'static str);
-        impl Amplifier for Twin {
+        impl Topology for Twin {
+            fn topology_name(&self) -> &'static str {
+                self.0
+            }
             fn specs(&self) -> &OtaSpecs {
                 unreachable!("key construction never reads specs")
             }
@@ -1191,25 +1142,28 @@ mod tests {
             fn slew_estimate(&self) -> f64 {
                 unreachable!("key construction never estimates slew")
             }
-            fn write_fingerprint(&self, h: &mut FnvHasher) -> bool {
+            fn write_fingerprint(&self, h: &mut FnvHasher) {
                 // Both twins emit the *same* byte stream.
                 h.write_str("identical-stream");
                 h.write_f64(1.25);
-                true
             }
-            fn fingerprint_discriminant(&self) -> &str {
-                self.0
+            fn devices(&self) -> &HashMap<String, crate::SizedDevice> {
+                unreachable!("key construction never reads devices")
+            }
+            fn layout_spec(&self) -> crate::TopologyLayoutSpec {
+                unreachable!("key construction never lays out")
             }
         }
 
         let tech = Technology::cmos06();
         let nom = Scenario::nominal();
-        let key_a = eval_key(&Twin("topology_a"), &tech, &ParasiticMode::None, &nom).unwrap();
-        let key_b = eval_key(&Twin("topology_b"), &tech, &ParasiticMode::None, &nom).unwrap();
+        let key_a = eval_key(&Twin("topology_a"), &tech, &ParasiticMode::None, &nom);
+        let key_b = eval_key(&Twin("topology_b"), &tech, &ParasiticMode::None, &nom);
         assert_ne!(
             key_a.bytes, key_b.bytes,
-            "the discriminant must separate the byte streams"
+            "the topology name must separate the byte streams"
         );
+        assert_ne!(key_a.hash, key_b.hash);
         let cache = EvalCache::new();
         cache.store(&key_a, sample_perf(0.0));
         assert_eq!(
@@ -1218,11 +1172,6 @@ mod tests {
             "a different topology with an identical fingerprint must miss"
         );
         assert_eq!(cache.lookup(&key_a), Some(sample_perf(0.0)));
-        // The derived fingerprint hash separates them too.
-        assert_ne!(
-            Twin("topology_a").cache_fingerprint(),
-            Twin("topology_b").cache_fingerprint()
-        );
     }
 
     #[test]
@@ -1279,10 +1228,10 @@ mod tests {
         // persisted by scenario-unaware builds (and warm daemon caches)
         // keep hitting only if the byte streams are identical.
         let (tech, ota) = setup();
-        let key = eval_key(&ota, &tech, &ParasiticMode::None, &Scenario::nominal()).unwrap();
+        let key = eval_key(&ota, &tech, &ParasiticMode::None, &Scenario::nominal());
         let mut h = FnvHasher::new();
-        h.write_str(ota.fingerprint_discriminant());
-        assert!(ota.write_fingerprint(&mut h));
+        h.write_str("folded_cascode");
+        ota.write_fingerprint(&mut h);
         hash_technology(&mut h, &tech);
         hash_mode(&mut h, &ParasiticMode::None);
         let legacy = h.into_key();
@@ -1300,20 +1249,16 @@ mod tests {
             &tech,
             &mode,
             &Scenario::corner(losac_tech::Corner::Slow),
-        )
-        .unwrap();
+        );
         let key_hot = eval_key(
             &ota,
             &tech,
             &mode,
             &Scenario::at(losac_tech::Pvt::new(losac_tech::Corner::Slow, 125.0, 1.0)),
-        )
-        .unwrap();
-        let key_mc0 =
-            eval_key(&ota, &tech, &mode, &Scenario::nominal().with_mismatch(7, 0)).unwrap();
-        let key_mc1 =
-            eval_key(&ota, &tech, &mode, &Scenario::nominal().with_mismatch(7, 1)).unwrap();
-        let key_nom = eval_key(&ota, &tech, &mode, &Scenario::nominal()).unwrap();
+        );
+        let key_mc0 = eval_key(&ota, &tech, &mode, &Scenario::nominal().with_mismatch(7, 0));
+        let key_mc1 = eval_key(&ota, &tech, &mode, &Scenario::nominal().with_mismatch(7, 1));
+        let key_nom = eval_key(&ota, &tech, &mode, &Scenario::nominal());
         let keys = [&key_nom, &key_ss, &key_hot, &key_mc0, &key_mc1];
         for (i, a) in keys.iter().enumerate() {
             for b in keys.iter().skip(i + 1) {

@@ -7,17 +7,9 @@
 //! the sizing crate stays usable stand-alone; the flow crate converts the
 //! layout tool's report into a [`LayoutFeedback`].
 
+pub use losac_device::DiffGeom;
 use losac_tech::units::Nm;
 use std::collections::HashMap;
-
-/// Diffusion geometry of one transistor terminal (SI units).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DiffGeom {
-    /// Bottom-plate area (m²).
-    pub area: f64,
-    /// Sidewall perimeter (m).
-    pub perimeter: f64,
-}
 
 /// Per-transistor layout feedback.
 #[derive(Debug, Clone, Copy, PartialEq)]

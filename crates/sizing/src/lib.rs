@@ -6,8 +6,9 @@
 //! * [`feedback`] — the layout-parasitic feedback types and the four
 //!   Table-1 parasitic-awareness modes;
 //! * [`ota`] — amplifier topologies with their design plans: the paper's
-//!   folded-cascode example and a two-stage Miller OTA (extensibility
-//!   demonstration);
+//!   folded-cascode example, a telescopic cascode and a two-stage Miller
+//!   OTA (extensibility demonstration), each described once by a pin
+//!   table of [`ota::Pins`];
 //! * [`eval`] — the verification-by-simulation interface: every Table-1
 //!   quantity measured on the `losac-sim` simulator, which evaluates the
 //!   same EKV model the sizing equations use;
@@ -44,8 +45,7 @@ pub mod techeval;
 pub mod topology;
 
 pub use eval::{
-    evaluate_with, measure_psrr, Amplifier, EvalCache, EvalError, EvalOptions, InputDrive,
-    Performance,
+    evaluate_with, measure_psrr, EvalCache, EvalError, EvalOptions, InputDrive, Performance,
 };
 pub use feedback::{DeviceFeedback, DiffGeom, LayoutFeedback, ParasiticMode};
 pub use losac_tech::{MismatchDraw, Pvt, Scenario};

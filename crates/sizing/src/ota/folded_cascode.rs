@@ -24,20 +24,17 @@
 //! the phase margin is met; every evaluation uses the same EKV model the
 //! simulator uses.
 
-use crate::eval::{Amplifier, InputDrive};
-use crate::feedback::{DiffGeom, ParasiticMode};
+use super::{build_netlist, diffusion_geometry, parasitic_on, Modules, Pins};
+use crate::blocks::size_device;
+use crate::eval::{FnvHasher, InputDrive};
+use crate::feedback::ParasiticMode;
 use crate::specs::OtaSpecs;
-use crate::topology::{
-    GroupDevice, LayoutModule, MatchedGroup, SingleDevice, Topology, TopologyLayoutSpec,
-    TopologyPlan,
-};
+use crate::topology::{Topology, TopologyLayoutSpec, TopologyPlan};
 use losac_device::caps::intrinsic_caps;
 use losac_device::ekv::{evaluate, threshold};
-use losac_device::folding::{DiffusionGeometry, FoldSpec};
-use losac_device::solve::{vgs_for_current, width_for_current, WidthBounds};
+use losac_device::solve::vgs_for_current;
 use losac_device::Mosfet;
-use losac_sim::netlist::{Circuit, DiffGeom as SimDiffGeom, Waveform};
-use losac_tech::units::m_to_nm;
+use losac_sim::netlist::Circuit;
 use losac_tech::{Polarity, Technology};
 use std::collections::HashMap;
 use std::fmt;
@@ -96,13 +93,21 @@ pub struct FoldedCascodeOta {
     pub iterations: usize,
 }
 
-/// The device names of the topology, in a stable order.
-pub const DEVICE_NAMES: [&str; 11] = [
-    "mp1", "mp2", "mptail", "mn5", "mn6", "mn1c", "mn2c", "mp3", "mp4", "mp3c", "mp4c",
+/// The transistors and their drain, gate, source and bulk nets, in
+/// netlist (stamp) order.
+pub const PINS: [Pins; 11] = [
+    Pins::new("mptail", "tail", "vp1", "vdd", "vdd"),
+    Pins::new("mp1", "f1", "vinp", "tail", "vdd"),
+    Pins::new("mp2", "f2", "vinn", "tail", "vdd"),
+    Pins::new("mn5", "f1", "vbn", "gnd", "gnd"),
+    Pins::new("mn6", "f2", "vbn", "gnd", "gnd"),
+    Pins::new("mn1c", "m", "vc1", "f1", "gnd"),
+    Pins::new("mn2c", "out", "vc1", "f2", "gnd"),
+    Pins::new("mp3", "a", "m", "vdd", "vdd"),
+    Pins::new("mp3c", "m", "vc3", "a", "vdd"),
+    Pins::new("mp4", "b", "m", "vdd", "vdd"),
+    Pins::new("mp4c", "out", "vc3", "b", "vdd"),
 ];
-
-/// Circuit nets of the topology (excluding the input/bias sources).
-pub const SIGNAL_NETS: [&str; 8] = ["tail", "f1", "f2", "m", "a", "b", "out", "vdd"];
 
 /// Sizing failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -258,7 +263,6 @@ impl FoldedCascodePlan {
                 // Widths at fixed Veff (monotonic numerical iteration inside
                 // the solver). Nominal VDS values put each device near its
                 // eventual operating point.
-                let bounds = WidthBounds::default();
                 let vf = veff_n + self.sat_margin; // fold-node voltage
                 let mut size = |name: &str,
                                 pol: Polarity,
@@ -267,19 +271,8 @@ impl FoldedCascodePlan {
                                 i: f64,
                                 vds: f64|
                  -> Result<(), SizingError> {
-                    let params = tech.mos(pol);
-                    let sgn = pol.sign();
-                    let vgs = sgn * (threshold(params, 0.0) + veff);
-                    let w = width_for_current(params, l, vgs, sgn * vds, 0.0, i, bounds)
-                        .map_err(|e| SizingError::new(format!("{name}: {e}")))?;
-                    sizes.insert(
-                        name.to_owned(),
-                        SizedDevice {
-                            polarity: pol,
-                            w,
-                            l,
-                        },
-                    );
+                    let d = size_device(name, tech, pol, l, veff, i, vds)?;
+                    sizes.insert(name.to_owned(), d);
                     Ok(())
                 };
 
@@ -548,28 +541,6 @@ fn self_loading(
     c
 }
 
-/// Lumped routing/coupling/well capacitance the mode attributes to `net`.
-/// Shared by every topology's sizing procedure: the extra load the layout
-/// feedback puts on a net is what closes the sizing↔layout loop.
-pub(crate) fn parasitic_on(mode: &ParasiticMode, net: &str) -> f64 {
-    let Some(fb) = mode.feedback() else {
-        return 0.0;
-    };
-    if !mode.includes_routing() {
-        return 0.0;
-    }
-    let mut c = fb.net_caps.get(net).copied().unwrap_or(0.0)
-        + fb.well_caps.get(net).copied().unwrap_or(0.0);
-    // Sorted order: a float sum in `HashMap` order would differ in the
-    // last bits from one map instance to the next.
-    for ((a, b), v) in sorted(&fb.coupling) {
-        if a == net || b == net {
-            c += v;
-        }
-    }
-    c
-}
-
 /// Zero-bias junction capacitance of a device's drain (`drain = true`) or
 /// source under the given parasitic mode.
 fn junction_of(
@@ -587,217 +558,31 @@ fn junction_of(
     j.capacitance_zero_bias(geom.area, geom.perimeter)
 }
 
-/// Diffusion geometry of one terminal under the given parasitic mode.
-pub(crate) fn diffusion_geometry(
-    tech: &Technology,
-    mode: &ParasiticMode,
-    name: &str,
-    m: &Mosfet,
-    drain: bool,
-) -> DiffGeom {
-    match mode {
-        ParasiticMode::None => DiffGeom::default(),
-        ParasiticMode::UnfoldedDiffusion => {
-            let w_nm = m_to_nm(m.w).max(tech.rules.active_width);
-            let g = if drain {
-                DiffusionGeometry::drain(w_nm, FoldSpec::UNFOLDED, &tech.rules)
-            } else {
-                DiffusionGeometry::source(w_nm, FoldSpec::UNFOLDED, &tech.rules)
-            };
-            DiffGeom {
-                area: g.area,
-                perimeter: g.perimeter,
-            }
-        }
-        ParasiticMode::DiffusionOnly(fb) | ParasiticMode::Full(fb) => match fb.device(name) {
-            Some(d) => {
-                if drain {
-                    d.drain
-                } else {
-                    d.source
-                }
-            }
-            None => DiffGeom::default(),
-        },
-    }
-}
-
-impl FoldedCascodeOta {
-    /// Total quiescent current estimate (A): tail plus both mirror
-    /// branches.
-    pub fn supply_current_estimate(&self) -> f64 {
-        self.currents.i_tail + 2.0 * self.currents.i_casc
+impl Topology for FoldedCascodeOta {
+    fn topology_name(&self) -> &'static str {
+        "folded_cascode"
     }
 
-    /// Build the amplifier netlist with the given input drive.
-    ///
-    /// `inputs` controls the testbench around the core:
-    /// * [`InputDrive::Differential`] — DC sources on both gates (AC set
-    ///   separately by the measurement),
-    /// * [`InputDrive::UnityBuffer`] — vinn wired to the output, a step on
-    ///   vinp (slew-rate bench).
-    pub fn netlist(&self, tech: &Technology, mode: &ParasiticMode, inputs: InputDrive) -> Circuit {
-        let mut c = Circuit::new();
-        c.vsource("vdd", "vdd", "0", self.specs.vdd);
-        c.vsource("vbp1", "vp1", "0", self.bias.vp1);
-        c.vsource("vbn0", "vbn", "0", self.bias.vbn);
-        c.vsource("vbc1", "vc1", "0", self.bias.vc1);
-        c.vsource("vbc3", "vc3", "0", self.bias.vc3);
-
-        let cm = self.specs.input_cm_bias();
-        let vinn_node = match inputs {
-            InputDrive::Differential { dv } => {
-                c.vsource("vinp", "vinp", "0", cm + dv / 2.0);
-                c.vsource("vinn", "vinn", "0", cm - dv / 2.0);
-                "vinn"
-            }
-            InputDrive::UnityBuffer {
-                step_from,
-                step_to,
-                at,
-                rise,
-            } => {
-                c.vsource_tran(
-                    "vinp",
-                    "vinp",
-                    "0",
-                    step_from,
-                    Waveform::Step {
-                        level: step_to,
-                        at,
-                        rise,
-                    },
-                );
-                "out"
-            }
-        };
-
-        let mut mos = |name: &str, d: &str, g: &str, s: &str, b: &str| {
-            let dev = &self.devices[name];
-            let params = tech.mos(dev.polarity);
-            let w = self.drawn_w(mode, name);
-            let m = Mosfet::new(*params, w, dev.l);
-            let junction = match dev.polarity {
-                Polarity::Nmos => tech.caps.ndiff,
-                Polarity::Pmos => tech.caps.pdiff,
-            };
-            let dg = diffusion_geometry(tech, mode, name, &m, true);
-            let sg = diffusion_geometry(tech, mode, name, &m, false);
-            c.mos(
-                name,
-                d,
-                g,
-                s,
-                b,
-                m,
-                junction,
-                SimDiffGeom {
-                    area: dg.area,
-                    perimeter: dg.perimeter,
-                },
-                SimDiffGeom {
-                    area: sg.area,
-                    perimeter: sg.perimeter,
-                },
-            );
-        };
-
-        mos("mptail", "tail", "vp1", "vdd", "vdd");
-        mos("mp1", "f1", "vinp", "tail", "vdd");
-        mos("mp2", "f2", vinn_node, "tail", "vdd");
-        mos("mn5", "f1", "vbn", "0", "0");
-        mos("mn6", "f2", "vbn", "0", "0");
-        mos("mn1c", "m", "vc1", "f1", "0");
-        mos("mn2c", "out", "vc1", "f2", "0");
-        mos("mp3", "a", "m", "vdd", "vdd");
-        mos("mp3c", "m", "vc3", "a", "vdd");
-        mos("mp4", "b", "m", "vdd", "vdd");
-        mos("mp4c", "out", "vc3", "b", "vdd");
-
-        c.capacitor("cload", "out", "0", self.specs.c_load);
-
-        // Routing, coupling and well parasitics (case 4 only).
-        add_routing_caps(&mut c, mode, is_internal_net);
-
-        c
-    }
-}
-
-/// Attach the mode's routing, coupling and well parasitics (case 4 only)
-/// to the netlist as lumped capacitors, restricted to nets `is_internal`
-/// accepts — parasitics on other nets (e.g. bias distribution) attach to
-/// nets the testbench drives ideally, where they would be shorted anyway.
-/// Shared by every topology's netlist builder; iteration is sorted so the
-/// element order (and thus the matrix stamp order) is deterministic.
-pub(crate) fn add_routing_caps(
-    c: &mut Circuit,
-    mode: &ParasiticMode,
-    is_internal: impl Fn(&str) -> bool,
-) {
-    if !mode.includes_routing() {
-        return;
-    }
-    let Some(fb) = mode.feedback() else { return };
-    let mut k = 0usize;
-    for (net, cap) in sorted(&fb.net_caps) {
-        if is_internal(net) && *cap > 0.0 {
-            c.capacitor(&format!("cr{k}"), net, "0", *cap);
-            k += 1;
-        }
-    }
-    for ((na, nb), cap) in sorted(&fb.coupling) {
-        if !(is_internal(na) && is_internal(nb) && *cap > 0.0) {
-            continue;
-        }
-        if fb.lump_coupling_to_ground {
-            // The sizing tool's view: one lumped capacitance per net.
-            c.capacitor(&format!("cca{k}"), na, "0", *cap);
-            c.capacitor(&format!("ccb{k}"), nb, "0", *cap);
-        } else {
-            c.capacitor(&format!("cc{k}"), na, nb, *cap);
-        }
-        k += 1;
-    }
-    for (net, cap) in sorted(&fb.well_caps) {
-        if is_internal(net) && *cap > 0.0 {
-            c.capacitor(&format!("cw{k}"), net, "0", *cap);
-            k += 1;
-        }
-    }
-}
-
-/// Deterministic iteration over a hash map (sorted by key).
-fn sorted<K: Ord + Clone, V>(map: &HashMap<K, V>) -> Vec<(&K, &V)> {
-    let mut v: Vec<(&K, &V)> = map.iter().collect();
-    v.sort_by(|a, b| a.0.cmp(b.0));
-    v
-}
-
-/// Nets of the OTA that exist in the verification netlist. Parasitic
-/// entries on other nets (e.g. bias distribution) attach to nets the
-/// testbench drives ideally, where they would be shorted anyway.
-fn is_internal_net(net: &str) -> bool {
-    SIGNAL_NETS.contains(&net) || net == "vinp" || net == "vinn"
-}
-
-impl Amplifier for FoldedCascodeOta {
     fn specs(&self) -> &OtaSpecs {
         &self.specs
     }
 
     fn netlist(&self, tech: &Technology, mode: &ParasiticMode, drive: InputDrive) -> Circuit {
-        FoldedCascodeOta::netlist(self, tech, mode, drive)
+        let b = &self.bias;
+        let bias = [
+            ("vbp1", "vp1", b.vp1),
+            ("vbn0", "vbn", b.vbn),
+            ("vbc1", "vc1", b.vc1),
+            ("vbc3", "vc3", b.vc3),
+        ];
+        build_netlist(self, &PINS, &bias, &[], tech, mode, drive)
     }
 
     fn slew_estimate(&self) -> f64 {
         self.currents.i_tail / self.specs.c_load.max(1e-15)
     }
 
-    fn fingerprint_discriminant(&self) -> &str {
-        "folded_cascode"
-    }
-
-    fn write_fingerprint(&self, h: &mut crate::eval::FnvHasher) -> bool {
+    fn write_fingerprint(&self, h: &mut FnvHasher) {
         crate::eval::hash_common_fingerprint(h, &self.devices, &self.specs);
         for v in [
             self.bias.vp1,
@@ -811,52 +596,13 @@ impl Amplifier for FoldedCascodeOta {
         ] {
             h.write_f64(v);
         }
-        true
-    }
-}
-
-impl Topology for FoldedCascodeOta {
-    fn topology_name(&self) -> &'static str {
-        "folded_cascode"
     }
 
     fn devices(&self) -> &HashMap<String, SizedDevice> {
         &self.devices
     }
 
-    fn devices_mut(&mut self) -> &mut HashMap<String, SizedDevice> {
-        &mut self.devices
-    }
-
     fn layout_spec(&self) -> TopologyLayoutSpec {
-        let group =
-            |name: &str, pol, src: &str, bulk: &str, input, devs: [(&str, &str, &str); 2]| {
-                LayoutModule::Group(MatchedGroup {
-                    name: name.into(),
-                    polarity: pol,
-                    source_net: src.into(),
-                    bulk_net: bulk.into(),
-                    is_input_pair: input,
-                    devices: devs
-                        .iter()
-                        .map(|(n, d, g)| GroupDevice {
-                            name: (*n).into(),
-                            drain_net: (*d).into(),
-                            gate_net: (*g).into(),
-                        })
-                        .collect(),
-                })
-            };
-        let single = |name: &str, pol, d: &str, g: &str, s: &str, b: &str| {
-            LayoutModule::Single(SingleDevice {
-                name: name.into(),
-                polarity: pol,
-                d: d.into(),
-                g: g.into(),
-                s: s.into(),
-                b: b.into(),
-            })
-        };
         let cur = &self.currents;
         let net_currents: HashMap<String, f64> = [
             ("vdd", cur.i_tail + 2.0 * cur.i_casc),
@@ -872,52 +618,24 @@ impl Topology for FoldedCascodeOta {
         .into_iter()
         .map(|(n, i)| (n.to_owned(), i))
         .collect();
+        let m = Modules::new(&PINS, &self.devices);
         TopologyLayoutSpec {
             cell_name: "folded_cascode_ota",
             modules: vec![
-                group(
-                    "pair",
-                    Polarity::Pmos,
-                    "tail",
-                    "vdd",
-                    true,
-                    [("mp1", "f1", "vinp"), ("mp2", "f2", "vinn")],
-                ), // 0
-                single("mptail", Polarity::Pmos, "tail", "vp1", "vdd", "vdd"), // 1
-                group(
-                    "sinks",
-                    Polarity::Nmos,
-                    "gnd",
-                    "gnd",
-                    false,
-                    [("mn5", "f1", "vbn"), ("mn6", "f2", "vbn")],
-                ), // 2
-                single("mn1c", Polarity::Nmos, "m", "vc1", "f1", "gnd"),       // 3
-                single("mn2c", Polarity::Nmos, "out", "vc1", "f2", "gnd"),     // 4
-                group(
-                    "mirror",
-                    Polarity::Pmos,
-                    "vdd",
-                    "vdd",
-                    false,
-                    [("mp3", "a", "m"), ("mp4", "b", "m")],
-                ), // 5
-                single("mp3c", Polarity::Pmos, "m", "vc3", "a", "vdd"),        // 6
-                single("mp4c", Polarity::Pmos, "out", "vc3", "b", "vdd"),      // 7
+                m.group("pair", true, &["mp1", "mp2"]),    // 0
+                m.single("mptail"),                        // 1
+                m.group("sinks", false, &["mn5", "mn6"]),  // 2
+                m.single("mn1c"),                          // 3
+                m.single("mn2c"),                          // 4
+                m.group("mirror", false, &["mp3", "mp4"]), // 5
+                m.single("mp3c"),                          // 6
+                m.single("mp4c"),                          // 7
             ],
             // NMOS rows at the bottom, PMOS rows (shared well region) at
             // the top — the arrangement of the paper's Fig. 5.
             placement_rows: vec![vec![3, 2, 4], vec![6, 5, 7], vec![0, 1]],
             net_currents,
         }
-    }
-
-    fn supply_current_estimate(&self) -> f64 {
-        FoldedCascodeOta::supply_current_estimate(self)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -952,44 +670,9 @@ mod tests {
     }
 
     #[test]
-    fn parasitic_on_sums_couplings_in_a_map_independent_order() {
-        // Magnitudes far apart, so the rounding of the sum depends on the
-        // order the couplings are added in.
-        let couplings = [
-            (("a", "out"), 1.0e-12),
-            (("b", "out"), 3.3e-16),
-            (("out", "c"), 7.7e-17),
-            (("d", "out"), 2.9e-13),
-            (("out", "e"), 5.1e-18),
-        ];
-        let mode_of = || {
-            let mut fb = crate::feedback::LayoutFeedback {
-                lump_coupling_to_ground: true,
-                ..Default::default()
-            };
-            fb.net_caps.insert("out".to_owned(), 1.7e-14);
-            for ((a, b), v) in couplings {
-                fb.coupling.insert((a.to_owned(), b.to_owned()), v);
-            }
-            ParasiticMode::Full(fb)
-        };
-        let mut want = 1.7e-14;
-        let mut sorted_couplings = couplings;
-        sorted_couplings.sort_by(|x, y| x.0.cmp(&y.0));
-        for (_, v) in sorted_couplings {
-            want += v;
-        }
-        // Every fresh `HashMap` draws its own hash seed, and with it its
-        // own iteration order.
-        for _ in 0..32 {
-            assert_eq!(parasitic_on(&mode_of(), "out").to_bits(), want.to_bits());
-        }
-    }
-
-    #[test]
     fn sizing_produces_all_devices() {
         let ota = sized();
-        for name in DEVICE_NAMES {
+        for Pins { name, .. } in PINS {
             let d = &ota.devices[name];
             assert!(
                 d.w > 0.8e-6 && d.w < 2e-3,
@@ -1011,7 +694,7 @@ mod tests {
             ota.currents.i_tail * 1e6
         );
         assert!((ota.currents.i_sink - ota.currents.i_in - ota.currents.i_casc).abs() < 1e-12);
-        let power = ota.supply_current_estimate() * 3.3;
+        let power = ota.layout_spec().net_currents["vdd"] * 3.3;
         assert!(
             power > 0.5e-3 && power < 10e-3,
             "power = {:.2} mW",
@@ -1055,7 +738,7 @@ mod tests {
         );
         let sol = dc_operating_point(&c, &DcOptions::default()).unwrap();
         // Every device must conduct a sensible current.
-        for name in DEVICE_NAMES {
+        for Pins { name, .. } in PINS {
             let op = sol.mos_op(name).unwrap_or_else(|| panic!("{name} missing"));
             assert!(op.id > 1e-6, "{name} conducts {:.2e} A", op.id);
         }

@@ -24,35 +24,35 @@
 //! output swing — the example below therefore runs with a narrower
 //! output-range specification than the paper's folded-cascode example.
 
+use super::{build_netlist, parasitic_on, Modules, Pins};
 use crate::blocks::{gate_bias_for, size_device, size_diff_pair, size_mirror};
-use crate::eval::{Amplifier, InputDrive};
+use crate::eval::{FnvHasher, InputDrive};
 use crate::feedback::ParasiticMode;
-use crate::ota::folded_cascode::{
-    add_routing_caps, diffusion_geometry, parasitic_on, SizedDevice, SizingError,
-};
+use crate::ota::folded_cascode::{SizedDevice, SizingError};
 use crate::specs::OtaSpecs;
-use crate::topology::{
-    GroupDevice, LayoutModule, MatchedGroup, SingleDevice, Topology, TopologyLayoutSpec,
-    TopologyPlan,
-};
-use losac_device::Mosfet;
-use losac_sim::netlist::{Circuit, DiffGeom as SimDiffGeom, Waveform};
+use crate::topology::{Topology, TopologyLayoutSpec, TopologyPlan};
+use losac_sim::netlist::Circuit;
 use losac_tech::{Polarity, Technology};
 use std::collections::HashMap;
 
-/// The device names of the telescopic topology.
-pub const DEVICE_NAMES: [&str; 9] = [
-    "mptail", "mp1", "mp2", "mp1c", "mp2c", "mn1c", "mn2c", "mn3", "mn4",
+/// The transistors and their drain, gate, source and bulk nets, in
+/// netlist (stamp) order.
+///
+/// vinp drives the diode leg of the mirror: raising vinp starves the y1
+/// diode, the mirror sinks less while the vinn leg pushes more, and out
+/// rises. So vinp is the non-inverting input, as the unity-buffer bench
+/// requires.
+pub const PINS: [Pins; 9] = [
+    Pins::new("mptail", "tail", "vp1", "vdd", "vdd"),
+    Pins::new("mp1", "x1", "vinp", "tail", "vdd"),
+    Pins::new("mp2", "x2", "vinn", "tail", "vdd"),
+    Pins::new("mp1c", "y1", "vcp", "x1", "vdd"),
+    Pins::new("mp2c", "out", "vcp", "x2", "vdd"),
+    Pins::new("mn1c", "y1", "vcn", "z1", "gnd"),
+    Pins::new("mn2c", "out", "vcn", "z2", "gnd"),
+    Pins::new("mn3", "z1", "y1", "gnd", "gnd"),
+    Pins::new("mn4", "z2", "y1", "gnd", "gnd"),
 ];
-
-/// Circuit nets of the topology (excluding the input/bias sources).
-pub const SIGNAL_NETS: [&str; 8] = ["tail", "x1", "x2", "y1", "z1", "z2", "out", "vdd"];
-
-/// Nets that exist in the verification netlist (see
-/// [`add_routing_caps`]).
-fn is_internal_net(net: &str) -> bool {
-    SIGNAL_NETS.contains(&net) || net == "vinp" || net == "vinn"
-}
 
 /// A sized telescopic-cascode OTA.
 #[derive(Debug, Clone)]
@@ -153,6 +153,7 @@ impl TelescopicPlan {
         devices.insert(
             "mptail".to_owned(),
             size_device(
+                "mptail",
                 tech,
                 Polarity::Pmos,
                 self.l_in,
@@ -162,6 +163,7 @@ impl TelescopicPlan {
             )?,
         );
         let pc = size_device(
+            "mp1c",
             tech,
             Polarity::Pmos,
             self.l_casc,
@@ -172,6 +174,7 @@ impl TelescopicPlan {
         devices.insert("mp1c".to_owned(), pc);
         devices.insert("mp2c".to_owned(), pc);
         let nc = size_device(
+            "mn1c",
             tech,
             Polarity::Nmos,
             self.l_casc,
@@ -207,144 +210,42 @@ impl TelescopicPlan {
     }
 }
 
-impl TelescopicOta {
-    /// Total quiescent current estimate (A): one tail current feeds both
-    /// telescopic branches — there is no separate cascode branch.
-    pub fn supply_current_estimate(&self) -> f64 {
-        self.i_tail
+impl Topology for TelescopicOta {
+    fn topology_name(&self) -> &'static str {
+        "telescopic"
     }
 
-    /// Build the amplifier netlist for the requested testbench.
-    pub fn netlist(&self, tech: &Technology, mode: &ParasiticMode, drive: InputDrive) -> Circuit {
-        let mut c = Circuit::new();
-        c.vsource("vdd", "vdd", "0", self.specs.vdd);
-        c.vsource("vbp1", "vp1", "0", self.vp1);
-        c.vsource("vbcp", "vcp", "0", self.vcp);
-        c.vsource("vbcn", "vcn", "0", self.vcn);
-
-        let cm = self.specs.input_cm_bias();
-        let vinn_node = match drive {
-            InputDrive::Differential { dv } => {
-                c.vsource("vinp", "vinp", "0", cm + dv / 2.0);
-                c.vsource("vinn", "vinn", "0", cm - dv / 2.0);
-                "vinn"
-            }
-            InputDrive::UnityBuffer {
-                step_from,
-                step_to,
-                at,
-                rise,
-            } => {
-                c.vsource_tran(
-                    "vinp",
-                    "vinp",
-                    "0",
-                    step_from,
-                    Waveform::Step {
-                        level: step_to,
-                        at,
-                        rise,
-                    },
-                );
-                "out"
-            }
-        };
-
-        let mut mos = |name: &str, d: &str, g: &str, s: &str, b: &str| {
-            let dev = &self.devices[name];
-            let params = tech.mos(dev.polarity);
-            let w = self.drawn_w(mode, name);
-            let m = Mosfet::new(*params, w, dev.l);
-            let junction = match dev.polarity {
-                Polarity::Nmos => tech.caps.ndiff,
-                Polarity::Pmos => tech.caps.pdiff,
-            };
-            let dg = diffusion_geometry(tech, mode, name, &m, true);
-            let sg = diffusion_geometry(tech, mode, name, &m, false);
-            c.mos(
-                name,
-                d,
-                g,
-                s,
-                b,
-                m,
-                junction,
-                SimDiffGeom {
-                    area: dg.area,
-                    perimeter: dg.perimeter,
-                },
-                SimDiffGeom {
-                    area: sg.area,
-                    perimeter: sg.perimeter,
-                },
-            );
-        };
-
-        mos("mptail", "tail", "vp1", "vdd", "vdd");
-        // Mirror diode on the vinn side so that vinp is non-inverting
-        // (raising vinp starves the y1 diode leg → mirror sinks less →
-        // out rises).
-        // vinp drives the diode leg: raising vinp starves the diode, the
-        // mirror sinks less while the vinn leg pushes more — out rises,
-        // so vinp is the non-inverting input (as the unity-buffer bench
-        // requires).
-        mos("mp1", "x1", "vinp", "tail", "vdd");
-        mos("mp2", "x2", vinn_node, "tail", "vdd");
-        mos("mp1c", "y1", "vcp", "x1", "vdd");
-        mos("mp2c", "out", "vcp", "x2", "vdd");
-        mos("mn1c", "y1", "vcn", "z1", "0");
-        mos("mn2c", "out", "vcn", "z2", "0");
-        mos("mn3", "z1", "y1", "0", "0");
-        mos("mn4", "z2", "y1", "0", "0");
-
-        c.capacitor("cload", "out", "0", self.specs.c_load);
-
-        // Routing, coupling and well parasitics (case 4 only).
-        add_routing_caps(&mut c, mode, is_internal_net);
-        c
-    }
-}
-
-impl Amplifier for TelescopicOta {
     fn specs(&self) -> &OtaSpecs {
         &self.specs
     }
 
     fn netlist(&self, tech: &Technology, mode: &ParasiticMode, drive: InputDrive) -> Circuit {
-        TelescopicOta::netlist(self, tech, mode, drive)
+        let bias = [
+            ("vbp1", "vp1", self.vp1),
+            ("vbcp", "vcp", self.vcp),
+            ("vbcn", "vcn", self.vcn),
+        ];
+        build_netlist(self, &PINS, &bias, &[], tech, mode, drive)
     }
 
     fn slew_estimate(&self) -> f64 {
         self.i_tail / self.specs.c_load.max(1e-15)
     }
 
-    fn fingerprint_discriminant(&self) -> &str {
-        "telescopic"
-    }
-
-    fn write_fingerprint(&self, h: &mut crate::eval::FnvHasher) -> bool {
+    fn write_fingerprint(&self, h: &mut FnvHasher) {
         crate::eval::hash_common_fingerprint(h, &self.devices, &self.specs);
         for v in [self.vp1, self.vcp, self.vcn, self.i_tail] {
             h.write_f64(v);
         }
-        true
-    }
-}
-
-impl Topology for TelescopicOta {
-    fn topology_name(&self) -> &'static str {
-        "telescopic"
     }
 
     fn devices(&self) -> &HashMap<String, SizedDevice> {
         &self.devices
     }
 
-    fn devices_mut(&mut self) -> &mut HashMap<String, SizedDevice> {
-        &mut self.devices
-    }
-
     fn layout_spec(&self) -> TopologyLayoutSpec {
+        // One tail current feeds both telescopic branches; there is no
+        // separate cascode branch.
         let i_in = self.i_tail / 2.0;
         let net_currents: HashMap<String, f64> = [
             ("vdd", self.i_tail),
@@ -360,104 +261,26 @@ impl Topology for TelescopicOta {
         .into_iter()
         .map(|(n, i)| (n.to_owned(), i))
         .collect();
+        let m = Modules::new(&PINS, &self.devices);
         TopologyLayoutSpec {
             cell_name: "telescopic_ota",
             modules: vec![
                 // 0: input pair — shares the tail source net.
-                LayoutModule::Group(MatchedGroup {
-                    name: "pair".into(),
-                    polarity: Polarity::Pmos,
-                    source_net: "tail".into(),
-                    bulk_net: "vdd".into(),
-                    is_input_pair: true,
-                    devices: vec![
-                        GroupDevice {
-                            name: "mp1".into(),
-                            drain_net: "x1".into(),
-                            gate_net: "vinp".into(),
-                        },
-                        GroupDevice {
-                            name: "mp2".into(),
-                            drain_net: "x2".into(),
-                            gate_net: "vinn".into(),
-                        },
-                    ],
-                }),
+                m.group("pair", true, &["mp1", "mp2"]),
                 // 1: tail current source.
-                LayoutModule::Single(SingleDevice {
-                    name: "mptail".into(),
-                    polarity: Polarity::Pmos,
-                    d: "tail".into(),
-                    g: "vp1".into(),
-                    s: "vdd".into(),
-                    b: "vdd".into(),
-                }),
+                m.single("mptail"),
                 // 2: NMOS mirror — shares the ground source net.
-                LayoutModule::Group(MatchedGroup {
-                    name: "mirror".into(),
-                    polarity: Polarity::Nmos,
-                    source_net: "gnd".into(),
-                    bulk_net: "gnd".into(),
-                    is_input_pair: false,
-                    devices: vec![
-                        GroupDevice {
-                            name: "mn3".into(),
-                            drain_net: "z1".into(),
-                            gate_net: "y1".into(),
-                        },
-                        GroupDevice {
-                            name: "mn4".into(),
-                            drain_net: "z2".into(),
-                            gate_net: "y1".into(),
-                        },
-                    ],
-                }),
+                m.group("mirror", false, &["mn3", "mn4"]),
                 // 3–6: the four cascodes, each with a distinct source.
-                LayoutModule::Single(SingleDevice {
-                    name: "mn1c".into(),
-                    polarity: Polarity::Nmos,
-                    d: "y1".into(),
-                    g: "vcn".into(),
-                    s: "z1".into(),
-                    b: "gnd".into(),
-                }),
-                LayoutModule::Single(SingleDevice {
-                    name: "mn2c".into(),
-                    polarity: Polarity::Nmos,
-                    d: "out".into(),
-                    g: "vcn".into(),
-                    s: "z2".into(),
-                    b: "gnd".into(),
-                }),
-                LayoutModule::Single(SingleDevice {
-                    name: "mp1c".into(),
-                    polarity: Polarity::Pmos,
-                    d: "y1".into(),
-                    g: "vcp".into(),
-                    s: "x1".into(),
-                    b: "vdd".into(),
-                }),
-                LayoutModule::Single(SingleDevice {
-                    name: "mp2c".into(),
-                    polarity: Polarity::Pmos,
-                    d: "out".into(),
-                    g: "vcp".into(),
-                    s: "x2".into(),
-                    b: "vdd".into(),
-                }),
+                m.single("mn1c"),
+                m.single("mn2c"),
+                m.single("mp1c"),
+                m.single("mp2c"),
             ],
             // NMOS rows at the bottom, PMOS rows at the top.
             placement_rows: vec![vec![3, 2, 4], vec![5, 6], vec![0, 1]],
             net_currents,
         }
-    }
-
-    fn supply_current_estimate(&self) -> f64 {
-        TelescopicOta::supply_current_estimate(self)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -507,7 +330,7 @@ mod tests {
     #[test]
     fn sizing_produces_all_devices() {
         let (_, ota) = setup();
-        for name in DEVICE_NAMES {
+        for Pins { name, .. } in PINS {
             assert!(ota.devices.contains_key(name), "missing {name}");
         }
     }
@@ -555,43 +378,11 @@ mod tests {
         // flow straight down both telescopic stacks to ground; there is
         // no other path from the supply. Hence supply = i_tail exactly,
         // and each branch carries i_tail / 2.
-        assert_eq!(ota.supply_current_estimate(), ota.i_tail);
+        let supply = ota.layout_spec().net_currents["vdd"];
+        assert_eq!(supply, ota.i_tail);
         let i_in = ota.i_tail / 2.0;
-        assert_eq!(i_in + i_in, ota.supply_current_estimate());
+        assert_eq!(i_in + i_in, supply);
         assert!(ota.i_tail > 0.0);
-        // The trait sees the same estimate.
-        let topo: &dyn Topology = &ota;
-        assert_eq!(topo.supply_current_estimate(), ota.i_tail);
-    }
-
-    #[test]
-    fn drawn_w_prefers_matching_feedback_only() {
-        use crate::feedback::{DeviceFeedback, LayoutFeedback};
-        let (_, ota) = setup();
-        let w = ota.devices["mp1"].w;
-        let mut fb = LayoutFeedback::default();
-        fb.devices.insert(
-            "mp1".to_owned(),
-            DeviceFeedback {
-                folds: 4,
-                drawn_w: losac_tech::units::m_to_nm(w * 1.02),
-                drain: Default::default(),
-                source: Default::default(),
-            },
-        );
-        let mode = ParasiticMode::DiffusionOnly(fb.clone());
-        // Within 5 %: the drawn width wins.
-        let drawn = ota.drawn_w(&mode, "mp1");
-        assert!((drawn - w * 1.02).abs() < 2e-9, "{drawn} vs {}", w * 1.02);
-        // Stale feedback (way off this sizing) is ignored.
-        fb.devices.get_mut("mp1").unwrap().drawn_w = losac_tech::units::m_to_nm(w * 2.0);
-        let mode = ParasiticMode::DiffusionOnly(fb);
-        assert_eq!(ota.drawn_w(&mode, "mp1"), w);
-        // No feedback at all: the synthesised width.
-        assert_eq!(
-            ota.drawn_w(&ParasiticMode::None, "mp2"),
-            ota.devices["mp2"].w
-        );
     }
 
     #[test]

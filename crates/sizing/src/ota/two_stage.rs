@@ -21,34 +21,36 @@
 //! gm6/(2π·CL) and the right-half-plane zero gm6/(2π·Cc) leave the
 //! requested phase margin.
 
-use crate::eval::{Amplifier, InputDrive};
+use super::{build_netlist, parasitic_on, Modules, Pins};
+use crate::blocks::size_device;
+use crate::eval::{FnvHasher, InputDrive};
 use crate::feedback::ParasiticMode;
-use crate::ota::folded_cascode::{
-    add_routing_caps, diffusion_geometry, parasitic_on, SizedDevice, SizingError,
-};
+use crate::ota::folded_cascode::{SizedDevice, SizingError};
 use crate::specs::OtaSpecs;
-use crate::topology::{
-    GroupDevice, LayoutModule, MatchedGroup, SingleDevice, Topology, TopologyLayoutSpec,
-    TopologyPlan,
-};
-use losac_device::ekv::{evaluate, threshold};
-use losac_device::solve::{vgs_for_current, width_for_current, WidthBounds};
+use crate::topology::{Topology, TopologyLayoutSpec, TopologyPlan};
+use losac_device::ekv::evaluate;
+use losac_device::solve::vgs_for_current;
 use losac_device::Mosfet;
-use losac_sim::netlist::{Circuit, DiffGeom as SimDiffGeom, Waveform};
+use losac_sim::netlist::Circuit;
 use losac_tech::{Polarity, Technology};
 use std::collections::HashMap;
 
-/// The device names of the two-stage topology.
-pub const DEVICE_NAMES: [&str; 7] = ["mp1", "mp2", "mptail", "mn3", "mn4", "mn6", "mp7"];
-
-/// Circuit nets of the topology (excluding the input/bias sources).
-pub const SIGNAL_NETS: [&str; 5] = ["tail", "x0", "x1", "out", "vdd"];
-
-/// Nets that exist in the verification netlist (see
-/// [`add_routing_caps`]).
-fn is_internal_net(net: &str) -> bool {
-    SIGNAL_NETS.contains(&net) || net == "vinp" || net == "vinn"
-}
+/// The transistors and their drain, gate, source and bulk nets, in
+/// netlist (stamp) order.
+///
+/// The mirror diode sits on the *vinn* side: raising vinp starves x1,
+/// the second stage inverts, and out rises. So vinp is the
+/// non-inverting input, which is what the unity-buffer testbench (vinn
+/// wired to out) requires for negative feedback.
+pub const PINS: [Pins; 7] = [
+    Pins::new("mptail", "tail", "vp1", "vdd", "vdd"),
+    Pins::new("mp1", "x1", "vinp", "tail", "vdd"),
+    Pins::new("mp2", "x0", "vinn", "tail", "vdd"),
+    Pins::new("mn3", "x0", "x0", "gnd", "gnd"),
+    Pins::new("mn4", "x1", "x0", "gnd", "gnd"),
+    Pins::new("mn6", "out", "x1", "gnd", "gnd"),
+    Pins::new("mp7", "out", "vp2", "vdd", "vdd"),
+];
 
 /// A sized two-stage OTA.
 #[derive(Debug, Clone)]
@@ -158,7 +160,6 @@ impl TwoStagePlan {
         let i_stage2 = gm6 / gm_over_id_6;
         let _ = pm_est;
 
-        let bounds = WidthBounds::default();
         let mut devices = HashMap::new();
         let mut size = |name: &str,
                         pol: Polarity,
@@ -167,19 +168,8 @@ impl TwoStagePlan {
                         i: f64,
                         vds: f64|
          -> Result<(), SizingError> {
-            let params = tech.mos(pol);
-            let sgn = pol.sign();
-            let vgs = sgn * (threshold(params, 0.0) + veff);
-            let w = width_for_current(params, l, vgs, sgn * vds, 0.0, i, bounds)
-                .map_err(|e| SizingError::new(format!("{name}: {e}")))?;
-            devices.insert(
-                name.to_owned(),
-                SizedDevice {
-                    polarity: pol,
-                    w,
-                    l,
-                },
-            );
+            let d = size_device(name, tech, pol, l, veff, i, vds)?;
+            devices.insert(name.to_owned(), d);
             Ok(())
         };
 
@@ -249,139 +239,39 @@ impl TwoStagePlan {
     }
 }
 
-impl TwoStageOta {
-    /// Total quiescent current estimate (A): the first-stage tail plus
-    /// the second-stage branch.
-    pub fn supply_current_estimate(&self) -> f64 {
-        self.i_tail + self.i_stage2
+impl Topology for TwoStageOta {
+    fn topology_name(&self) -> &'static str {
+        "two_stage"
     }
 
-    /// Build the amplifier netlist for the requested testbench.
-    pub fn netlist(&self, tech: &Technology, mode: &ParasiticMode, drive: InputDrive) -> Circuit {
-        let mut c = Circuit::new();
-        c.vsource("vdd", "vdd", "0", self.specs.vdd);
-        c.vsource("vbp1", "vp1", "0", self.vp1);
-        c.vsource("vbp2", "vp2", "0", self.vp2);
-
-        let cm = self.specs.input_cm_bias();
-        let vinn_node = match drive {
-            InputDrive::Differential { dv } => {
-                c.vsource("vinp", "vinp", "0", cm + dv / 2.0);
-                c.vsource("vinn", "vinn", "0", cm - dv / 2.0);
-                "vinn"
-            }
-            InputDrive::UnityBuffer {
-                step_from,
-                step_to,
-                at,
-                rise,
-            } => {
-                c.vsource_tran(
-                    "vinp",
-                    "vinp",
-                    "0",
-                    step_from,
-                    Waveform::Step {
-                        level: step_to,
-                        at,
-                        rise,
-                    },
-                );
-                "out"
-            }
-        };
-
-        let mut mos = |name: &str, d: &str, g: &str, s: &str, b: &str| {
-            let dev = &self.devices[name];
-            let params = tech.mos(dev.polarity);
-            let w = self.drawn_w(mode, name);
-            let m = Mosfet::new(*params, w, dev.l);
-            let junction = match dev.polarity {
-                Polarity::Nmos => tech.caps.ndiff,
-                Polarity::Pmos => tech.caps.pdiff,
-            };
-            let dg = diffusion_geometry(tech, mode, name, &m, true);
-            let sg = diffusion_geometry(tech, mode, name, &m, false);
-            c.mos(
-                name,
-                d,
-                g,
-                s,
-                b,
-                m,
-                junction,
-                SimDiffGeom {
-                    area: dg.area,
-                    perimeter: dg.perimeter,
-                },
-                SimDiffGeom {
-                    area: sg.area,
-                    perimeter: sg.perimeter,
-                },
-            );
-        };
-
-        mos("mptail", "tail", "vp1", "vdd", "vdd");
-        // The mirror diode sits on the *vinn* side: raising vinp starves
-        // x1, the second stage inverts, and out rises — vinp is the
-        // non-inverting input, which is what the unity-buffer testbench
-        // (vinn wired to out) requires for negative feedback.
-        mos("mp1", "x1", "vinp", "tail", "vdd");
-        mos("mp2", "x0", vinn_node, "tail", "vdd");
-        mos("mn3", "x0", "x0", "0", "0");
-        mos("mn4", "x1", "x0", "0", "0");
-        mos("mn6", "out", "x1", "0", "0");
-        mos("mp7", "out", "vp2", "vdd", "vdd");
-
-        c.capacitor("cc", "x1", "out", self.cc);
-        c.capacitor("cload", "out", "0", self.specs.c_load);
-
-        // Routing, coupling and well parasitics (case 4 only).
-        add_routing_caps(&mut c, mode, is_internal_net);
-        c
-    }
-}
-
-impl Amplifier for TwoStageOta {
     fn specs(&self) -> &OtaSpecs {
         &self.specs
     }
 
     fn netlist(&self, tech: &Technology, mode: &ParasiticMode, drive: InputDrive) -> Circuit {
-        TwoStageOta::netlist(self, tech, mode, drive)
+        let bias = [("vbp1", "vp1", self.vp1), ("vbp2", "vp2", self.vp2)];
+        let caps = [("cc", "x1", "out", self.cc)];
+        build_netlist(self, &PINS, &bias, &caps, tech, mode, drive)
     }
 
     fn slew_estimate(&self) -> f64 {
         (self.i_tail / self.cc).min(self.i_stage2 / self.specs.c_load)
     }
 
-    fn fingerprint_discriminant(&self) -> &str {
-        "two_stage"
-    }
-
-    fn write_fingerprint(&self, h: &mut crate::eval::FnvHasher) -> bool {
+    fn write_fingerprint(&self, h: &mut FnvHasher) {
         crate::eval::hash_common_fingerprint(h, &self.devices, &self.specs);
         for v in [self.vp1, self.vp2, self.cc, self.i_tail, self.i_stage2] {
             h.write_f64(v);
         }
-        true
-    }
-}
-
-impl Topology for TwoStageOta {
-    fn topology_name(&self) -> &'static str {
-        "two_stage"
     }
 
     fn devices(&self) -> &HashMap<String, SizedDevice> {
         &self.devices
     }
 
-    fn devices_mut(&mut self) -> &mut HashMap<String, SizedDevice> {
-        &mut self.devices
-    }
-
     fn layout_spec(&self) -> TopologyLayoutSpec {
+        // Two paths from VDD to ground: the first-stage tail and the
+        // second-stage branch.
         let i_in = self.i_tail / 2.0;
         let net_currents: HashMap<String, f64> = [
             ("vdd", self.i_tail + self.i_stage2),
@@ -397,89 +287,25 @@ impl Topology for TwoStageOta {
         // The Miller capacitor is a netlist-only element today: the
         // layout tool places and routes transistors, so `cc` contributes
         // neither area nor routing parasitics to the feedback.
+        let m = Modules::new(&PINS, &self.devices);
         TopologyLayoutSpec {
             cell_name: "two_stage_ota",
             modules: vec![
                 // 0: input pair — shares the tail source net.
-                LayoutModule::Group(MatchedGroup {
-                    name: "pair".into(),
-                    polarity: Polarity::Pmos,
-                    source_net: "tail".into(),
-                    bulk_net: "vdd".into(),
-                    is_input_pair: true,
-                    devices: vec![
-                        GroupDevice {
-                            name: "mp1".into(),
-                            drain_net: "x1".into(),
-                            gate_net: "vinp".into(),
-                        },
-                        GroupDevice {
-                            name: "mp2".into(),
-                            drain_net: "x0".into(),
-                            gate_net: "vinn".into(),
-                        },
-                    ],
-                }),
+                m.group("pair", true, &["mp1", "mp2"]),
                 // 1: tail current source.
-                LayoutModule::Single(SingleDevice {
-                    name: "mptail".into(),
-                    polarity: Polarity::Pmos,
-                    d: "tail".into(),
-                    g: "vp1".into(),
-                    s: "vdd".into(),
-                    b: "vdd".into(),
-                }),
+                m.single("mptail"),
                 // 2: first-stage NMOS mirror (mn3 is the diode).
-                LayoutModule::Group(MatchedGroup {
-                    name: "mirror".into(),
-                    polarity: Polarity::Nmos,
-                    source_net: "gnd".into(),
-                    bulk_net: "gnd".into(),
-                    is_input_pair: false,
-                    devices: vec![
-                        GroupDevice {
-                            name: "mn3".into(),
-                            drain_net: "x0".into(),
-                            gate_net: "x0".into(),
-                        },
-                        GroupDevice {
-                            name: "mn4".into(),
-                            drain_net: "x1".into(),
-                            gate_net: "x0".into(),
-                        },
-                    ],
-                }),
+                m.group("mirror", false, &["mn3", "mn4"]),
                 // 3: second-stage common source.
-                LayoutModule::Single(SingleDevice {
-                    name: "mn6".into(),
-                    polarity: Polarity::Nmos,
-                    d: "out".into(),
-                    g: "x1".into(),
-                    s: "gnd".into(),
-                    b: "gnd".into(),
-                }),
+                m.single("mn6"),
                 // 4: second-stage current source.
-                LayoutModule::Single(SingleDevice {
-                    name: "mp7".into(),
-                    polarity: Polarity::Pmos,
-                    d: "out".into(),
-                    g: "vp2".into(),
-                    s: "vdd".into(),
-                    b: "vdd".into(),
-                }),
+                m.single("mp7"),
             ],
             // NMOS row at the bottom, PMOS row at the top.
             placement_rows: vec![vec![2, 3], vec![0, 1, 4]],
             net_currents,
         }
-    }
-
-    fn supply_current_estimate(&self) -> f64 {
-        TwoStageOta::supply_current_estimate(self)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -515,7 +341,7 @@ mod tests {
     #[test]
     fn sizing_produces_all_devices() {
         let (_, ota) = setup();
-        for name in DEVICE_NAMES {
+        for Pins { name, .. } in PINS {
             assert!(ota.devices.contains_key(name), "missing {name}");
         }
         assert!(ota.cc > 0.0);
@@ -548,16 +374,15 @@ mod tests {
         // Two paths from VDD to ground: the first-stage tail (splitting
         // into two equal i_tail/2 branches through the mirror) and the
         // second-stage branch through mp7/mn6. Nothing else conducts.
-        assert_eq!(ota.supply_current_estimate(), ota.i_tail + ota.i_stage2);
+        let supply = ota.layout_spec().net_currents["vdd"];
+        assert_eq!(supply, ota.i_tail + ota.i_stage2);
         let i_in = ota.i_tail / 2.0;
         assert_eq!(
             i_in + i_in + ota.i_stage2,
-            ota.supply_current_estimate(),
-            "branch currents must add up to the supply estimate"
+            supply,
+            "branch currents must add up to the supply current"
         );
         assert!(ota.i_tail > 0.0 && ota.i_stage2 > 0.0);
-        let topo: &dyn Topology = &ota;
-        assert_eq!(topo.supply_current_estimate(), ota.i_tail + ota.i_stage2);
     }
 
     #[test]
@@ -570,7 +395,7 @@ mod tests {
         );
         let sol =
             losac_sim::dc::dc_operating_point(&c, &losac_sim::dc::DcOptions::default()).unwrap();
-        for name in DEVICE_NAMES {
+        for Pins { name, .. } in PINS {
             assert!(sol.mos_op(name).unwrap().id > 1e-7, "{name} off");
         }
     }

@@ -21,6 +21,10 @@ pub struct OtaSpecs {
 }
 
 impl OtaSpecs {
+    /// The open interval of supply voltages (V) [`OtaSpecs::validate`]
+    /// accepts.
+    pub const VDD_RANGE: (f64, f64) = (0.5, 20.0);
+
     /// The paper's example specification: VDD = 3.3 V, GBW = 65 MHz,
     /// PM = 65°, CL = 3 pF, ICMR = [−0.55, 1.84] V,
     /// output range = [0.51, 2.31] V.
@@ -53,7 +57,8 @@ impl OtaSpecs {
     ///
     /// Returns a message describing the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.vdd > 0.5 && self.vdd < 20.0) {
+        let (vdd_lo, vdd_hi) = Self::VDD_RANGE;
+        if !(self.vdd > vdd_lo && self.vdd < vdd_hi) {
             return Err(format!("vdd = {} V implausible", self.vdd));
         }
         if !(self.gbw > 1e3 && self.gbw < 100e9) {

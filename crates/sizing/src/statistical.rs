@@ -117,9 +117,9 @@ pub fn offset_monte_carlo_topology(
             (Some(a), Some(b)) => a.min(b),
             (Some(a), None) => a,
             (None, Some(b)) => b,
-            // No current information at all: split the supply estimate
+            // No current information at all: split the supply current
             // across the group as a coarse floor.
-            (None, None) => topo.supply_current_estimate() / (2.0 * g.devices.len() as f64),
+            (None, None) => spec.net_currents["vdd"] / (2.0 * g.devices.len() as f64),
         }
     };
 

@@ -3,22 +3,24 @@
 //! The paper's contribution is a *methodology* — sizing and layout
 //! coupled in a loop — not a folded-cascode program. This module is the
 //! contract that keeps the loop topology-generic: a [`Topology`] is an
-//! [`Amplifier`] that additionally tells the layout planner how its
-//! devices group into matched stacks, how they place into rows, and what
-//! currents its nets carry; a [`TopologyPlan`] is the knowledge-based
-//! sizing procedure that produces one. The flow (`losac-core`), the
-//! layout planner and the batch engine (`losac-engine`) all speak these
-//! two traits; adding a topology is a data-only addition against them.
+//! amplifier the measurement pipeline can characterise that also tells
+//! the layout planner how its devices group into matched stacks, how
+//! they place into rows, and what currents its nets carry; a
+//! [`TopologyPlan`] is the knowledge-based sizing procedure that
+//! produces one. The flow (`losac-core`), the layout planner and the
+//! batch engine (`losac-engine`) all speak these two traits; adding a
+//! topology is a data-only addition against them.
 //!
 //! The layout description ([`TopologyLayoutSpec`]) is deliberately plain
 //! data — names, nets, polarities, row indices — so `losac-sizing` does
 //! not depend on the layout crate. `losac-core` translates it into an
 //! executable `LayoutPlan` (fold policies, finger widths, slicing tree).
 
-use crate::eval::Amplifier;
-use crate::feedback::{LayoutFeedback, ParasiticMode};
+use crate::eval::{FnvHasher, InputDrive};
+use crate::feedback::ParasiticMode;
 use crate::ota::folded_cascode::{SizedDevice, SizingError};
 use crate::specs::OtaSpecs;
+use losac_sim::netlist::Circuit;
 use losac_tech::{Polarity, Technology};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -83,17 +85,6 @@ pub enum LayoutModule {
     Single(SingleDevice),
 }
 
-impl LayoutModule {
-    /// Name of the module's first (or only) device — the one whose size
-    /// decides the module's finger geometry.
-    pub fn lead_device(&self) -> &str {
-        match self {
-            LayoutModule::Group(g) => &g.devices[0].name,
-            LayoutModule::Single(s) => &s.name,
-        }
-    }
-}
-
 /// Everything the layout planner needs to know about a topology: its
 /// modules (matched groups and standalone devices), their placement into
 /// rows, and the current each net carries (for electromigration-aware
@@ -110,74 +101,54 @@ pub struct TopologyLayoutSpec {
     /// PMOS rows sharing a well region at the top).
     pub placement_rows: Vec<Vec<usize>>,
     /// Current carried by each signal net (A). Gate/bias nets carry none
-    /// and are omitted.
+    /// and are omitted; the `vdd` entry is the total supply current.
     pub net_currents: HashMap<String, f64>,
 }
 
-/// An amplifier the full sizing↔layout loop can drive — the object-safe
-/// extension of [`Amplifier`] with everything the loop actually needs
-/// beyond evaluation: the sized-device map, the matched-group/placement
-/// metadata for the layout planner, feedback application and a supply
-/// current estimate.
+/// An amplifier the full sizing↔layout loop can drive: everything the
+/// measurement pipeline ([`crate::eval`]) needs to characterise it, plus
+/// the sized-device map and the matched-group/placement metadata for the
+/// layout planner.
 ///
 /// All methods are object-safe; the flow holds topologies as
-/// `Box<dyn Topology>` / `Arc<dyn Topology>` and upcasts to
-/// `&dyn Amplifier` for evaluation.
-pub trait Topology: Amplifier + std::fmt::Debug + Send + Sync {
-    /// Stable topology name; also the registry key and the cache-key
-    /// discriminant (see [`Amplifier::fingerprint_discriminant`]).
+/// `Box<dyn Topology>` / `Arc<dyn Topology>`. A new topology gets the
+/// whole Table-1 measurement suite and the layout loop by implementing
+/// these seven methods.
+pub trait Topology: std::fmt::Debug + Send + Sync {
+    /// Stable topology name: the registry key, and the prefix of every
+    /// [`EvalCache`](crate::EvalCache) key, so two topologies whose
+    /// fingerprints happen to emit identical bytes never alias.
     fn topology_name(&self) -> &'static str;
+
+    /// The specification the amplifier was sized for.
+    fn specs(&self) -> &OtaSpecs;
+
+    /// Build the amplifier netlist in the requested testbench, with
+    /// parasitics per `mode`. Sources must be named `vinp`/`vinn`, the
+    /// supply `vdd`, and the output node `out`.
+    fn netlist(&self, tech: &Technology, mode: &ParasiticMode, drive: InputDrive) -> Circuit;
+
+    /// Rough slew-rate estimate (V/s), used only to choose the transient
+    /// time scale.
+    fn slew_estimate(&self) -> f64;
+
+    /// Mix every field that influences [`Topology::netlist`] and
+    /// [`Topology::slew_estimate`] — geometries, bias points, passives
+    /// and specs — into `h`. The hasher records the exact byte stream
+    /// alongside the hash, so the cache verifies the full key on lookup
+    /// and a 64-bit hash collision can never alias two designs; a field
+    /// left out, though, lets two designs that differ only in it share a
+    /// key. [`FnvHasher`] keeps float quantisation uniform across the
+    /// whole key.
+    fn write_fingerprint(&self, h: &mut FnvHasher);
 
     /// The sized devices by name.
     fn devices(&self) -> &HashMap<String, SizedDevice>;
 
-    /// Mutable access to the sized devices (used by
-    /// [`apply_feedback`](Topology::apply_feedback)).
-    fn devices_mut(&mut self) -> &mut HashMap<String, SizedDevice>;
-
     /// The layout description: matched groups, standalone devices,
-    /// placement rows and net currents.
+    /// placement rows and net currents. The supply current is the `vdd`
+    /// entry of [`TopologyLayoutSpec::net_currents`].
     fn layout_spec(&self) -> TopologyLayoutSpec;
-
-    /// Total quiescent current drawn from the supply (A).
-    fn supply_current_estimate(&self) -> f64;
-
-    /// Drawn width of a device (m): the layout feedback's grid-snapped
-    /// width when it corresponds to *this* sizing (within 5 %), the
-    /// synthesised width otherwise. Feedback carried over from a
-    /// previous sizing iteration describes the old geometry and must not
-    /// override freshly computed widths — only the final snap of the
-    /// same widths.
-    fn drawn_w(&self, mode: &ParasiticMode, name: &str) -> f64 {
-        let w = self.devices()[name].w;
-        if let Some(fb) = mode.feedback() {
-            if let Some(d) = fb.device(name) {
-                let drawn = d.drawn_w as f64 * 1e-9;
-                if (drawn - w).abs() <= 0.05 * w {
-                    return drawn;
-                }
-            }
-        }
-        w
-    }
-
-    /// Absorb layout feedback into the stored sizing: snap each device's
-    /// width to the drawn width reported by the layout tool, with the
-    /// same 5 % guard as [`drawn_w`](Topology::drawn_w).
-    fn apply_feedback(&mut self, fb: &LayoutFeedback) {
-        for (name, dev) in self.devices_mut().iter_mut() {
-            if let Some(f) = fb.devices.get(name) {
-                let drawn = f.drawn_w as f64 * 1e-9;
-                if (drawn - dev.w).abs() <= 0.05 * dev.w {
-                    dev.w = drawn;
-                }
-            }
-        }
-    }
-
-    /// The concrete type, for callers that need topology-specific data
-    /// (bias voltages, branch currents) behind the object.
-    fn as_any(&self) -> &dyn std::any::Any;
 }
 
 /// A knowledge-based sizing procedure that produces a [`Topology`] —
@@ -287,8 +258,8 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(topo.topology_name(), name);
             assert!(!topo.devices().is_empty());
-            assert!(topo.supply_current_estimate() > 0.0, "{name}");
             let spec = topo.layout_spec();
+            assert!(spec.net_currents["vdd"] > 0.0, "{name}");
             assert!(!spec.modules.is_empty());
             // Every module index in the rows refers to a real module, and
             // every module is placed exactly once.

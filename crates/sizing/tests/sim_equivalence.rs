@@ -12,7 +12,7 @@ use losac_sim::ac::{ac_sweep, ac_sweep_on, AcOptions};
 use losac_sim::dc::{dc_operating_point, DcOptions};
 use losac_sim::linear::Linearized;
 use losac_sizing::eval::{evaluate_with, EvalCache, EvalOptions, InputDrive, Performance};
-use losac_sizing::{FoldedCascodeOta, FoldedCascodePlan, OtaSpecs, ParasiticMode};
+use losac_sizing::{FoldedCascodeOta, FoldedCascodePlan, OtaSpecs, ParasiticMode, Topology};
 use losac_tech::Technology;
 use std::sync::Arc;
 

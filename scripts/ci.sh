@@ -64,6 +64,15 @@ if ! LOSAC_LOG=off cargo test -q --release --workspace; then
     fail=1
 fi
 
+# The benchmark package builds against the workspace crates by path, so
+# an API change that breaks it shows here, not first when the benchmark
+# runs. --locked keeps the step from rewriting perfbench/Cargo.lock.
+echo "==> perfbench builds and passes its unit tests"
+if ! cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml --bins; then
+    echo "FAIL: perfbench"
+    fail=1
+fi
+
 # Topology smoke gate: every built-in topology, selected by name through
 # the registry CLI path, must complete the full parasitic loop — and the
 # binary itself asserts the parallel run is bitwise identical to serial.

@@ -4,7 +4,7 @@
 //! transconductances reappear in the simulated operating point.
 
 use losac::sim::dc::{dc_operating_point, DcOptions};
-use losac::sizing::{FoldedCascodePlan, InputDrive, OtaSpecs, ParasiticMode};
+use losac::sizing::{FoldedCascodePlan, InputDrive, OtaSpecs, ParasiticMode, Topology};
 use losac::tech::Technology;
 
 #[test]
@@ -43,7 +43,7 @@ fn planned_currents_match_the_simulated_operating_point() {
 
     // Total supply current ≈ the plan's estimate.
     let i_dd = sol.supply_current(&c, "vdd");
-    let est = ota.supply_current_estimate();
+    let est = ota.layout_spec().net_currents["vdd"];
     assert!(
         (i_dd - est).abs() / est < 0.25,
         "supply: estimated {:.0} µA vs simulated {:.0} µA",

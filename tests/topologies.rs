@@ -5,6 +5,10 @@
 
 use losac::engine::{Engine, EngineOptions, SweepBuilder};
 use losac::flow::prelude::*;
+use losac::sim::netlist::Element;
+use losac::sizing::ota::{folded_cascode, telescopic, two_stage, Pins};
+use losac::sizing::{InputDrive, LayoutFeedback, ParasiticMode};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn perf_bits(p: &Performance) -> [u64; 11] {
@@ -111,5 +115,62 @@ fn mixed_topology_batch_is_bitwise_deterministic_across_worker_counts() {
             p.ota.topology_name(),
             "job {i}: topology mixed up across worker counts"
         );
+    }
+}
+
+#[test]
+fn routing_caps_land_on_the_signal_and_input_nets_only() {
+    // A net capacitance on every net of a topology's pin table, plus `0`:
+    // exactly the signal nets and the two inputs take one. Ground and the
+    // bias nets are driven ideally by the testbench, and the layout
+    // reports parasitics on nets the netlist must not grow.
+    let cases: [(&str, &[Pins], &[&str]); 3] = [
+        (
+            "folded_cascode",
+            &folded_cascode::PINS,
+            &[
+                "tail", "f1", "f2", "m", "a", "b", "out", "vdd", "vinp", "vinn",
+            ],
+        ),
+        (
+            "telescopic",
+            &telescopic::PINS,
+            &[
+                "tail", "x1", "x2", "y1", "z1", "z2", "out", "vdd", "vinp", "vinn",
+            ],
+        ),
+        (
+            "two_stage",
+            &two_stage::PINS,
+            &["tail", "x0", "x1", "out", "vdd", "vinp", "vinn"],
+        ),
+    ];
+    let tech = Technology::cmos06();
+    let registry = TopologyRegistry::builtin();
+    for (name, pins, want) in cases {
+        let plan = registry.get(name).expect("registered topology");
+        let ota = plan
+            .size_topology(&tech, &plan.example_specs(), &ParasiticMode::None)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut fb = LayoutFeedback::default();
+        for net in pins.iter().flat_map(|p| [p.d, p.g, p.s, p.b]).chain(["0"]) {
+            fb.net_caps.insert(net.to_owned(), 1e-15);
+        }
+        let c = ota.netlist(
+            &tech,
+            &ParasiticMode::Full(fb),
+            InputDrive::Differential { dv: 0.0 },
+        );
+        let got: BTreeSet<&str> = c
+            .elements()
+            .iter()
+            .filter_map(|e| match e {
+                Element::Capacitor { name, a, .. } if name.starts_with("cr") => {
+                    Some(c.node_name(*a))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(got, want.iter().copied().collect(), "{name}");
     }
 }

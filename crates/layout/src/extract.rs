@@ -31,20 +31,6 @@ pub struct Extraction {
 }
 
 impl Extraction {
-    /// Total capacitance loading `net`: ground capacitance plus every
-    /// coupling capacitance it participates in (worst-case lumping —
-    /// treats the aggressor as AC ground).
-    pub fn total_on(&self, net: &str) -> f64 {
-        let mut c = self.net_cap.get(net).copied().unwrap_or(0.0)
-            + self.well_cap.get(net).copied().unwrap_or(0.0);
-        for ((a, b), v) in &self.coupling {
-            if a == net || b == net {
-                c += v;
-            }
-        }
-        c
-    }
-
     /// Coupling between two nets, order-insensitive (F).
     pub fn coupling_between(&self, a: &str, b: &str) -> f64 {
         let key = ordered(a, b);
@@ -316,24 +302,5 @@ mod tests {
         let x = extract_default(&t, &c);
         let expected = t.caps.nwell.capacitance_zero_bias(200e-12, 60e-6);
         assert!((x.well_cap["vdd"] - expected).abs() < 1e-18);
-    }
-
-    #[test]
-    fn total_on_lumps_coupling() {
-        let t = tech();
-        let mut c = Cell::new("t");
-        c.draw_net(
-            Layer::Metal1,
-            Rect::from_size(0, 0, um(100.0), um(1.0)),
-            "a",
-        );
-        c.draw_net(
-            Layer::Metal1,
-            Rect::from_size(0, um(1.8), um(100.0), um(1.0)),
-            "b",
-        );
-        let x = extract_default(&t, &c);
-        let total = x.total_on("a");
-        assert!(total > x.net_cap["a"], "coupling adds to the lumped total");
     }
 }

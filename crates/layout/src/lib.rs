@@ -60,6 +60,6 @@ pub use extract::Extraction;
 pub use geom::{Point, Rect};
 pub use guard::{guard_ring, GuardKind, GuardRing};
 pub use plan::{DeviceDef, FoldPolicy, GeneratedLayout, LayoutPlan, Module, ParasiticReport};
-pub use row::{build_row, Finger, Row, RowSpec};
+pub use row::{build_row, row_size, Finger, Row, RowLayout, RowSpec};
 pub use slicing::{ShapeConstraint, SlicingTree};
 pub use stack::{plan_stack, StackDevice, StackSpec, StackStyle};

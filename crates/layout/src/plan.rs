@@ -10,17 +10,19 @@
 //!   the shape constraint, wires are routed with reliability-driven
 //!   widths, and the resulting folding styles, diffusion geometries,
 //!   routing/coupling capacitances and well capacitances are reported
-//!   back to the sizing tool. (Procedural generation is so fast that this
-//!   mode simply runs the full generator and returns the report; the
-//!   distinction that mattered in 2000 — not touching the layout
-//!   database — is moot for an in-memory tool.)
+//!   back to the sizing tool. As in the paper, the area optimisation
+//!   commits no geometry: the shape functions *measure* every fold
+//!   candidate with [`row_size`], which runs the row routine into a
+//!   bounding box. Only the chosen realisation is drawn, once per module,
+//!   and then routed and extracted, since the report's routing and
+//!   coupling capacitances come from that geometry.
 //! * [`LayoutPlan::generate`] — the *generation mode*: the same pipeline,
 //!   returning the physical layout cell as well.
 
 use crate::cell::Cell;
 use crate::extract::{extract_default, Extraction};
 use crate::route::{channel_demand, route_rows, RouteOptions, RouteReport};
-use crate::row::{build_row, min_finger_width, Finger, Row, RowSpec};
+use crate::row::{build_row, min_finger_width, row_size, Row, RowLayout};
 use crate::shape::{ShapeFunction, Variant};
 use crate::slicing::{optimize_xy, Realization, ShapeConstraint, SlicingTree};
 use crate::stack::{plan_stack, stack_row_spec, StackPlan, StackSpec};
@@ -279,9 +281,11 @@ impl LayoutPlan {
             return Err(PlanError::new("a plan needs at least one module"));
         }
         // 1. Shape functions per module. For devices: one variant per
-        //    admissible fold count; the row builder gives exact bounding
-        //    boxes. For stacks: one fixed variant.
+        //    admissible fold count; the row routine measures its exact
+        //    bounding box without drawing it. For stacks: one fixed
+        //    variant.
         let shape_span = losac_obs::span("layout.shapes");
+        let row_err = |name: &str, e| PlanError::new(format!("{name}: {e}"));
         let mut shapes: Vec<ShapeFunction> = Vec::with_capacity(self.modules.len());
         let mut stack_plans: HashMap<String, StackPlan> = HashMap::new();
         for m in &self.modules {
@@ -289,14 +293,9 @@ impl LayoutPlan {
                 Module::Device(def) => {
                     let mut variants = Vec::new();
                     for nf in self.fold_candidates(tech, def)? {
-                        let spec = self.device_rowspec(tech, def, nf)?;
-                        let row = build_row(tech, &spec)
-                            .map_err(|e| PlanError::new(format!("{}: {e}", def.name)))?;
-                        variants.push(Variant {
-                            w: row.cell.width(),
-                            h: row.cell.height(),
-                            tag: nf,
-                        });
+                        let (w, h) = row_size(tech, &self.folded(tech, def, nf)?)
+                            .map_err(|e| row_err(&def.name, e))?;
+                        variants.push(Variant { w, h, tag: nf });
                     }
                     if variants.is_empty() {
                         return Err(PlanError::new(format!(
@@ -309,11 +308,10 @@ impl LayoutPlan {
                 Module::Stack(spec) => {
                     let plan = plan_stack(spec)
                         .map_err(|e| PlanError::new(format!("{}: {e}", spec.name)))?;
-                    let rowspec = stack_row_spec(spec, &plan);
-                    let row = build_row(tech, &rowspec)
-                        .map_err(|e| PlanError::new(format!("{}: {e}", spec.name)))?;
+                    let (w, h) = row_size(tech, &stack_row_spec(spec, &plan))
+                        .map_err(|e| row_err(&spec.name, e))?;
                     stack_plans.insert(spec.name.clone(), plan);
-                    shapes.push(ShapeFunction::fixed(row.cell.width(), row.cell.height(), 0));
+                    shapes.push(ShapeFunction::fixed(w, h, 0));
                 }
             }
         }
@@ -324,55 +322,40 @@ impl LayoutPlan {
         //    routing demand of the channels between the module rows, and
         //    re-place with the vertical spacing the channels need.
         let place_span = losac_obs::span("layout.place");
-        type Built = (
-            Realization,
-            Cell,
-            HashMap<String, DeviceLayout>,
-            bool,
-            Vec<(Nm, Nm)>,
-        );
-        let place_and_build = |spacing_y: Nm| -> Result<Built, PlanError> {
+        // The drawn row of each module, tagged with its variant (the fold
+        // count; 0 for a stack): the second pass reuses every row the
+        // first drew for the same choice.
+        let mut drawn: Vec<Option<(u32, Row)>> = vec![None; self.modules.len()];
+        let mut place_and_build = |spacing_y: Nm| -> Result<_, PlanError> {
             let realization =
                 optimize_xy(&self.tree, &shapes, (self.spacing, spacing_y), constraint)
                     .map_err(|e| PlanError::new(e.to_string()))?;
             let mut top = Cell::new(self.name.clone());
-            let mut devices: HashMap<String, DeviceLayout> = HashMap::new();
-            let mut em_clean = true;
             let mut spans: Vec<(Nm, Nm)> = Vec::new();
             for (idx, m) in self.modules.iter().enumerate() {
                 let (x, y) = realization.positions.get(&idx).copied().ok_or_else(|| {
                     PlanError::new(format!("module {idx} missing from the realisation"))
                 })?;
-                let row = match m {
-                    Module::Device(def) => {
-                        let nf = realization.choices[&idx];
-                        let spec = self.device_rowspec(tech, def, nf)?;
-                        let row = build_row(tech, &spec)
-                            .map_err(|e| PlanError::new(format!("{}: {e}", def.name)))?;
-                        devices.insert(def.name.clone(), device_layout(tech, def, nf, &row));
-                        row
-                    }
-                    Module::Stack(spec) => {
-                        let plan = &stack_plans[&spec.name];
-                        let rowspec = stack_row_spec(spec, plan);
-                        let row = build_row(tech, &rowspec)
-                            .map_err(|e| PlanError::new(format!("{}: {e}", spec.name)))?;
-                        for (dev, dl) in stack_device_layouts(tech, spec, plan) {
-                            devices.insert(dev, dl);
+                let tag = realization.choices[&idx];
+                if !matches!(&drawn[idx], Some((t, _)) if *t == tag) {
+                    let row = match m {
+                        Module::Device(def) => build_row(tech, &self.folded(tech, def, tag)?),
+                        Module::Stack(spec) => {
+                            build_row(tech, &stack_row_spec(spec, &stack_plans[&spec.name]))
                         }
-                        row
-                    }
-                };
-                em_clean &= row.em_clean;
+                    };
+                    drawn[idx] = Some((tag, row.map_err(|e| row_err(m.name(), e))?));
+                }
+                let row = &drawn[idx].as_ref().expect("drawn above").1;
                 // Normalise the module so its bbox lower-left sits at (x, y).
                 let bb = row.cell.bbox().expect("module has geometry");
                 top.place(&row.cell, x - bb.x0, y - bb.y0, m.name());
                 spans.push((y, y + bb.height()));
             }
-            Ok((realization, top, devices, em_clean, cluster_rows(spans)))
+            Ok((realization, top, cluster_rows(spans)))
         };
 
-        let (_, dry_top, _, _, dry_rows) = place_and_build(self.spacing)?;
+        let (_, dry_top, dry_rows) = place_and_build(self.spacing)?;
         let demand = channel_demand(&dry_top, &dry_rows);
         // Interior channels need room for their tracks: per net one track
         // width (EM-widened nets are rare; budget 2× minimum) plus the
@@ -389,7 +372,21 @@ impl LayoutPlan {
             .unwrap_or(0);
         let spacing_y = self.spacing.max(tech.snap_up(interior_need));
 
-        let (realization, mut top, devices, em_clean, rows) = place_and_build(spacing_y)?;
+        let (realization, mut top, rows) = place_and_build(spacing_y)?;
+        let mut devices: HashMap<String, DeviceLayout> = HashMap::new();
+        let mut em_clean = true;
+        for (m, (nf, row)) in self.modules.iter().zip(drawn.iter().flatten()) {
+            em_clean &= row.em_clean;
+            match m {
+                Module::Device(def) => {
+                    let dev = self.folded(tech, def, *nf)?;
+                    devices.insert(def.name.clone(), device_layout(&dev, row));
+                }
+                Module::Stack(spec) => {
+                    devices.extend(stack_device_layouts(tech, spec, &stack_plans[&spec.name]));
+                }
+            }
+        }
         drop(place_span);
 
         // 4. Channel routing between the rows.
@@ -445,8 +442,17 @@ impl LayoutPlan {
     }
 
     /// Admissible fold counts for a device under its policy: every count
-    /// whose finger is at least one contactable width.
-    fn fold_candidates(&self, tech: &Technology, def: &DeviceDef) -> Result<Vec<u32>, PlanError> {
+    /// whose finger is at least one contactable width. These are the
+    /// variants of the device's shape function.
+    ///
+    /// # Errors
+    ///
+    /// Fails when no count fits the policy.
+    pub fn fold_candidates(
+        &self,
+        tech: &Technology,
+        def: &DeviceDef,
+    ) -> Result<Vec<u32>, PlanError> {
         let min_wf = min_finger_width(tech);
         let nf_max = ((def.w / min_wf) as u32).max(1);
         let all: Vec<u32> = match def.policy {
@@ -473,51 +479,78 @@ impl LayoutPlan {
         Ok(ok)
     }
 
-    /// RowSpec of a single device folded `nf` times.
-    fn device_rowspec(
-        &self,
+    /// The row of `def` folded `nf` times, read in place: the shape
+    /// step measures it and the placement draws it.
+    ///
+    /// # Errors
+    ///
+    /// Fails for a zero fold count.
+    pub fn folded<'a>(
+        &'a self,
         tech: &Technology,
-        def: &DeviceDef,
+        def: &'a DeviceDef,
         nf: u32,
-    ) -> Result<RowSpec, PlanError> {
+    ) -> Result<FoldedDevice<'a>, PlanError> {
         if nf == 0 {
             return Err(PlanError::new(format!("{}: zero folds", def.name)));
         }
-        let finger_w = tech.snap(def.w / nf as Nm).max(min_finger_width(tech));
-        // Strip pattern: even fold counts put the drain inside
-        // (s d s … d s); odd counts start with a drain end (d s d …).
-        let n = nf as usize;
-        let strip_nets: Vec<String> = (0..=n)
-            .map(|i| {
-                let drain = if n.is_multiple_of(2) {
-                    i % 2 == 1
-                } else {
-                    i % 2 == 0
-                };
-                if drain {
-                    def.d.clone()
-                } else {
-                    def.s.clone()
-                }
-            })
-            .collect();
-        let fingers: Vec<Finger> = (0..n)
-            .map(|i| Finger {
-                gate_net: def.g.clone(),
-                device: Some(def.name.clone()),
-                flipped: i % 2 == 1,
-            })
-            .collect();
-        Ok(RowSpec {
-            name: def.name.clone(),
-            polarity: def.polarity,
-            finger_w,
+        Ok(FoldedDevice {
+            def,
+            folds: nf as usize,
+            finger_w: tech.snap(def.w / nf as Nm).max(min_finger_width(tech)),
             gate_l: def.l.max(tech.rules.poly_width),
-            strip_nets,
-            fingers,
-            bulk_net: def.b.clone(),
-            net_currents: self.net_currents.clone(),
+            net_currents: &self.net_currents,
         })
+    }
+}
+
+/// A single device folded into a row of equal fingers, borrowed from its
+/// [`DeviceDef`] and the plan's net currents. Even fold counts put the
+/// drain inside (s d s … d s); odd counts start with a drain end
+/// (d s d …).
+#[derive(Debug, Clone, Copy)]
+pub struct FoldedDevice<'a> {
+    def: &'a DeviceDef,
+    folds: usize,
+    finger_w: Nm,
+    gate_l: Nm,
+    net_currents: &'a HashMap<String, f64>,
+}
+
+impl RowLayout for FoldedDevice<'_> {
+    fn name(&self) -> &str {
+        &self.def.name
+    }
+    fn polarity(&self) -> Polarity {
+        self.def.polarity
+    }
+    fn finger_w(&self) -> Nm {
+        self.finger_w
+    }
+    fn gate_l(&self) -> Nm {
+        self.gate_l
+    }
+    fn fingers(&self) -> usize {
+        self.folds
+    }
+    fn strips(&self) -> usize {
+        self.folds + 1
+    }
+    fn strip_net(&self, i: usize) -> &str {
+        if (i % 2 == 1) == self.folds.is_multiple_of(2) {
+            &self.def.d
+        } else {
+            &self.def.s
+        }
+    }
+    fn gate_net(&self, _: usize) -> Option<&str> {
+        Some(&self.def.g)
+    }
+    fn bulk_net(&self) -> &str {
+        &self.def.b
+    }
+    fn net_current(&self, net: &str) -> f64 {
+        self.net_currents.get(net).copied().unwrap_or(0.0)
     }
 }
 
@@ -538,13 +571,13 @@ fn cluster_rows(mut spans: Vec<(Nm, Nm)>) -> Vec<(Nm, Nm)> {
     rows
 }
 
-/// Extract the per-device layout report from a built single-device row.
-fn device_layout(tech: &Technology, def: &DeviceDef, nf: u32, row: &Row) -> DeviceLayout {
-    let finger_w = tech.snap(def.w / nf as Nm).max(min_finger_width(tech));
+/// Extract the per-device layout report from a single device's drawn row.
+fn device_layout(dev: &FoldedDevice, row: &Row) -> DeviceLayout {
+    let def = dev.def;
     DeviceLayout {
-        folds: nf,
-        finger_w,
-        drawn_w: finger_w * nf as Nm,
+        folds: dev.folds as u32,
+        finger_w: dev.finger_w,
+        drawn_w: dev.finger_w * dev.folds as Nm,
         drain: DiffGeom {
             area: row.diff_area.get(&def.d).copied().unwrap_or(0.0),
             perimeter: row.diff_perimeter.get(&def.d).copied().unwrap_or(0.0),

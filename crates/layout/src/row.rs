@@ -17,8 +17,12 @@
 //! * ports for every net.
 //!
 //! All device generators (single folded transistor, interdigitated /
-//! common-centroid pairs, current-mirror stacks) reduce to a [`RowSpec`],
-//! which is what makes their matching patterns easy to test.
+//! common-centroid pairs, current-mirror stacks) reduce to a
+//! [`RowLayout`], which is what makes their matching patterns easy to
+//! test. One routine holds the row arithmetic: [`build_row`] runs it into
+//! a [`Cell`], and [`row_size`] runs it into a bounding box, which is how
+//! a plan's shape functions measure every fold candidate without drawing
+//! it.
 
 use crate::cell::Cell;
 use crate::geom::Rect;
@@ -60,6 +64,68 @@ pub struct RowSpec {
     /// Total DC current carried by each net (A), for electromigration
     /// sizing. Missing nets are treated as signal-level (minimum widths).
     pub net_currents: HashMap<String, f64>,
+}
+
+/// A transistor row as the row routine reads it. [`RowSpec`] spells a
+/// row out; a plan's folded device ([`crate::plan::FoldedDevice`])
+/// derives its strips and fingers from the device and its fold count, so
+/// measuring a fold candidate allocates nothing per strip or finger.
+pub trait RowLayout {
+    /// Cell name.
+    fn name(&self) -> &str;
+    /// Device polarity of the whole row.
+    fn polarity(&self) -> Polarity;
+    /// Channel width of each finger (nm).
+    fn finger_w(&self) -> Nm;
+    /// Drawn channel length (nm).
+    fn gate_l(&self) -> Nm;
+    /// Number of fingers.
+    fn fingers(&self) -> usize;
+    /// Number of diffusion strips; a well-formed row has fingers + 1.
+    fn strips(&self) -> usize;
+    /// Net of diffusion strip `i`, counted from the left.
+    fn strip_net(&self, i: usize) -> &str;
+    /// Gate net of finger `i`, or `None` for a dummy finger, whose gate
+    /// ties to the strip on its left.
+    fn gate_net(&self, i: usize) -> Option<&str>;
+    /// Bulk net (well or substrate).
+    fn bulk_net(&self) -> &str;
+    /// Total DC current of `net` (A); 0 for a net without an entry.
+    fn net_current(&self, net: &str) -> f64;
+}
+
+impl RowLayout for RowSpec {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn polarity(&self) -> Polarity {
+        self.polarity
+    }
+    fn finger_w(&self) -> Nm {
+        self.finger_w
+    }
+    fn gate_l(&self) -> Nm {
+        self.gate_l
+    }
+    fn fingers(&self) -> usize {
+        self.fingers.len()
+    }
+    fn strips(&self) -> usize {
+        self.strip_nets.len()
+    }
+    fn strip_net(&self, i: usize) -> &str {
+        &self.strip_nets[i]
+    }
+    fn gate_net(&self, i: usize) -> Option<&str> {
+        let f = &self.fingers[i];
+        f.device.as_ref().map(|_| f.gate_net.as_str())
+    }
+    fn bulk_net(&self) -> &str {
+        &self.bulk_net
+    }
+    fn net_current(&self, net: &str) -> f64 {
+        self.net_currents.get(net).copied().unwrap_or(0.0)
+    }
 }
 
 /// Row construction failure.
@@ -105,50 +171,218 @@ pub fn min_finger_width(tech: &Technology) -> Nm {
     tech.rules.contact_size + 2 * tech.rules.active_over_contact
 }
 
-/// Build the geometry for a [`RowSpec`].
+/// Build the geometry for a row.
 ///
 /// # Errors
 ///
-/// Returns [`RowError`] for structurally impossible specs: mismatched
+/// Returns [`RowError`] for structurally impossible rows: mismatched
 /// strip/finger counts, a finger narrower than a contact, more than four
 /// distinct gate nets, or poly bars that cannot be assigned
 /// non-conflicting bands.
-pub fn build_row(tech: &Technology, spec: &RowSpec) -> Result<Row, RowError> {
+pub fn build_row<R: RowLayout + ?Sized>(tech: &Technology, row: &R) -> Result<Row, RowError> {
+    let mut cell = Cell::new(row.name());
+    let nets = layout_row(tech, row, &mut cell)?;
+    let well = cell.shapes_on(Layer::Nwell).next().map(|s| s.rect);
+    let mut out = Row {
+        cell,
+        well,
+        diff_area: HashMap::new(),
+        diff_perimeter: HashMap::new(),
+        contacts: HashMap::new(),
+        em_clean: nets.iter().all(|n| n.kit.em_clean),
+    };
+    for n in &nets {
+        out.diff_area.insert(n.net.to_owned(), n.area);
+        out.diff_perimeter.insert(n.net.to_owned(), n.perimeter);
+        out.contacts.insert(n.net.to_owned(), n.contacts);
+    }
+    Ok(out)
+}
+
+/// The bounding box (w, h) that [`build_row`] would draw, measured by the
+/// same routine without keeping a shape or naming a net.
+///
+/// # Errors
+///
+/// The same as [`build_row`].
+pub fn row_size<R: RowLayout + ?Sized>(tech: &Technology, row: &R) -> Result<(Nm, Nm), RowError> {
+    let mut bbox: Option<Rect> = None;
+    layout_row(tech, row, &mut bbox)?;
+    let b = bbox.expect("a row draws its active area");
+    Ok((b.width(), b.height()))
+}
+
+/// Where the row routine writes: a [`Cell`] keeps every shape and port,
+/// a bounding box only the union of the shapes.
+trait Sink {
+    fn shape(&mut self, layer: Layer, rect: Rect, net: Option<&str>);
+    fn port(&mut self, net: &str, layer: Layer, rect: Rect);
+}
+
+impl Sink for Cell {
+    fn shape(&mut self, layer: Layer, rect: Rect, net: Option<&str>) {
+        match net {
+            Some(net) => self.draw_net(layer, rect, net),
+            None => self.draw(layer, rect),
+        }
+    }
+
+    fn port(&mut self, net: &str, layer: Layer, rect: Rect) {
+        Cell::port(self, net, net, layer, rect);
+    }
+}
+
+impl Sink for Option<Rect> {
+    fn shape(&mut self, _: Layer, rect: Rect, _: Option<&str>) {
+        *self = Some(self.map_or(rect, |b| b.union(&rect)));
+    }
+
+    fn port(&mut self, _: &str, _: Layer, _: Rect) {}
+}
+
+/// Per diffusion net bookkeeping, keyed by the name the row lends.
+#[derive(Default)]
+struct NetBook<'a> {
+    net: &'a str,
+    strips: usize,
+    /// Total DC current (A).
+    current: f64,
+    /// What each of its strips gets.
+    kit: StripKit,
+    contacts: usize,
+    /// Diffusion area (m²).
+    area: f64,
+    /// Diffusion sidewall perimeter (m), gate edges excluded.
+    perimeter: f64,
+    /// The net's metal-1 rail: bottom y, height, above the active?
+    rail_y0: Nm,
+    rail_h: Nm,
+    top: bool,
+}
+
+/// The contact column, strap, riser and vias of a diffusion strip. They
+/// depend only on the current the strip carries, so each net's strips
+/// share one.
+#[derive(Clone, Copy, Default)]
+struct StripKit {
+    cuts: usize,
+    cut_y0: Nm,
+    strap_w: Nm,
+    riser_w: Nm,
+    /// Height of the strap-side via column the riser covers.
+    stack_span: Nm,
+    strap_vias: usize,
+    land_vias: usize,
+    pad_w: Nm,
+    /// Did every width and count meet its electromigration requirement?
+    em_clean: bool,
+}
+
+/// Size the [`StripKit`] of a strip carrying `cur` amperes in a row of
+/// `wf`-wide fingers, `l`-long gates and `total_w` total width.
+fn strip_kit(tech: &Technology, wf: Nm, l: Nm, total_w: Nm, cur: f64) -> StripKit {
     let r = &tech.rules;
-    let nf = spec.fingers.len();
+    let c2 = r.contacted_diffusion();
+    // Contact column, centred vertically in the channel width.
+    let n_required = tech.reliability.min_contacts(cur);
+    let pitch = r.contact_size + r.contact_space;
+    let n_fit = (((wf - 2 * r.active_over_contact + r.contact_space) / pitch) as usize).max(1);
+    let cuts = n_required.min(n_fit);
+    let col_h = (cuts as Nm) * r.contact_size + ((cuts - 1) as Nm) * r.contact_space;
+    let cut_y0 = tech.snap(((wf - col_h) / 2).max(r.active_over_contact));
+    // Strap width follows the EM requirement but is capped so neighbouring
+    // straps keep their spacing; an unmet requirement clears em_clean.
+    let strap_req = r
+        .metal1_width
+        .max(r.contact_size + 2 * r.metal1_over_contact)
+        .max(tech.snap_up(tech.reliability.min_metal_width(1, cur)));
+    let strap_max = (l + c2 - r.metal1_space).max(r.metal1_width);
+    let strap_w = strap_req.min(tech.snap_down(strap_max));
+    // The riser width must leave metal-2 spacing to the neighbouring
+    // strips' risers, so EM demands beyond that are reported instead of
+    // drawn.
+    let via_pitch = r.via_size + r.via_space;
+    let max_riser = (l + c2 - r.metal2_space).max(r.metal2_width);
+    let riser_req = r
+        .metal2_width
+        .max(r.via_size + 2 * r.metal_over_via)
+        .max(tech.snap_up(tech.reliability.min_metal_width(2, cur)));
+    let riser_w = riser_req.min(tech.snap_down(max_riser));
+    // The riser must cover the whole strap-side via column (the EM via
+    // count stacks vertically).
+    let n_vias = tech.reliability.min_vias(cur);
+    let stack_span = 2 * r.metal_over_via
+        + r.via_size
+        + ((n_vias.max(1) - 1) as Nm) * (r.via_size + r.via_space);
+    let strap_fit = ((((wf - 2 * r.metal_over_via) + r.via_space) / via_pitch) as usize).max(1);
+    // The landing pad may be wider than the riser as long as it respects
+    // spacing to the neighbouring strip's riser, one pitch away.
+    let pad_budget = tech.snap_down((l + c2 - r.metal2_space).max(riser_w));
+    let land_fit =
+        (((pad_budget - 2 * r.metal_over_via + r.via_space) / via_pitch) as usize).max(1);
+    let land_vias = n_vias.min(land_fit);
+    let pad_w = (2 * r.metal_over_via
+        + (land_vias as Nm) * r.via_size
+        + ((land_vias - 1) as Nm) * r.via_space)
+        .max(riser_w)
+        .min(tech.snap_down(total_w));
+    StripKit {
+        cuts,
+        cut_y0,
+        strap_w,
+        riser_w,
+        stack_span,
+        strap_vias: n_vias.min(strap_fit),
+        land_vias,
+        pad_w,
+        em_clean: cuts == n_required
+            && strap_w >= strap_req
+            && riser_w >= riser_req
+            && strap_fit >= n_vias
+            && land_fit >= n_vias,
+    }
+}
+
+/// The one geometry routine behind [`build_row`] and [`row_size`]. It
+/// writes the row's shapes into `cell` and returns its diffusion nets.
+fn layout_row<'a, R: RowLayout + ?Sized>(
+    tech: &Technology,
+    spec: &'a R,
+    cell: &mut impl Sink,
+) -> Result<Vec<NetBook<'a>>, RowError> {
+    let r = &tech.rules;
+    let nf = spec.fingers();
     if nf == 0 {
         return Err(RowError::new("a row needs at least one finger"));
     }
-    if spec.strip_nets.len() != nf + 1 {
+    if spec.strips() != nf + 1 {
         return Err(RowError::new(format!(
             "{} fingers need {} diffusion strips, got {}",
             nf,
             nf + 1,
-            spec.strip_nets.len()
+            spec.strips()
         )));
     }
-    if spec.finger_w < min_finger_width(tech) {
+    if spec.finger_w() < min_finger_width(tech) {
         return Err(RowError::new(format!(
             "finger width {} nm below contactable minimum {} nm",
-            spec.finger_w,
+            spec.finger_w(),
             min_finger_width(tech)
         )));
     }
-    if spec.gate_l < r.poly_width {
+    if spec.gate_l() < r.poly_width {
         return Err(RowError::new(format!(
             "gate length {} nm below minimum {} nm",
-            spec.gate_l, r.poly_width
+            spec.gate_l(),
+            r.poly_width
         )));
     }
-
-    let mut cell = Cell::new(spec.name.clone());
-    let mut em_clean = true;
 
     // ---- x geometry -----------------------------------------------------
     let e = r.end_diffusion();
     let c2 = r.contacted_diffusion();
-    let l = spec.gate_l;
-    let wf = spec.finger_w;
+    let l = spec.gate_l();
+    let wf = spec.finger_w();
     // Strip i x-range.
     let strip_range = |i: usize| -> (Nm, Nm) {
         if i == 0 {
@@ -168,72 +402,69 @@ pub fn build_row(tech: &Technology, spec: &RowSpec) -> Result<Row, RowError> {
 
     // ---- active, implants, well -----------------------------------------
     let active = Rect::from_size(0, 0, total_w, wf);
-    cell.draw(Layer::Active, active);
-    let implant = match spec.polarity {
+    cell.shape(Layer::Active, active, None);
+    let implant = match spec.polarity() {
         Polarity::Nmos => Layer::Nplus,
         Polarity::Pmos => Layer::Pplus,
     };
-    cell.draw(implant, active.expanded(r.gate_extension));
-    let well = match spec.polarity {
-        Polarity::Pmos => {
-            let w = active.expanded(r.nwell_over_pactive);
-            // The well is tagged with the bulk net so the extractor can
-            // attribute the floating-well junction capacitance.
-            cell.draw_net(Layer::Nwell, w, &spec.bulk_net);
-            Some(w)
-        }
-        Polarity::Nmos => None,
-    };
+    cell.shape(implant, active.expanded(r.gate_extension), None);
+    if spec.polarity() == Polarity::Pmos {
+        // The well is tagged with the bulk net so the extractor can
+        // attribute the floating-well junction capacitance.
+        let well = active.expanded(r.nwell_over_pactive);
+        cell.shape(Layer::Nwell, well, Some(spec.bulk_net()));
+    }
 
     // ---- strip-net bookkeeping -------------------------------------------
-    let mut net_strips: HashMap<String, Vec<usize>> = HashMap::new();
-    for (i, net) in spec.strip_nets.iter().enumerate() {
-        net_strips.entry(net.clone()).or_default().push(i);
+    // One entry per diffusion net, in order of first appearance; a row
+    // has only a few, so a linear search finds them.
+    let mut nets: Vec<NetBook<'a>> = Vec::new();
+    let h_m = wf as f64 * 1e-9;
+    for i in 0..=nf {
+        let net = spec.strip_net(i);
+        let k = nets.iter().position(|n| n.net == net).unwrap_or_else(|| {
+            nets.push(NetBook {
+                net,
+                current: spec.net_current(net),
+                ..NetBook::default()
+            });
+            nets.len() - 1
+        });
+        let (sx0, sx1) = strip_range(i);
+        let w_m = (sx1 - sx0) as f64 * 1e-9;
+        nets[k].strips += 1;
+        nets[k].area += w_m * h_m;
+        // Sidewall: two channel-parallel edges always; the outer edge of an
+        // end strip too. Gate-side edges are excluded by convention.
+        nets[k].perimeter += if i == 0 || i == nf {
+            2.0 * w_m + h_m
+        } else {
+            2.0 * w_m
+        };
     }
-    let strip_current = |net: &str| -> f64 {
-        let total = spec.net_currents.get(net).copied().unwrap_or(0.0);
-        let n = net_strips.get(net).map_or(1, |v| v.len().max(1));
-        total / n as f64
-    };
 
     // ---- rails: one per diffusion net ------------------------------------
     // Alternate top/bottom in order of first appearance.
-    let mut rail_order: Vec<String> = Vec::new();
-    for net in &spec.strip_nets {
-        if !rail_order.contains(net) {
-            rail_order.push(net.clone());
-        }
-    }
     // Poly-bar band geometry (below/above active) is computed first so the
     // bottom rails can clear the poly bands. Only *device* fingers use
     // shared bars; dummy fingers tie locally to their neighbouring strip.
-    let bands = assign_gate_bands(spec)?;
-    let max_bottom_band = bands
-        .values()
-        .filter_map(|b| {
-            if let Band::Bottom(k) = b {
-                Some(*k + 1)
-            } else {
-                None
-            }
-        })
-        .max()
-        .unwrap_or(0);
-    let max_top_band = bands
-        .values()
-        .filter_map(|b| {
-            if let Band::Top(k) = b {
-                Some(*k + 1)
-            } else {
-                None
-            }
-        })
-        .max()
-        .unwrap_or(0);
+    let mut gates = assign_gate_bands(spec)?;
+    let depth = |bottom: bool| {
+        gates
+            .iter()
+            .filter_map(|g| match g.band {
+                Band::Bottom(k) if bottom => Some(k + 1),
+                Band::Top(k) if !bottom => Some(k + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0)
+    };
+    let (max_bottom_band, max_top_band) = (depth(true), depth(false));
     let bar_h = r.poly_width.max(r.contact_size + 2 * r.poly_over_contact);
     let pad = r.contact_size + 2 * r.poly_over_contact;
     let band_pitch = bar_h + r.poly_space;
-    let has_dummies = spec.fingers.iter().any(|f| f.device.is_none());
+    let has_dummies = (0..nf).any(|i| spec.gate_net(i).is_none());
     // Dummy-tie zone sits *between* the gate end caps and the first top
     // poly band: a dummy's gate never has to climb past a foreign bar,
     // which keeps the band-crossing analysis sound.
@@ -250,44 +481,27 @@ pub fn build_row(tech: &Technology, spec: &RowSpec) -> Result<Row, RowError> {
     let poly_bottom = -r.gate_extension - (max_bottom_band as Nm) * band_pitch;
     let poly_top = top_base + (max_top_band as Nm) * band_pitch;
 
-    struct Rail {
-        net: String,
-        y0: Nm,
-        h: Nm,
-        top: bool,
-    }
-    let mut rails: Vec<Rail> = Vec::new();
     let mut next_top_y = poly_top + r.metal1_space;
     let mut next_bottom_y = poly_bottom - r.metal1_space;
-    for (k, net) in rail_order.iter().enumerate() {
-        let current = spec.net_currents.get(net).copied().unwrap_or(0.0);
-        let h = rail_width(tech, 1, current);
-        let top = k % 2 == 0;
-        if top {
-            rails.push(Rail {
-                net: net.clone(),
-                y0: next_top_y,
-                h,
-                top,
-            });
+    for (k, rail) in nets.iter_mut().enumerate() {
+        rail.kit = strip_kit(tech, wf, l, total_w, rail.current / rail.strips as f64);
+        let h = rail_width(tech, 1, rail.current);
+        rail.rail_h = h;
+        rail.top = k % 2 == 0;
+        if rail.top {
+            rail.rail_y0 = next_top_y;
             next_top_y += h + r.metal1_space;
         } else {
             next_bottom_y -= h;
-            rails.push(Rail {
-                net: net.clone(),
-                y0: next_bottom_y,
-                h,
-                top,
-            });
+            rail.rail_y0 = next_bottom_y;
             next_bottom_y -= r.metal1_space;
         }
     }
-    for rail in &rails {
-        let rect = Rect::from_size(0, rail.y0, total_w, rail.h);
-        cell.draw_net(Layer::Metal1, rect, &rail.net);
-        cell.port(&rail.net, &rail.net, Layer::Metal1, rect);
+    for rail in &nets {
+        let rect = Rect::from_size(0, rail.rail_y0, total_w, rail.rail_h);
+        cell.shape(Layer::Metal1, rect, Some(rail.net));
+        cell.port(rail.net, Layer::Metal1, rect);
     }
-    let rail_of = |net: &str| rails.iter().find(|rl| rl.net == net).expect("rail exists");
 
     // ---- contacts + straps + risers per strip -----------------------------
     // Contact-column / strap centre x of a strip.
@@ -301,273 +515,173 @@ pub fn build_row(tech: &Technology, spec: &RowSpec) -> Result<Row, RowError> {
             (sx0 + sx1) / 2
         }
     };
-    let mut contacts: HashMap<String, usize> = HashMap::new();
     for i in 0..=nf {
-        let net = &spec.strip_nets[i];
-        let cur = strip_current(net);
-        // Contact column.
-        let n_required = tech.reliability.min_contacts(cur);
-        let pitch = r.contact_size + r.contact_space;
-        let n_fit = (((wf - 2 * r.active_over_contact + r.contact_space) / pitch) as usize).max(1);
-        let n_cuts = n_required.min(n_fit);
-        if n_cuts < n_required {
-            em_clean = false;
-        }
-        // Centre the column horizontally in the strip (end strips centre
-        // over their contact area) and vertically in the channel width.
+        let net = spec.strip_net(i);
+        let ni = nets
+            .iter()
+            .position(|n| n.net == net)
+            .expect("every strip net is booked");
+        let rail = &nets[ni];
+        let (rail_y0, rail_h, rail_top, kit) = (rail.rail_y0, rail.rail_h, rail.top, rail.kit);
+        // Centre the contact column horizontally in the strip (end strips
+        // centre over their contact area) and vertically in the channel
+        // width.
         let cx = strip_cx(i);
-        let col_h = (n_cuts as Nm) * r.contact_size + ((n_cuts - 1) as Nm) * r.contact_space;
-        let mut cy = (wf - col_h) / 2;
-        cy = tech.snap(cy.max(r.active_over_contact));
-        for k in 0..n_cuts {
-            let y = cy + (k as Nm) * pitch;
-            cell.draw_net(
-                Layer::Contact,
-                Rect::from_size(
-                    tech.snap(cx - r.contact_size / 2),
-                    y,
-                    r.contact_size,
-                    r.contact_size,
-                ),
-                net,
-            );
+        let pitch = r.contact_size + r.contact_space;
+        let cut_x0 = tech.snap(cx - r.contact_size / 2);
+        for k in 0..kit.cuts {
+            let y = kit.cut_y0 + (k as Nm) * pitch;
+            let cut = Rect::from_size(cut_x0, y, r.contact_size, r.contact_size);
+            cell.shape(Layer::Contact, cut, Some(net));
         }
-        *contacts.entry(net.clone()).or_insert(0) += n_cuts;
+        nets[ni].contacts += kit.cuts;
 
         // Metal-1 strap over the contacts, spanning the channel height.
-        // Width follows the EM requirement but is capped so neighbouring
-        // straps keep their spacing; an unmet requirement clears em_clean.
-        let strap_req = r
-            .metal1_width
-            .max(r.contact_size + 2 * r.metal1_over_contact)
-            .max(tech.snap_up(tech.reliability.min_metal_width(1, cur)));
-        let strap_max = (l + c2 - r.metal1_space).max(r.metal1_width);
-        let strap_w = strap_req.min(tech.snap_down(strap_max));
-        em_clean &= strap_w >= strap_req;
         let strap = Rect::new(
-            tech.snap(cx - strap_w / 2),
+            tech.snap(cx - kit.strap_w / 2),
             -r.metal1_over_contact.min(0),
-            tech.snap(cx + strap_w - strap_w / 2),
+            tech.snap(cx + kit.strap_w - kit.strap_w / 2),
             wf,
         );
-        cell.draw_net(Layer::Metal1, strap, net);
+        cell.shape(Layer::Metal1, strap, Some(net));
 
         // Riser to this net's rail: metal-2 with vias at both ends so it
-        // may cross other metal-1 rails. The riser width must leave
-        // metal-2 spacing to the neighbouring strips' risers, so EM
-        // demands beyond that are reported instead of drawn.
-        let rail = rail_of(net);
-        let via_pitch = r.via_size + r.via_space;
-        let max_riser = (l + c2 - r.metal2_space).max(r.metal2_width);
-        let riser_req = r
-            .metal2_width
-            .max(r.via_size + 2 * r.metal_over_via)
-            .max(tech.snap_up(tech.reliability.min_metal_width(2, cur)));
-        let riser_w = riser_req.min(tech.snap_down(max_riser));
-        em_clean &= riser_w >= riser_req;
-        // The riser must cover the whole strap-side via column (the EM
-        // via count stacks vertically).
-        let n_vias_est = tech.reliability.min_vias(cur);
-        let _ = &n_vias_est;
-        let stack_span = 2 * r.metal_over_via
-            + r.via_size
-            + ((n_vias_est.max(1) - 1) as Nm) * (r.via_size + r.via_space);
-        let (ry0, ry1) = if rail.top {
-            (wf - stack_span, rail.y0 + rail.h)
+        // may cross other metal-1 rails.
+        let (ry0, ry1) = if rail_top {
+            (wf - kit.stack_span, rail_y0 + rail_h)
         } else {
-            (rail.y0, stack_span)
+            (rail_y0, kit.stack_span)
         };
-        cell.draw_net(
-            Layer::Metal2,
-            Rect::new(
-                tech.snap(cx - riser_w / 2),
-                ry0,
-                tech.snap(cx + riser_w / 2),
-                ry1,
-            ),
-            net,
+        let riser = Rect::new(
+            tech.snap(cx - kit.riser_w / 2),
+            ry0,
+            tech.snap(cx + kit.riser_w / 2),
+            ry1,
         );
+        cell.shape(Layer::Metal2, riser, Some(net));
         // Strap-side vias: stacked *vertically* inside the strap/riser
         // overlap (the strap spans the whole channel height) so the EM
         // count never widens the riser.
-        let n_vias = n_vias_est;
+        let via_pitch = r.via_size + r.via_space;
         let vx = tech.snap(cx - r.via_size / 2);
-        let strap_fit = ((((wf - 2 * r.metal_over_via) + r.via_space) / via_pitch) as usize).max(1);
-        let n_strap = n_vias.min(strap_fit);
-        em_clean &= strap_fit >= n_vias;
-        for k in 0..n_strap {
-            let vy = if rail.top {
+        for k in 0..kit.strap_vias {
+            let vy = if rail_top {
                 wf - r.metal_over_via - r.via_size - (k as Nm) * via_pitch
             } else {
                 r.metal_over_via + (k as Nm) * via_pitch
             };
-            cell.draw_net(
-                Layer::Via1,
-                Rect::from_size(vx, vy, r.via_size, r.via_size),
-                net,
-            );
+            let via = Rect::from_size(vx, vy, r.via_size, r.via_size);
+            cell.shape(Layer::Via1, via, Some(net));
         }
         // Rail-side vias: a horizontal row along the rail, covered by a
-        // metal-2 landing pad (the rail is long; the pad may be wider
-        // than the riser as long as it respects spacing to the
-        // neighbouring strip's riser, one pitch away).
-        let pad_budget = tech.snap_down((l + c2 - r.metal2_space).max(riser_w));
-        let land_fit =
-            (((pad_budget - 2 * r.metal_over_via + r.via_space) / via_pitch) as usize).max(1);
-        let n_land = n_vias.min(land_fit);
-        em_clean &= land_fit >= n_vias;
-        let pad_w = (2 * r.metal_over_via
-            + (n_land as Nm) * r.via_size
-            + ((n_land - 1) as Nm) * r.via_space)
-            .max(riser_w)
-            .min(tech.snap_down(total_w));
-        // Keep the pad (and its vias) inside the rail extent: edge strips
-        // would otherwise overhang the row end.
-        let pad_x0 = tech.snap((cx - pad_w / 2).clamp(0, total_w - pad_w));
-        let pad = Rect::new(pad_x0, rail.y0, pad_x0 + pad_w, rail.y0 + rail.h);
-        cell.draw_net(Layer::Metal2, pad, net);
-        let vy = tech.snap(rail.y0 + (rail.h - r.via_size) / 2);
-        for k in 0..n_land {
+        // metal-2 landing pad. Keep the pad (and its vias) inside the rail
+        // extent: edge strips would otherwise overhang the row end.
+        let pad_x0 = tech.snap((cx - kit.pad_w / 2).clamp(0, total_w - kit.pad_w));
+        let pad = Rect::new(pad_x0, rail_y0, pad_x0 + kit.pad_w, rail_y0 + rail_h);
+        cell.shape(Layer::Metal2, pad, Some(net));
+        let vy = tech.snap(rail_y0 + (rail_h - r.via_size) / 2);
+        for k in 0..kit.land_vias {
             let vx_k = tech.snap(pad_x0 + r.metal_over_via + (k as Nm) * via_pitch);
-            cell.draw_net(
-                Layer::Via1,
-                Rect::from_size(vx_k, vy, r.via_size, r.via_size),
-                net,
-            );
+            let via = Rect::from_size(vx_k, vy, r.via_size, r.via_size);
+            cell.shape(Layer::Via1, via, Some(net));
         }
     }
 
     // ---- poly fingers and bars -------------------------------------------
-    // Bar x-range per gate net (device fingers only; dummies tie locally).
-    let mut bar_range: HashMap<String, (Nm, Nm)> = HashMap::new();
-    for (i, f) in spec.fingers.iter().enumerate() {
-        if f.device.is_none() {
-            continue;
-        }
-        let x0 = gate_x(i);
-        let ent = bar_range.entry(f.gate_net.clone()).or_insert((x0, x0 + l));
-        ent.0 = ent.0.min(x0);
-        ent.1 = ent.1.max(x0 + l);
-    }
-    // Draw bars, bridges and contact pads. Every band hosts exactly one
-    // net; pads sit to the left of the row, staggered per band so their
-    // metal-1 landing squares respect spacing among themselves and to the
-    // in-row straps (which all live at x ≥ 0).
+    // Draw bars, bridges and contact pads, in gate-net name order. Every
+    // band hosts exactly one net; pads sit to the left of the row,
+    // staggered per band so their metal-1 landing squares respect spacing
+    // among themselves and to the in-row straps (which all live at x ≥ 0).
+    // A bar spans its net's device fingers; dummies tie locally.
     let pad_m1 = r.contact_size + 2 * r.metal1_over_contact;
-    let mut band_list: Vec<(&String, Band)> = bands.iter().map(|(n, b)| (n, *b)).collect();
-    band_list.sort_by_key(|(n, _)| n.as_str().to_owned());
-    for (bi, (net, band)) in band_list.iter().enumerate() {
-        let (bx0, bx1) = bar_range[*net];
-        let (y0, _) = band_y(*band, r.gate_extension, top_base, band_pitch, bar_h);
+    gates.sort_by(|a, b| a.net.cmp(b.net));
+    for (bi, g) in gates.iter().enumerate() {
+        let (bx0, bx1) = (gate_x(g.first), gate_x(g.last) + l);
+        let (y0, _) = band_y(g.band, r.gate_extension, top_base, band_pitch, bar_h);
         // Pad x slot: staggered left of the row.
         let pad_x1 = -r.metal1_space - (bi as Nm) * (pad_m1.max(pad) + r.metal1_space);
         let pad_rect = Rect::from_size(pad_x1 - pad, y0 + (bar_h - pad) / 2, pad, pad);
         // Bar extended into a bridge reaching the pad.
         let bar = Rect::new(pad_rect.x0, y0, bx1.max(bx0 + bar_h), y0 + bar_h);
-        cell.draw_net(Layer::Poly, bar, net);
-        cell.draw_net(Layer::Poly, pad_rect, net);
+        cell.shape(Layer::Poly, bar, Some(g.net));
+        cell.shape(Layer::Poly, pad_rect, Some(g.net));
         let cut = Rect::from_size(
             pad_rect.x0 + r.poly_over_contact,
             pad_rect.y0 + r.poly_over_contact,
             r.contact_size,
             r.contact_size,
         );
-        cell.draw_net(Layer::Contact, cut, net);
+        cell.shape(Layer::Contact, cut, Some(g.net));
         let m1 = cut.expanded(r.metal1_over_contact);
-        cell.draw_net(Layer::Metal1, m1, net);
-        cell.port(net, net, Layer::Metal1, m1);
+        cell.shape(Layer::Metal1, m1, Some(g.net));
+        cell.port(g.net, Layer::Metal1, m1);
     }
     // Fingers. Device fingers reach their gate net's bar; dummy fingers
     // grow a local tie: a contacted poly pad in the tie zone above the
     // row, strapped by metal-1 to the adjacent (left) diffusion strip so
     // the dummy is biased off — the usual dummy discipline.
-    for (i, f) in spec.fingers.iter().enumerate() {
+    for i in 0..nf {
         let x0 = gate_x(i);
-        match &f.device {
-            Some(_) => {
-                let band = bands[&f.gate_net];
-                let (band_y0, _) = band_y(band, r.gate_extension, top_base, band_pitch, bar_h);
-                let (fy0, fy1) = match band {
-                    Band::Bottom(_) => (band_y0, wf + r.gate_extension),
-                    Band::Top(_) => (-r.gate_extension, band_y0 + bar_h),
-                };
-                cell.draw_net(Layer::Poly, Rect::new(x0, fy0, x0 + l, fy1), &f.gate_net);
-            }
-            None => {
-                // Dummy: gate tied to the adjacent (left) diffusion strip,
-                // which biases the device at VGS = 0 — off — whatever the
-                // strip's potential. A contacted poly pad sits directly
-                // over the gate in the tie zone; a metal-1 jog (metal may
-                // cross poly freely) reaches the strip's strap.
-                let tie_net = spec.strip_nets[i].clone();
-                let gx = x0 + l / 2;
-                cell.draw_net(
-                    Layer::Poly,
-                    Rect::new(x0, -r.gate_extension, x0 + l, tie_zone_y0),
-                    &tie_net,
-                );
-                let pad_rect = Rect::from_size(tech.snap(gx - pad / 2), tie_zone_y0, pad, pad);
-                cell.draw_net(Layer::Poly, pad_rect, &tie_net);
-                let cut = Rect::from_size(
-                    pad_rect.x0 + r.poly_over_contact,
-                    pad_rect.y0 + r.poly_over_contact,
-                    r.contact_size,
-                    r.contact_size,
-                );
-                cell.draw_net(Layer::Contact, cut, &tie_net);
-                let m1_pad = cut.expanded(r.metal1_over_contact);
-                cell.draw_net(Layer::Metal1, m1_pad, &tie_net);
-                let scx = strip_cx(i);
-                let jog = Rect::new(scx.min(m1_pad.x0), m1_pad.y0, scx.max(m1_pad.x1), m1_pad.y1);
-                cell.draw_net(Layer::Metal1, jog, &tie_net);
-                let ext_w = r
-                    .metal1_width
-                    .max(r.contact_size + 2 * r.metal1_over_contact);
-                cell.draw_net(
-                    Layer::Metal1,
-                    Rect::new(
-                        tech.snap(scx - ext_w / 2),
-                        wf,
-                        tech.snap(scx + ext_w / 2),
-                        m1_pad.y1,
-                    ),
-                    &tie_net,
-                );
-            }
+        if let Some(net) = spec.gate_net(i) {
+            let band = gates
+                .iter()
+                .find(|g| g.net == net)
+                .expect("every device gate net has a band")
+                .band;
+            let (band_y0, _) = band_y(band, r.gate_extension, top_base, band_pitch, bar_h);
+            let (fy0, fy1) = match band {
+                Band::Bottom(_) => (band_y0, wf + r.gate_extension),
+                Band::Top(_) => (-r.gate_extension, band_y0 + bar_h),
+            };
+            cell.shape(Layer::Poly, Rect::new(x0, fy0, x0 + l, fy1), Some(net));
+            continue;
         }
+        // Dummy: gate tied to the adjacent (left) diffusion strip, which
+        // biases the device at VGS = 0 — off — whatever the strip's
+        // potential. A contacted poly pad sits directly over the gate in
+        // the tie zone; a metal-1 jog (metal may cross poly freely)
+        // reaches the strip's strap.
+        let tie_net = Some(spec.strip_net(i));
+        let gx = x0 + l / 2;
+        cell.shape(
+            Layer::Poly,
+            Rect::new(x0, -r.gate_extension, x0 + l, tie_zone_y0),
+            tie_net,
+        );
+        let pad_rect = Rect::from_size(tech.snap(gx - pad / 2), tie_zone_y0, pad, pad);
+        cell.shape(Layer::Poly, pad_rect, tie_net);
+        let cut = Rect::from_size(
+            pad_rect.x0 + r.poly_over_contact,
+            pad_rect.y0 + r.poly_over_contact,
+            r.contact_size,
+            r.contact_size,
+        );
+        cell.shape(Layer::Contact, cut, tie_net);
+        let m1_pad = cut.expanded(r.metal1_over_contact);
+        cell.shape(Layer::Metal1, m1_pad, tie_net);
+        let scx = strip_cx(i);
+        let jog = Rect::new(scx.min(m1_pad.x0), m1_pad.y0, scx.max(m1_pad.x1), m1_pad.y1);
+        cell.shape(Layer::Metal1, jog, tie_net);
+        let ext_w = r
+            .metal1_width
+            .max(r.contact_size + 2 * r.metal1_over_contact);
+        cell.shape(
+            Layer::Metal1,
+            Rect::new(
+                tech.snap(scx - ext_w / 2),
+                wf,
+                tech.snap(scx + ext_w / 2),
+                m1_pad.y1,
+            ),
+            tie_net,
+        );
     }
 
-    // ---- diffusion bookkeeping --------------------------------------------
-    let mut diff_area: HashMap<String, f64> = HashMap::new();
-    let mut diff_perimeter: HashMap<String, f64> = HashMap::new();
-    for i in 0..=nf {
-        let (sx0, sx1) = strip_range(i);
-        let w_m = (sx1 - sx0) as f64 * 1e-9;
-        let h_m = wf as f64 * 1e-9;
-        *diff_area.entry(spec.strip_nets[i].clone()).or_insert(0.0) += w_m * h_m;
-        // Sidewall: two channel-parallel edges always; the outer edge of an
-        // end strip too. Gate-side edges are excluded by convention.
-        let mut p = 2.0 * w_m;
-        if i == 0 || i == nf {
-            p += h_m;
-        }
-        *diff_perimeter
-            .entry(spec.strip_nets[i].clone())
-            .or_insert(0.0) += p;
-    }
-
-    Ok(Row {
-        cell,
-        diff_area,
-        diff_perimeter,
-        well,
-        contacts,
-        em_clean,
-    })
+    Ok(nets)
 }
 
 /// Poly-bar band: below or above the active, at depth `k` (0 = nearest).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Band {
     Bottom(usize),
     Top(usize),
@@ -583,71 +697,73 @@ fn band_y(band: Band, gate_ext: Nm, top_base: Nm, band_pitch: Nm, bar_h: Nm) -> 
     }
 }
 
+/// A device gate net of a row: the first and last finger it drives, how
+/// many it drives, and its poly band.
+struct Gate<'a> {
+    net: &'a str,
+    first: usize,
+    last: usize,
+    fingers: usize,
+    band: Band,
+}
+
 /// Assign each distinct *device* gate net to a poly band such that no
 /// finger has to cross a foreign bar. Each band hosts exactly one net
 /// (the bar bridges all the way to its pad at the left of the row, so
 /// bands cannot be shared). Dummy fingers do not participate — they tie
 /// locally to their neighbouring strip.
-fn assign_gate_bands(spec: &RowSpec) -> Result<HashMap<String, Band>, RowError> {
+fn assign_gate_bands<R: RowLayout + ?Sized>(spec: &R) -> Result<Vec<Gate<'_>>, RowError> {
     // Distinct device gate nets in first-appearance order, with their
-    // finger index ranges and positions.
-    let mut order: Vec<String> = Vec::new();
-    let mut range: HashMap<String, (usize, usize)> = HashMap::new();
-    let mut positions: HashMap<String, Vec<usize>> = HashMap::new();
-    for (i, f) in spec.fingers.iter().enumerate() {
-        if f.device.is_none() {
-            continue;
+    // finger index ranges and counts.
+    let mut gates: Vec<Gate> = Vec::new();
+    for (i, net) in (0..spec.fingers()).filter_map(|i| Some(i).zip(spec.gate_net(i))) {
+        match gates.iter_mut().find(|g| g.net == net) {
+            Some(g) => {
+                g.last = i;
+                g.fingers += 1;
+            }
+            None => gates.push(Gate {
+                net,
+                first: i,
+                last: i,
+                fingers: 1,
+                band: Band::Bottom(0),
+            }),
         }
-        if !order.contains(&f.gate_net) {
-            order.push(f.gate_net.clone());
-        }
-        let e = range.entry(f.gate_net.clone()).or_insert((i, i));
-        e.0 = e.0.min(i);
-        e.1 = e.1.max(i);
-        positions.entry(f.gate_net.clone()).or_default().push(i);
     }
-    if order.len() > 4 {
+    if gates.len() > 4 {
         return Err(RowError::new(format!(
             "{} distinct gate nets in one row exceed the 4 available poly bands",
-            order.len()
+            gates.len()
         )));
     }
     // Busiest nets first: they get the near bands.
-    order.sort_by_key(|net| std::cmp::Reverse(positions[net].len()));
+    gates.sort_by_key(|g| std::cmp::Reverse(g.fingers));
 
     let slots = [Band::Bottom(0), Band::Top(0), Band::Bottom(1), Band::Top(1)];
-    let mut assigned: HashMap<String, Band> = HashMap::new();
-    for net in &order {
-        let mut chosen = None;
-        'slot: for s in slots {
-            for (other, b) in &assigned {
-                // One net per band.
-                if *b == s {
-                    continue 'slot;
-                }
-                // Deeper band on the same side: our fingers must pass
-                // beside the nearer bar *and its left bridge*, i.e. lie
-                // strictly right of that bar's right end.
-                let ov = range[other];
-                let crosses_nearer = match (s, *b) {
+    for k in 0..gates.len() {
+        let first = gates[k].first;
+        let free = |s: Band| {
+            gates[..k].iter().all(|other| {
+                // One net per band. A deeper band on the same side: our
+                // fingers must pass beside the nearer bar *and its left
+                // bridge*, i.e. lie strictly right of that bar's right end.
+                let crosses_nearer = match (s, other.band) {
                     (Band::Bottom(1), Band::Bottom(0)) | (Band::Top(1), Band::Top(0)) => {
-                        positions[net].iter().any(|&p| p <= ov.1)
+                        first <= other.last
                     }
                     _ => false,
                 };
-                if crosses_nearer {
-                    continue 'slot;
-                }
-            }
-            chosen = Some(s);
-            break;
-        }
-        let Some(band) = chosen else {
-            return Err(RowError::new("cannot place poly bars without crossings"));
+                other.band != s && !crosses_nearer
+            })
         };
-        assigned.insert(net.clone(), band);
+        let band = slots
+            .into_iter()
+            .find(|&s| free(s))
+            .ok_or_else(|| RowError::new("cannot place poly bars without crossings"))?;
+        gates[k].band = band;
     }
-    Ok(assigned)
+    Ok(gates)
 }
 
 /// Rail width on metal `level` for `current` amperes (nm, grid-snapped,

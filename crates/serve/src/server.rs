@@ -426,6 +426,10 @@ fn run_request(shared: &Arc<Shared>, req: QueuedRequest) {
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    // The daemon writes `accepted` and then `result` with no client write
+    // between them. Under Nagle's algorithm the result waits for the ACK
+    // of `accepted`, which a client delays by up to ~40 ms.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };

@@ -1,14 +1,16 @@
 //! End-to-end daemon tests over a loopback socket: concurrent clients
 //! get results bitwise-identical to an offline `Engine::run_batch` of
-//! the same sweep, a malformed line degrades to a typed error frame on a
-//! connection that stays usable, quotas reject over-subscription, and a
-//! drain shutdown finishes queued work before `run` returns.
+//! the same sweep, a restarted daemon answers the same bits from its
+//! disk cache, a round trip pays no delayed-ACK wait, a malformed line
+//! degrades to a typed error frame on a connection that stays usable,
+//! quotas reject over-subscription, and a drain shutdown finishes queued
+//! work before `run` returns.
 
 use losac_engine::{Engine, EngineOptions, JobOutcome};
 use losac_serve::wire::{perf_bits, ErrorCode, Frame, OutcomeSummary, ShutdownMode};
 use losac_serve::{ServeClient, ServeOptions, Server, SubmitRequest, SweepSpec};
 use std::net::SocketAddr;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small but real sweep: Table-1 cases 1 and 2 (no layout iteration,
 /// so each job is a single synthesis pass).
@@ -106,6 +108,89 @@ fn concurrent_clients_get_bitwise_identical_results() {
         );
     }
     let mut client = ServeClient::connect(addr).expect("connect");
+    client.shutdown(ShutdownMode::Drain).expect("shutdown ack");
+    handle.join().unwrap().expect("clean drain exit");
+}
+
+/// Submit `sweep` on a fresh connection and return its result digest.
+fn submit_digest(addr: SocketAddr, sweep: SweepSpec) -> Vec<(String, String, Vec<[u64; 11]>)> {
+    let mut client = ServeClient::connect(addr).expect("connect");
+    let id = client
+        .submit(&SubmitRequest {
+            sweep,
+            ..SubmitRequest::default()
+        })
+        .expect("submit accepted");
+    let (result, _) = client.wait_result(&id).expect("result");
+    let Frame::Result { outcomes, .. } = result else {
+        panic!("expected result frame");
+    };
+    wire_digest(&outcomes)
+}
+
+#[test]
+fn restarted_daemon_answers_from_its_disk_cache() {
+    let dir = std::env::temp_dir().join(format!("losac-serve-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = || ServeOptions::default().with_cache_dir(&dir);
+    let (addr, handle) = start_server(opts());
+    let first = submit_digest(addr, small_sweep());
+    let mut client = ServeClient::connect(addr).expect("connect");
+    client.shutdown(ShutdownMode::Drain).expect("shutdown ack");
+    handle.join().unwrap().expect("clean drain exit");
+
+    // A second daemon over the same directory starts with an empty memory
+    // cache, so both rows of every job come from disk. The counters are
+    // process-wide and other tests may add to them: assert growth.
+    let (addr, handle) = start_server(opts());
+    let mut client = ServeClient::connect(addr).expect("connect");
+    let disk_hits = |c: &mut ServeClient| {
+        c.status()
+            .expect("status")
+            .counter("sizing.eval.cache_disk_hit")
+    };
+    let before = disk_hits(&mut client);
+    let second = submit_digest(addr, small_sweep());
+    let after = disk_hits(&mut client);
+    assert_eq!(second, first, "a warm restart must answer the same bits");
+    assert!(
+        after >= before + 2 * first.len() as u64,
+        "disk hits went from {before} to {after} over {} jobs",
+        first.len()
+    );
+    client.shutdown(ShutdownMode::Drain).expect("shutdown ack");
+    handle.join().unwrap().expect("clean drain exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_round_trip_waits_for_no_delayed_ack() {
+    // A job whose deadline has passed at accept ends at once, so the round
+    // trip is all socket: `accepted`, then `result`, with no client write
+    // between them. With Nagle's algorithm on, the result waits for the
+    // client's delayed ACK of `accepted`, about 40 ms.
+    let (addr, handle) = start_server(ServeOptions::default());
+    let mut client = ServeClient::connect(addr).expect("connect");
+    let mut trips: Vec<Duration> = (0..10)
+        .map(|_| {
+            let start = Instant::now();
+            let id = client
+                .submit(&SubmitRequest {
+                    deadline_ms: Some(0),
+                    sweep: small_sweep(),
+                    ..SubmitRequest::default()
+                })
+                .expect("submit accepted");
+            client.wait_result(&id).expect("result");
+            start.elapsed()
+        })
+        .collect();
+    trips.sort();
+    let median = trips[trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median round trip {median:?}: {trips:?}"
+    );
     client.shutdown(ShutdownMode::Drain).expect("shutdown ack");
     handle.join().unwrap().expect("clean drain exit");
 }

@@ -25,6 +25,7 @@ use losac_tech::{Corner, Scenario, Technology};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Evaluations answered from an [`EvalCache`] without simulating.
@@ -286,12 +287,41 @@ impl EvalOptions {
 pub(crate) struct EvalKey {
     pub(crate) hash: u64,
     pub(crate) bytes: Box<[u8]>,
+    /// Where in `bytes` the technology's rendering sits (empty when the
+    /// key has none). It is about 1.8 kB and the same in every key of one
+    /// technology, so cache entries share one copy of it.
+    pub(crate) tech: Range<usize>,
 }
 
+/// A stored evaluation: its key bytes with the technology segment cut
+/// out and shared, and the numbers.
 #[derive(Debug)]
 struct CacheEntry {
-    bytes: Box<[u8]>,
+    /// The key bytes before and after the technology segment.
+    rest: Box<[u8]>,
+    /// Where the segment was cut out of the key bytes.
+    tech_at: usize,
+    tech: Arc<[u8]>,
     perf: Performance,
+}
+
+impl CacheEntry {
+    /// Whether this entry's key bytes equal `key`'s, every byte compared.
+    fn matches(&self, key: &EvalKey) -> bool {
+        let (at, end) = (self.tech_at, self.tech_at + self.tech.len());
+        key.bytes.len() == self.rest.len() + self.tech.len()
+            && key.bytes[..at] == self.rest[..at]
+            && key.bytes[at..end] == *self.tech
+            && key.bytes[end..] == self.rest[at..]
+    }
+}
+
+/// The memory layer: entries by key hash, and one copy of each distinct
+/// technology segment for the entries to share.
+#[derive(Debug, Default)]
+struct Memory {
+    buckets: HashMap<u64, Vec<CacheEntry>>,
+    techs: Vec<Arc<[u8]>>,
 }
 
 /// A keyed memo of completed evaluations.
@@ -309,6 +339,10 @@ struct CacheEntry {
 /// version keyed on the bare 64-bit hash and would have returned the
 /// colliding design's numbers as a hit.)
 ///
+/// In memory, the entries of one technology share one copy of its key
+/// segment (`hash_technology`'s rendering, about 1.8 kB); a lookup still
+/// compares every byte.
+///
 /// A cache opened with [`EvalCache::persistent`] additionally backs
 /// every entry with a content-addressed file (see `persist.rs`):
 /// memory misses probe the directory, verified disk entries are served
@@ -318,7 +352,7 @@ struct CacheEntry {
 /// shared across concurrent daemon runs.
 #[derive(Debug, Default)]
 pub struct EvalCache {
-    map: Mutex<HashMap<u64, Vec<CacheEntry>>>,
+    map: Mutex<Memory>,
     disk: Option<crate::persist::DiskStore>,
 }
 
@@ -337,7 +371,7 @@ impl EvalCache {
     /// Fails when the directory cannot be created.
     pub fn persistent(dir: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
         Ok(Self {
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::default(),
             disk: Some(crate::persist::DiskStore::open(dir.into())?),
         })
     }
@@ -349,7 +383,7 @@ impl EvalCache {
 
     /// Number of distinct evaluations stored.
     pub fn len(&self) -> usize {
-        self.lock().values().map(Vec::len).sum()
+        self.lock().buckets.values().map(Vec::len).sum()
     }
 
     /// Whether the cache is empty.
@@ -361,16 +395,15 @@ impl EvalCache {
     /// holding the lock can only have been *reading*, or inserting a
     /// fully-formed entry, so the data is still consistent — and the
     /// cache must keep serving the surviving workers of the batch.
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Vec<CacheEntry>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Memory> {
         self.map.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     fn lookup(&self, key: &EvalKey) -> Option<Performance> {
         let memory_hit = {
             let map = self.lock();
-            let bucket = map.get(&key.hash);
-            let hit =
-                bucket.and_then(|b| b.iter().find(|e| *e.bytes == *key.bytes).map(|e| e.perf));
+            let bucket = map.buckets.get(&key.hash);
+            let hit = bucket.and_then(|b| b.iter().find(|e| e.matches(key)).map(|e| e.perf));
             if hit.is_none() && bucket.is_some_and(|b| !b.is_empty()) {
                 EVAL_CACHE_COLLISION.incr();
             }
@@ -403,12 +436,28 @@ impl EvalCache {
     /// Insert into the in-memory map only; `true` when the entry was new.
     fn insert_memory(&self, key: &EvalKey, perf: Performance) -> bool {
         let mut map = self.lock();
-        let bucket = map.entry(key.hash).or_default();
-        if bucket.iter().any(|e| *e.bytes == *key.bytes) {
+        let Memory { buckets, techs } = &mut *map;
+        // Almost every bucket holds one entry: reserve no room for more.
+        let bucket = buckets
+            .entry(key.hash)
+            .or_insert_with(|| Vec::with_capacity(1));
+        if bucket.iter().any(|e| e.matches(key)) {
             return false;
         }
+        let segment = &key.bytes[key.tech.clone()];
+        let tech = match techs.iter().find(|t| t[..] == *segment) {
+            Some(t) => t.clone(),
+            None => {
+                let t: Arc<[u8]> = Arc::from(segment);
+                techs.push(t.clone());
+                t
+            }
+        };
+        let rest = [&key.bytes[..key.tech.start], &key.bytes[key.tech.end..]].concat();
         bucket.push(CacheEntry {
-            bytes: key.bytes.clone(),
+            rest: rest.into_boxed_slice(),
+            tech_at: key.tech.start,
+            tech,
             perf,
         });
         true
@@ -487,6 +536,7 @@ impl FnvHasher {
         EvalKey {
             hash: self.hash,
             bytes: self.bytes.into_boxed_slice(),
+            tech: 0..0,
         }
     }
 }
@@ -530,7 +580,9 @@ fn eval_key(
     let mut h = FnvHasher::new();
     h.write_str(ota.topology_name());
     ota.write_fingerprint(&mut h);
+    let tech_at = h.bytes.len();
     hash_technology(&mut h, tech);
+    let tech_range = tech_at..h.bytes.len();
     hash_mode(&mut h, mode);
     // The scenario is hashed only when non-nominal: the nominal scenario
     // must produce the exact historical key bytes so entries persisted by
@@ -539,7 +591,10 @@ fn eval_key(
     if !scenario.is_nominal() {
         hash_scenario(&mut h, scenario);
     }
-    h.into_key()
+    EvalKey {
+        tech: tech_range,
+        ..h.into_key()
+    }
 }
 
 /// Mix a non-nominal scenario into the key: every coordinate that alters
@@ -1094,10 +1149,12 @@ mod tests {
         let a = EvalKey {
             hash: 42,
             bytes: b"design-a".to_vec().into_boxed_slice(),
+            tech: 0..0,
         };
         let b = EvalKey {
             hash: 42,
             bytes: b"design-b".to_vec().into_boxed_slice(),
+            tech: 0..0,
         };
         cache.store(&a, sample_perf(0.0));
         let collisions_before = EVAL_CACHE_COLLISION.get();
@@ -1235,7 +1292,57 @@ mod tests {
         hash_technology(&mut h, &tech);
         hash_mode(&mut h, &ParasiticMode::None);
         let legacy = h.into_key();
-        assert_eq!(key, legacy, "nominal scenario must be key-invisible");
+        assert_eq!(
+            (key.hash, key.bytes),
+            (legacy.hash, legacy.bytes),
+            "nominal scenario must be key-invisible"
+        );
+    }
+
+    #[test]
+    fn entries_of_one_technology_share_its_key_bytes() {
+        let (tech, ota) = setup();
+        let nom = Scenario::nominal();
+        let key_a = eval_key(&ota, &tech, &ParasiticMode::None, &nom);
+        let key_b = eval_key(&ota, &tech, &ParasiticMode::UnfoldedDiffusion, &nom);
+        assert_eq!(
+            key_a.bytes[key_a.tech.clone()],
+            key_b.bytes[key_b.tech.clone()]
+        );
+        let cache = EvalCache::new();
+        cache.store(&key_a, sample_perf(0.0));
+        cache.store(&key_b, sample_perf(1.0));
+        {
+            let memory = cache.lock();
+            let entries: Vec<&CacheEntry> = memory.buckets.values().flatten().collect();
+            assert_eq!(entries.len(), 2);
+            assert!(
+                Arc::ptr_eq(&entries[0].tech, &entries[1].tech),
+                "two entries of one technology share one allocation"
+            );
+            assert_eq!(memory.techs.len(), 1);
+        }
+        assert_eq!(cache.lookup(&key_a), Some(sample_perf(0.0)));
+        assert_eq!(cache.lookup(&key_b), Some(sample_perf(1.0)));
+    }
+
+    #[test]
+    fn a_key_differing_only_inside_the_technology_segment_misses() {
+        let (tech, ota) = setup();
+        let key = eval_key(&ota, &tech, &ParasiticMode::None, &Scenario::nominal());
+        let cache = EvalCache::new();
+        cache.store(&key, sample_perf(0.0));
+        let mut bytes = key.bytes.to_vec();
+        bytes[key.tech.start + key.tech.len() / 2] ^= 1;
+        // Same hash, so the lookup lands in the stored entry's bucket.
+        let twin = EvalKey {
+            bytes: bytes.into_boxed_slice(),
+            ..key.clone()
+        };
+        let collisions_before = EVAL_CACHE_COLLISION.get();
+        assert_eq!(cache.lookup(&twin), None);
+        assert!(EVAL_CACHE_COLLISION.get() > collisions_before);
+        assert_eq!(cache.lookup(&key), Some(sample_perf(0.0)));
     }
 
     #[test]

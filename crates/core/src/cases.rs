@@ -122,8 +122,8 @@ impl From<EvalError> for CaseError {
     fn from(e: EvalError) -> Self {
         // An interrupted evaluation is the run control stopping the case,
         // not a measurement defect: surface it as the matching flow
-        // outcome so retry logic never mistakes a budget stop for a
-        // transient analysis failure.
+        // outcome, so the engine reports a budget stop as `TimedOut` or
+        // `Cancelled` rather than as a failed analysis.
         match e.kind() {
             EvalErrorKind::Cancelled => CaseError::Flow(FlowError::Cancelled),
             EvalErrorKind::TimedOut => CaseError::Flow(FlowError::TimedOut),

@@ -112,11 +112,6 @@ impl FlowControl {
         self.stop.clone()
     }
 
-    /// The absolute deadline, when one is attached.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
     /// The simulator-level interrupt mirroring this control, or `None`
     /// when the control never stops a run. Installing it (see
     /// [`losac_sim::interrupt::install`]) makes the Newton iterations

@@ -6,73 +6,20 @@ use crate::pool::{panic_message, run_indexed, PoolOutcome};
 use crate::telemetry::{collect_design_points, BatchTelemetry, YieldRow};
 use losac_core::cases::{prepare_case, same_preparation, CaseError, CaseOptions, PreparedCase};
 use losac_core::flow::{FlowControl, FlowError};
-use losac_core::prelude::CaseResult;
 use losac_obs::{f, Counter, Histogram, HistogramCore};
-use losac_sizing::eval::EvalErrorKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Retry attempts made beyond each job's first, across all batches.
-static ENGINE_JOB_RETRIES: Counter = Counter::new("engine.job.retries");
-/// Jobs that ended [`JobOutcome::Degraded`], across all batches.
-static ENGINE_JOB_DEGRADED: Counter = Counter::new("engine.job.degraded");
 /// Per-job wall-clock time, across all batches (milliseconds).
 static ENGINE_JOB_MS: Histogram = Histogram::new("engine.job.ms");
-/// Backoff delay before each retry attempt (milliseconds).
-static ENGINE_RETRY_BACKOFF_MS: Histogram = Histogram::new("engine.retry.backoff_ms");
 /// The sizing crate's cache counters, resolved by name to the same
 /// registry slots — read here to report a running hit rate on
 /// `engine.job.done` events. Process-global, so concurrent batches see
 /// each other's deltas (same approximation the flow telemetry makes).
 static EVAL_CACHE_HITS: Counter = Counter::new("sizing.eval.cache_hit");
 static EVAL_CACHE_MISSES: Counter = Counter::new("sizing.eval.cache_miss");
-
-/// How one attempt of a job ended, folded into the retry decision.
-enum Attempt {
-    /// The run produced a result.
-    Success(Box<CaseResult>),
-    /// Budget stop — never retried: the clock that stopped this attempt
-    /// covers all attempts, so another try cannot end differently.
-    Terminal(JobOutcome),
-    /// Deterministic failure of the inputs (invalid options, bad
-    /// netlist, sizing or layout rejection) — retrying replays it.
-    Permanent(CaseError),
-    /// Possibly-recoverable failure: non-convergence, a singular
-    /// system, an injected fault, or a panic inside the run.
-    Transient {
-        message: String,
-        /// The typed error, when the attempt failed without panicking.
-        error: Option<CaseError>,
-    },
-}
-
-/// Classify one caught attempt. Panics count as transient: in a long
-/// batch a panic is more often a data-dependent corner (the bug class
-/// the library's typed-error sweep keeps shrinking) than a systematic
-/// fault, and a retry that panics again still ends the job.
-fn classify(r: std::thread::Result<Result<CaseResult, CaseError>>) -> Attempt {
-    match r {
-        Ok(Ok(res)) => Attempt::Success(Box::new(res)),
-        Ok(Err(CaseError::Flow(FlowError::TimedOut))) => Attempt::Terminal(JobOutcome::TimedOut),
-        Ok(Err(CaseError::Flow(FlowError::Cancelled))) => Attempt::Terminal(JobOutcome::Cancelled),
-        Ok(Err(CaseError::Eval(e))) => match e.kind() {
-            EvalErrorKind::BadNetlist => Attempt::Permanent(CaseError::Eval(e)),
-            _ => Attempt::Transient {
-                message: e.to_string(),
-                error: Some(CaseError::Eval(e)),
-            },
-        },
-        // Remaining flow errors (invalid options, sizing, layout) are
-        // deterministic functions of the job's inputs.
-        Ok(Err(e)) => Attempt::Permanent(e),
-        Err(payload) => Attempt::Transient {
-            message: panic_message(payload),
-            error: None,
-        },
-    }
-}
 
 /// Whether a job may share its case preparation with other jobs. A job
 /// with its own budget prepares alone, so no job's budget can stop
@@ -134,30 +81,6 @@ fn preparation_groups(jobs: &[SynthesisJob]) -> (Vec<Option<usize>>, usize) {
         .map(|g| g.and_then(|g| cell_of[g]))
         .collect();
     (cell_of_job, cells)
-}
-
-/// Sleep `delay` in small chunks, aborting early when the stop flag is
-/// raised or the deadline passes. Returns the outcome that interrupted
-/// the sleep, or `None` when the full backoff elapsed.
-fn backoff_sleep(
-    mut delay: Duration,
-    stop: &AtomicBool,
-    deadline: Option<Instant>,
-) -> Option<JobOutcome> {
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Some(JobOutcome::Cancelled);
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Some(JobOutcome::TimedOut);
-        }
-        if delay.is_zero() {
-            return None;
-        }
-        let chunk = delay.min(Duration::from_millis(5));
-        std::thread::sleep(chunk);
-        delay = delay.saturating_sub(chunk);
-    }
 }
 
 /// Engine configuration.
@@ -288,18 +211,12 @@ impl Engine {
     /// * a job that panics yields [`JobOutcome::Panicked`] without
     ///   affecting any other job;
     /// * a job whose [`SynthesisJob::budget`] elapses yields
-    ///   [`JobOutcome::TimedOut`] at its next phase boundary — the
-    ///   budget also covers every retry attempt and backoff sleep;
+    ///   [`JobOutcome::TimedOut`] at its next phase boundary;
     /// * after [`CancelToken::cancel`], jobs not yet started yield
     ///   [`JobOutcome::Cancelled`] and in-flight jobs stop at their next
     ///   phase boundary;
-    /// * with a [`SynthesisJob::retry`] policy, *transient* failures
-    ///   (non-convergence, singular systems, panics, injected faults)
-    ///   are retried with deterministic backoff and the job reports
-    ///   [`JobOutcome::Degraded`]; *permanent* failures (invalid
-    ///   options, bad netlists, sizing/layout rejections) and budget
-    ///   stops are never retried, and without a policy behaviour is
-    ///   unchanged from earlier releases;
+    /// * every job runs once: a job is a pure function of its inputs, so
+    ///   a second run would fail the same way;
     /// * jobs whose flow inputs are exactly equal (same plan `Arc`,
     ///   equal technology, case, layout options, shape and call budget,
     ///   bitwise-equal specification and tolerance; see
@@ -333,9 +250,6 @@ impl Engine {
         let job_times: Vec<std::sync::Mutex<Duration>> = (0..n)
             .map(|_| std::sync::Mutex::new(Duration::ZERO))
             .collect();
-        // Retries actually made per job (0 when the outcome is not
-        // Degraded too — a retried job can still end Failed/TimedOut).
-        let job_retries: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
         // Per-job yield metadata, captured before the pool consumes the
         // jobs: the design-point key and the spec limits the scenario
         // runs are accepted against.
@@ -362,9 +276,10 @@ impl Engine {
         // measured, so the first job to reach its group's cell runs the
         // sizing, the flow and the verification layout, later ones wait
         // for it, and every job measures from the stored result. Errors
-        // are stored and shared; a panic is not, so each job's attempt
-        // and retry policy sees its own. Outcomes are unchanged, because
-        // the preparation is a pure function of the inputs that key it.
+        // are stored and shared; a panic is not, so a job waiting on a
+        // cell whose preparation panicked prepares again and panics on
+        // its own. Outcomes are unchanged, because the preparation is a
+        // pure function of the inputs that key it.
         let (cell_of, cells) = preparation_groups(&jobs);
         let prepared_cells: Vec<OnceLock<Result<PreparedCase, CaseError>>> =
             (0..cells).map(|_| OnceLock::new()).collect();
@@ -387,111 +302,42 @@ impl Engine {
                 ],
             );
             let begun = Instant::now();
-            // One deadline for the whole job: every attempt and
-            // every backoff sleep counts against the same budget,
-            // clamped under the batch-wide deadline when one is set.
-            let control_proto = {
-                let mut c = FlowControl::new().with_stop(self.stop.clone());
-                if let Some(b) = job.budget {
-                    c = c.with_deadline(begun + b);
-                }
-                if let Some(d) = self.opts.deadline {
-                    c = c.with_deadline_earliest(d);
-                }
-                c
-            };
-            let deadline = control_proto.deadline();
-            // The fault plan is installed once, outside the attempt
-            // loop, so its hit counters persist across retries — a
-            // `once` fault fails attempt 1 and spares attempt 2.
-            let _fail_guard = job.fail_plan.clone().map(losac_obs::failpoint::install);
-            let retry = job.retry.clone().filter(|p| p.max_attempts > 1);
-            let mut attempt: u32 = 1;
-            let mut last_error: Option<String> = None;
-            let outcome = loop {
-                losac_obs::event(
-                    "engine.job.attempt",
-                    &[f("job", i as u64), f("attempt", u64::from(attempt))],
-                );
-                // Per-attempt catch_unwind so a panicking attempt is
-                // retryable; the pool's own catch_unwind stays as a
-                // backstop for this orchestration code itself.
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    let mut opts = job.case_options(control_proto.clone());
-                    opts.eval.cache = Some(eval_cache.clone());
-                    let prepare = || {
-                        prepared.fetch_add(1, Ordering::Relaxed);
-                        prepare_case(&job.tech, &job.specs, job.case, &opts)
-                    };
-                    // A shared preparation runs under the batch's stop
-                    // flag and deadline only: shareable jobs carry no
-                    // budget of their own.
-                    match cell_of[i].map(|c| &prepared_cells[c]) {
-                        Some(cell) => match cell.get_or_init(prepare) {
-                            Ok(case) => case.measure(&job.tech, &opts),
-                            Err(e) => Err(e.clone()),
-                        },
-                        None => prepare()?.measure(&job.tech, &opts),
-                    }
-                }));
-                match classify(run) {
-                    Attempt::Success(res) => {
-                        break if attempt == 1 {
-                            JobOutcome::Finished(res)
-                        } else {
-                            JobOutcome::Degraded {
-                                attempts: attempt,
-                                last_error: last_error.take().unwrap_or_default(),
-                                partial: Some(res),
-                            }
-                        };
-                    }
-                    Attempt::Terminal(o) => break o,
-                    Attempt::Permanent(e) => break JobOutcome::Failed(e),
-                    Attempt::Transient { message, error } => {
-                        let can_retry = retry.as_ref().is_some_and(|p| attempt < p.max_attempts);
-                        if !can_retry {
-                            break if attempt > 1 {
-                                JobOutcome::Degraded {
-                                    attempts: attempt,
-                                    last_error: message,
-                                    partial: None,
-                                }
-                            } else if let Some(e) = error {
-                                JobOutcome::Failed(e)
-                            } else {
-                                JobOutcome::Panicked(message)
-                            };
-                        }
-                        let policy = retry.as_ref().expect("can_retry implies a policy");
-                        ENGINE_JOB_RETRIES.incr();
-                        job_retries[i].fetch_add(1, Ordering::Relaxed);
-                        let delay = policy.backoff(i, attempt);
-                        ENGINE_RETRY_BACKOFF_MS.observe_duration(delay);
-                        losac_obs::event(
-                            "engine.job.retry",
-                            &[
-                                f("job", i as u64),
-                                f("attempt", u64::from(attempt)),
-                                f("error", message.as_str()),
-                                f("backoff_ms", delay.as_secs_f64() * 1e3),
-                            ],
-                        );
-                        if let Some(o) = backoff_sleep(delay, &self.stop, deadline) {
-                            break o;
-                        }
-                        last_error = Some(message);
-                        attempt += 1;
-                    }
-                }
-            };
-            if let JobOutcome::Degraded { attempts, .. } = &outcome {
-                ENGINE_JOB_DEGRADED.incr();
-                losac_obs::event(
-                    "engine.job.degraded",
-                    &[f("job", i as u64), f("attempts", u64::from(*attempts))],
-                );
+            let mut control = FlowControl::new().with_stop(self.stop.clone());
+            if let Some(b) = job.budget {
+                control = control.with_deadline(begun + b);
             }
+            if let Some(d) = self.opts.deadline {
+                control = control.with_deadline_earliest(d);
+            }
+            let _fail_guard = job.fail_plan.clone().map(losac_obs::failpoint::install);
+            // The job's own catch_unwind lets a panicking job reach the
+            // bookkeeping below; the pool's stays as a backstop for this
+            // orchestration code itself.
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                let mut opts = job.case_options(control);
+                opts.eval.cache = Some(eval_cache.clone());
+                let prepare = || {
+                    prepared.fetch_add(1, Ordering::Relaxed);
+                    prepare_case(&job.tech, &job.specs, job.case, &opts)
+                };
+                // A shared preparation runs under the batch's stop flag
+                // and deadline only: shareable jobs carry no budget of
+                // their own.
+                match cell_of[i].map(|c| &prepared_cells[c]) {
+                    Some(cell) => match cell.get_or_init(prepare) {
+                        Ok(case) => case.measure(&job.tech, &opts),
+                        Err(e) => Err(e.clone()),
+                    },
+                    None => prepare()?.measure(&job.tech, &opts),
+                }
+            }));
+            let outcome = match run {
+                Ok(Ok(res)) => JobOutcome::Finished(Box::new(res)),
+                Ok(Err(CaseError::Flow(FlowError::TimedOut))) => JobOutcome::TimedOut,
+                Ok(Err(CaseError::Flow(FlowError::Cancelled))) => JobOutcome::Cancelled,
+                Ok(Err(e)) => JobOutcome::Failed(e),
+                Err(payload) => JobOutcome::Panicked(panic_message(payload)),
+            };
             let elapsed = begun.elapsed();
             *job_times[i].lock().expect("job time lock poisoned") = elapsed;
             ENGINE_JOB_MS.observe_duration(elapsed);
@@ -535,14 +381,6 @@ impl Engine {
             .iter()
             .map(|t| *t.lock().expect("job time lock poisoned"))
             .sum();
-        let retries = job_retries
-            .iter()
-            .map(|r| u64::from(r.load(Ordering::Relaxed)))
-            .sum();
-        let degraded = outcomes
-            .iter()
-            .filter(|o| matches!(o, JobOutcome::Degraded { .. }))
-            .count();
         // Yield/Cpk aggregation over the scenario runs of each design
         // point, in submission order — the fold is a pure function of
         // (jobs, outcomes), so the statistics are bitwise identical at
@@ -576,8 +414,6 @@ impl Engine {
             worker_busy: stats.iter().map(|s| s.busy).collect(),
             worker_jobs: stats.iter().map(|s| s.jobs).collect(),
             serial_estimate,
-            retries,
-            degraded,
             prepared: prepared.into_inner(),
             job_ms: batch_job_ms.snapshot(),
             design_points,
@@ -698,13 +534,11 @@ mod tests {
     fn an_invalid_netlist_is_a_typed_failure_not_a_panic() {
         // A NaN load capacitance used to trip an assert deep in the
         // netlist builder and panic the worker; it must now surface as
-        // a typed permanent failure — and never be retried, even with a
-        // generous retry policy.
+        // a typed failure.
         let mut bad = OtaSpecs::paper_example();
         bad.c_load = f64::NAN;
         let jobs = vec![
-            SynthesisJob::new(Arc::new(Technology::cmos06()), bad, Case::NoParasitics)
-                .with_retry(crate::RetryPolicy::attempts(4)),
+            SynthesisJob::new(Arc::new(Technology::cmos06()), bad, Case::NoParasitics),
             paper_job(Case::NoParasitics),
         ];
         let batch = Engine::new(EngineOptions::with_workers(1)).run_batch(jobs);
@@ -713,21 +547,6 @@ mod tests {
             "expected a typed failure, got {}",
             batch.outcomes[0].status()
         );
-        assert_eq!(batch.telemetry.retries, 0, "permanent failures retried");
         assert!(batch.outcomes[1].is_finished());
-    }
-
-    #[test]
-    fn a_retry_policy_changes_nothing_for_healthy_jobs() {
-        let jobs = vec![paper_job(Case::NoParasitics)
-            .with_retry(crate::RetryPolicy::attempts(3).with_jitter_seed(7))];
-        let batch = Engine::new(EngineOptions::with_workers(1)).run_batch(jobs);
-        assert!(
-            batch.outcomes[0].is_finished(),
-            "{}",
-            batch.outcomes[0].status()
-        );
-        assert_eq!(batch.telemetry.retries, 0);
-        assert_eq!(batch.telemetry.degraded, 0);
     }
 }

@@ -5,82 +5,10 @@ use losac_core::flow::FlowControl;
 use losac_core::prelude::{Case, CaseResult, FlowOptions};
 use losac_core::LayoutOptions;
 use losac_layout::slicing::ShapeConstraint;
-use losac_sizing::{FoldedCascodePlan, OtaSpecs, TopologyPlan};
+use losac_sizing::{OtaSpecs, TopologyPlan};
 use losac_tech::{Scenario, Technology};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Retry policy for a job's *transient* failures (non-convergence,
-/// singular systems, injected faults, panics). Permanent failures —
-/// invalid options, a bad netlist, a layout-tool rejection — are never
-/// retried: rebuilding the same inputs reruns the same deterministic
-/// failure. Budget stops (timeout / cancellation) are terminal too.
-///
-/// Backoff is exponential from [`base_backoff`](Self::base_backoff),
-/// doubling per attempt up to [`max_backoff`](Self::max_backoff), with
-/// *deterministic* jitter: the jitter factor is a pure function of
-/// (`jitter_seed`, job index, attempt number), so a batch replays
-/// identically at any worker count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts including the first; values below 1 behave as 1.
-    pub max_attempts: u32,
-    /// Backoff before the second attempt; doubles per further attempt.
-    pub base_backoff: Duration,
-    /// Ceiling on the exponential backoff (pre-jitter).
-    pub max_backoff: Duration,
-    /// Seed of the deterministic jitter stream.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-            jitter_seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Default backoff with an explicit attempt count.
-    pub fn attempts(max_attempts: u32) -> Self {
-        Self {
-            max_attempts,
-            ..Default::default()
-        }
-    }
-
-    /// Same policy with a different jitter seed.
-    #[must_use]
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-
-    /// The sleep before the retry that follows failed attempt
-    /// `attempt` (1-based) of job `job_index`: exponential, capped,
-    /// then scaled into `[0.5, 1.0]`× by the deterministic jitter.
-    pub fn backoff(&self, job_index: usize, attempt: u32) -> Duration {
-        let doublings = attempt.saturating_sub(1).min(20);
-        let exp = self
-            .base_backoff
-            .saturating_mul(1u32 << doublings)
-            .min(self.max_backoff);
-        // One independent, well-mixed stream per (seed, job, attempt):
-        // the odd multipliers spread consecutive indices across the
-        // whole 64-bit space before seeding xorshift.
-        let mix = self
-            .jitter_seed
-            .wrapping_add((job_index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .wrapping_add(u64::from(attempt).wrapping_mul(0xd1b5_4a32_d192_ed03));
-        let mut rng = losac_sizing::rng::Xorshift128Plus::seed_from_u64(mix);
-        let frac = 0.5 + 0.5 * rng.next_f64();
-        Duration::from_secs_f64(exp.as_secs_f64() * frac)
-    }
-}
 
 /// All inputs of one synthesis run, as one self-contained value.
 ///
@@ -111,12 +39,8 @@ pub struct SynthesisJob {
     pub max_layout_calls: usize,
     /// Optional per-job wall-clock budget; the engine turns it into a
     /// deadline when the job starts and the run stops cooperatively at
-    /// the next phase boundary past it. The deadline covers *all* retry
-    /// attempts and their backoff sleeps, not each attempt separately.
+    /// the next phase boundary past it.
     pub budget: Option<Duration>,
-    /// Optional retry policy for transient failures. `None` (the
-    /// default) keeps the historical single-attempt behaviour.
-    pub retry: Option<RetryPolicy>,
     /// The PVT/mismatch scenario both performance rows are measured
     /// under. The nominal default is bitwise identical to the
     /// scenario-free historical path.
@@ -131,10 +55,8 @@ pub struct SynthesisJob {
     /// out of aggregation.
     pub design_point: Option<String>,
     /// Deterministic fault-injection plan, installed on the worker for
-    /// the duration of this job (all attempts share the plan's hit
-    /// counters, so a `once` fault fails the first attempt only).
-    /// Testing/chaos-engineering hook; `None` (the default) injects
-    /// nothing.
+    /// the duration of this job. Testing hook; `None` (the default)
+    /// injects nothing.
     pub fail_plan: Option<losac_obs::failpoint::FailPlan>,
 }
 
@@ -155,7 +77,6 @@ impl SynthesisJob {
             tolerance: defaults.tolerance,
             max_layout_calls: defaults.max_layout_calls,
             budget: None,
-            retry: None,
             scenario: Scenario::nominal(),
             scenarios: Vec::new(),
             design_point: None,
@@ -174,14 +95,6 @@ impl SynthesisJob {
     #[must_use]
     pub fn with_shape(mut self, shape: ShapeConstraint) -> Self {
         self.shape = shape;
-        self
-    }
-
-    /// Set the sizing plan to a folded-cascode plan (convenience wrapper
-    /// over [`with_topology_plan`](Self::with_topology_plan)).
-    #[must_use]
-    pub fn with_plan(mut self, plan: FoldedCascodePlan) -> Self {
-        self.plan = Arc::new(plan);
         self
     }
 
@@ -217,13 +130,6 @@ impl SynthesisJob {
     #[must_use]
     pub fn with_budget(mut self, budget: Duration) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Set the retry policy for transient failures.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
         self
     }
 
@@ -291,18 +197,7 @@ pub enum JobOutcome {
     Finished(Box<CaseResult>),
     /// The run failed in sizing, layout or measurement.
     Failed(CaseError),
-    /// The job needed its [`RetryPolicy`]: either it recovered after
-    /// retrying transient failures (`partial` carries the result) or it
-    /// exhausted its attempts (`partial` is `None`).
-    Degraded {
-        /// Attempts actually made, including the first (always ≥ 2).
-        attempts: u32,
-        /// Display form of the last transient failure observed.
-        last_error: String,
-        /// The result, when a later attempt succeeded.
-        partial: Option<Box<CaseResult>>,
-    },
-    /// The run panicked; the pool caught it and carried on.
+    /// The run panicked; the engine caught it and carried on.
     Panicked(String),
     /// The run exceeded its per-job wall-clock budget.
     TimedOut,
@@ -311,20 +206,15 @@ pub enum JobOutcome {
 }
 
 impl JobOutcome {
-    /// The case result, when the job produced one — cleanly
-    /// ([`Finished`](JobOutcome::Finished)) or after retries
-    /// ([`Degraded`](JobOutcome::Degraded) with a `partial`).
+    /// The case result, when the job [`Finished`](JobOutcome::Finished).
     pub fn result(&self) -> Option<&CaseResult> {
         match self {
             JobOutcome::Finished(r) => Some(r),
-            JobOutcome::Degraded {
-                partial: Some(r), ..
-            } => Some(r),
             _ => None,
         }
     }
 
-    /// Whether the job produced a clean first-attempt result.
+    /// Whether the job produced a result.
     pub fn is_finished(&self) -> bool {
         matches!(self, JobOutcome::Finished(_))
     }
@@ -334,7 +224,6 @@ impl JobOutcome {
         match self {
             JobOutcome::Finished(_) => "finished",
             JobOutcome::Failed(_) => "failed",
-            JobOutcome::Degraded { .. } => "degraded",
             JobOutcome::Panicked(_) => "panicked",
             JobOutcome::TimedOut => "timed_out",
             JobOutcome::Cancelled => "cancelled",
@@ -374,44 +263,8 @@ mod tests {
         assert_eq!(failed.status(), "failed");
         assert!(failed.result().is_none());
         assert!(!failed.is_finished());
-        let exhausted = JobOutcome::Degraded {
-            attempts: 3,
-            last_error: "newton diverged".into(),
-            partial: None,
-        };
-        assert_eq!(exhausted.status(), "degraded");
-        assert!(exhausted.result().is_none());
-        assert!(!exhausted.is_finished());
+        assert_eq!(JobOutcome::Panicked("boom".into()).status(), "panicked");
         assert_eq!(JobOutcome::TimedOut.status(), "timed_out");
         assert_eq!(JobOutcome::Cancelled.status(), "cancelled");
-    }
-
-    #[test]
-    fn backoff_is_deterministic_capped_and_jittered() {
-        let p = RetryPolicy {
-            max_attempts: 8,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(80),
-            jitter_seed: 42,
-        };
-        for job in 0..4usize {
-            for attempt in 1..8u32 {
-                let a = p.backoff(job, attempt);
-                let b = p.backoff(job, attempt);
-                assert_eq!(a, b, "jitter must be a pure function of its inputs");
-                // Pre-jitter exponent is min(10ms << (attempt-1), 80ms);
-                // jitter scales it into [0.5, 1.0]x.
-                let exp = Duration::from_millis((10u64 << (attempt - 1)).min(80));
-                assert!(a <= exp, "job {job} attempt {attempt}: {a:?} > {exp:?}");
-                assert!(
-                    a >= exp / 2,
-                    "job {job} attempt {attempt}: {a:?} < {:?}",
-                    exp / 2
-                );
-            }
-        }
-        // Different jobs (and seeds) see different jitter.
-        assert_ne!(p.backoff(0, 1), p.backoff(1, 1));
-        assert_ne!(p.backoff(0, 1), p.clone().with_jitter_seed(7).backoff(0, 1));
     }
 }

@@ -21,14 +21,10 @@
 //!   inputs — the scenario jobs of one design point — share one case
 //!   preparation per batch and each measure their own scenario from it
 //!   ([`BatchTelemetry::prepared`]);
-//! * [`RetryPolicy`] — opt-in retry of *transient* failures
-//!   (non-convergence, singular systems, panics) with exponential
-//!   backoff and deterministic jitter; recovered or exhausted jobs
-//!   report [`JobOutcome::Degraded`], while permanent failures (invalid
-//!   options, bad netlists, sizing/layout rejections) and budget stops
-//!   are never retried. Per-job fault plans
-//!   ([`SynthesisJob::with_fail_plan`]) drive the seeded chaos suite in
-//!   `tests/chaos.rs`;
+//! * one run per job: a job is a pure function of its inputs, so a
+//!   failure ([`JobOutcome::Failed`]) is final and reproducible. Per-job
+//!   fault plans ([`SynthesisJob::with_fail_plan`]) drive the seeded
+//!   chaos suite in `tests/chaos.rs`;
 //! * [`SweepBuilder`] — cartesian job grids over cases, shape
 //!   constraints, specification axes ([`SpecAxis`]) and *scenario* axes:
 //!   process corners, temperatures, supply scales and seeded Monte-Carlo
@@ -62,7 +58,7 @@ mod sweep;
 mod telemetry;
 
 pub use engine::{BatchResult, CancelToken, Engine, EngineOptions};
-pub use job::{JobOutcome, RetryPolicy, SynthesisJob};
+pub use job::{JobOutcome, SynthesisJob};
 pub use sweep::{SpecAxis, SweepBuilder};
 pub use telemetry::{BatchTelemetry, DesignPointYield, MetricSpread};
 

@@ -7,7 +7,7 @@
 //! product of the varied axes into a job list for
 //! [`crate::Engine::run_batch`].
 
-use crate::job::{RetryPolicy, SynthesisJob};
+use crate::job::SynthesisJob;
 use losac_core::prelude::{Case, OtaSpecs};
 use losac_layout::slicing::ShapeConstraint;
 use losac_sizing::{FoldedCascodePlan, TopologyPlan};
@@ -90,7 +90,6 @@ pub struct SweepBuilder {
     plan: Arc<dyn TopologyPlan>,
     topologies: Vec<Arc<dyn TopologyPlan>>,
     budget: Option<Duration>,
-    retry: Option<RetryPolicy>,
     corners: Vec<Corner>,
     temperatures: Vec<f64>,
     supplies: Vec<f64>,
@@ -109,7 +108,6 @@ impl SweepBuilder {
             plan: Arc::new(FoldedCascodePlan::default()),
             topologies: Vec::new(),
             budget: None,
-            retry: None,
             corners: Vec::new(),
             temperatures: Vec::new(),
             supplies: Vec::new(),
@@ -133,13 +131,6 @@ impl SweepBuilder {
     /// adds another cartesian axis.
     pub fn over_spec_axis(mut self, axis: SpecAxis, values: impl IntoIterator<Item = f64>) -> Self {
         self.axes.push((axis, values.into_iter().collect()));
-        self
-    }
-
-    /// Use this folded-cascode sizing plan for every job (convenience
-    /// wrapper over [`with_topology_plan`](Self::with_topology_plan)).
-    pub fn with_plan(mut self, plan: FoldedCascodePlan) -> Self {
-        self.plan = Arc::new(plan);
         self
     }
 
@@ -199,12 +190,6 @@ impl SweepBuilder {
     /// Give every job this wall-clock budget.
     pub fn with_budget(mut self, budget: Duration) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Give every job this retry policy for transient failures.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
         self
     }
 
@@ -336,11 +321,6 @@ impl SweepBuilder {
                 job.budget = Some(budget);
             }
         }
-        if let Some(retry) = self.retry {
-            for job in &mut jobs {
-                job.retry = Some(retry.clone());
-            }
-        }
         jobs
     }
 }
@@ -387,19 +367,15 @@ mod tests {
     }
 
     #[test]
-    fn budget_and_retry_apply_to_every_job() {
+    fn a_budget_applies_to_every_job() {
         let jobs = builder()
             .over_cases(Case::ALL)
             .with_budget(Duration::from_secs(30))
-            .with_retry(RetryPolicy::attempts(2))
             .build();
         assert_eq!(jobs.len(), 4);
         assert!(jobs
             .iter()
             .all(|j| j.budget == Some(Duration::from_secs(30))));
-        assert!(jobs
-            .iter()
-            .all(|j| j.retry == Some(RetryPolicy::attempts(2))));
     }
 
     #[test]

@@ -185,17 +185,10 @@ pub struct BatchTelemetry {
     /// Sum of every job's individual wall-clock time — what a 1-worker
     /// run of the same batch would roughly cost.
     pub serial_estimate: Duration,
-    /// Total retry attempts across the batch (attempts beyond each
-    /// job's first).
-    pub retries: u64,
-    /// Number of jobs that ended [`Degraded`](crate::JobOutcome::Degraded)
-    /// — they needed their retry policy, whether or not they recovered.
-    pub degraded: usize,
     /// Case preparations the batch ran (sizing or flow plus the
     /// verification layout), failed ones included. Jobs with equal flow
     /// inputs share one, so a scenario sweep prepares once per design
-    /// point; a job with its own budget or fault plan prepares alone, on
-    /// every attempt.
+    /// point; a job with its own budget or fault plan prepares alone.
     pub prepared: u64,
     /// Distribution of per-job wall-clock times, in milliseconds
     /// (p50/p90/p99 via [`HistogramSnapshot`]'s quantile readouts).
@@ -238,8 +231,6 @@ impl BatchTelemetry {
             .f64("serial_estimate_s", self.serial_estimate.as_secs_f64())
             .f64("speedup", self.speedup())
             .f64("utilization", self.utilization())
-            .u64("retries", self.retries)
-            .u64("degraded", self.degraded as u64)
             .u64("prepared", self.prepared)
             .raw("worker_busy_s", array(self.worker_busy.iter().map(secs)))
             .raw(
@@ -268,8 +259,6 @@ mod tests {
             worker_busy: vec![Duration::from_secs(2), Duration::from_secs(1)],
             worker_jobs: vec![3, 1],
             serial_estimate: Duration::from_secs(3),
-            retries: 5,
-            degraded: 2,
             prepared: 3,
             job_ms: {
                 let h = losac_obs::HistogramCore::new();
@@ -284,8 +273,6 @@ mod tests {
         let j = t.to_json();
         assert!(j.contains("\"speedup\":1.5"), "{j}");
         assert!(j.contains("\"worker_jobs\":[3,1]"), "{j}");
-        assert!(j.contains("\"retries\":5"), "{j}");
-        assert!(j.contains("\"degraded\":2"), "{j}");
         assert!(j.contains("\"prepared\":3"), "{j}");
         assert!(j.contains("\"job_ms\":{\"count\":2,"), "{j}");
         assert!(j.contains("\"p99\":"), "{j}");

@@ -4,8 +4,9 @@
 //! `sizing.evaluate`, `flow.layout_call` — at which a test can inject a
 //! failure: an analysis error, poisoned NaN numbers, a panic, or an
 //! artificial delay (a "hung solver"). The chaos suite in `losac-engine`
-//! drives batches through random schedules of these injections to prove
-//! the retry/isolation machinery holds up.
+//! drives batches through seeded schedules of these injections to prove
+//! that failures come back typed, panics stay inside their job and
+//! deadlines stop hung solvers.
 //!
 //! ## Determinism
 //!
@@ -142,7 +143,8 @@ impl Drop for FailGuard {
 /// Install `plan` on the current thread, replacing (and on guard drop
 /// restoring) any previously installed plan. Hit counters start at zero
 /// and persist across every [`hit`] until the guard drops — so a
-/// `once(..)` spec stays spent across retries of the same job.
+/// `once(..)` spec fires on the first hit of the job that installed it
+/// and never again within that job.
 pub fn install(plan: FailPlan) -> FailGuard {
     let armed = plan
         .specs

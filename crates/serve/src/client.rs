@@ -1,5 +1,5 @@
 //! A small blocking client for the `losac-serve` wire protocol, used by
-//! the integration tests, `serve_bench` and scripts. One connection, one
+//! the integration tests and perfbench. One connection, one
 //! thread: frames are read in order; each blocking call (submit, ping,
 //! cancel…) consumes only the frames that answer it and stashes anything
 //! else — a result landing mid-`cancel` is held for the later

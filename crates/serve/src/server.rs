@@ -15,7 +15,7 @@ use losac_obs::{Record, RecordKind, Sink};
 use losac_sizing::EvalCache;
 use std::collections::BinaryHeap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -29,9 +29,9 @@ const READ_TIMEOUT: Duration = Duration::from_millis(200);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 /// Dispatcher wake-up cadence when idle.
 const IDLE_WAIT: Duration = Duration::from_millis(100);
-/// Accept-loop poll cadence (the listener runs non-blocking so the loop
-/// can observe shutdown).
-const ACCEPT_POLL: Duration = Duration::from_millis(15);
+/// Pause after a failed `accept`, so a persistent error (out of file
+/// descriptors, say) cannot make the accept loop spin.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(15);
 
 /// Daemon configuration. Construct with [`ServeOptions::default`] and
 /// refine with the `with_*` methods.
@@ -190,6 +190,10 @@ struct Shared {
     abort: AtomicBool,
     /// Accept loop, handlers and dispatcher exit.
     stopping: AtomicBool,
+    /// Where to connect to wake the blocking accept loop once `stopping`
+    /// is set: the listener's own address, on loopback when it is bound
+    /// to every interface.
+    wake_addr: SocketAddr,
     jobs_done: AtomicU64,
     cache: Arc<EvalCache>,
     quota: usize,
@@ -270,6 +274,13 @@ impl Server {
     /// Address or cache-directory failures surface as [`io::Error`].
     pub fn bind(opts: ServeOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let cache = Arc::new(match &opts.cache_dir {
             Some(dir) => EvalCache::persistent(dir)?,
             None => EvalCache::new(),
@@ -287,6 +298,7 @@ impl Server {
                 draining: AtomicBool::new(false),
                 abort: AtomicBool::new(false),
                 stopping: AtomicBool::new(false),
+                wake_addr,
                 jobs_done: AtomicU64::new(0),
                 cache,
                 quota: opts.quota,
@@ -315,23 +327,22 @@ impl Server {
     /// Only listener-level failures; per-connection I/O errors drop that
     /// connection.
     pub fn run(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let shared = &self.shared;
         std::thread::scope(|scope| {
             scope.spawn(|| dispatcher(shared));
+            // `accept` blocks; the dispatcher wakes it with a connection
+            // of its own once it sets `stopping`.
             loop {
+                let accepted = self.listener.accept();
                 if shared.stopping.load(Ordering::Acquire) {
                     break;
                 }
-                match self.listener.accept() {
+                match accepted {
                     Ok((stream, _)) => {
                         let shared = Arc::clone(shared);
                         scope.spawn(move || handle_connection(stream, &shared));
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+                    Err(_) => std::thread::sleep(ACCEPT_ERROR_PAUSE),
                 }
             }
         });
@@ -342,7 +353,8 @@ impl Server {
 
 /// The single dispatcher: pops the highest-priority request, runs its
 /// batch, ships the result. Exits when draining finds nothing left (and
-/// flips `stopping` so the accept loop and handlers follow).
+/// flips `stopping`, then wakes the accept loop, so it and the handlers
+/// follow).
 fn dispatcher(shared: &Arc<Shared>) {
     loop {
         let req = {
@@ -365,6 +377,7 @@ fn dispatcher(shared: &Arc<Shared>) {
                 }
                 if shared.draining.load(Ordering::Acquire) {
                     shared.stopping.store(true, Ordering::Release);
+                    let _ = TcpStream::connect(shared.wake_addr);
                     return;
                 }
                 let (guard, _) = shared

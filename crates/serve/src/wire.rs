@@ -868,11 +868,9 @@ pub fn perf_from_value(v: &Value) -> Option<Performance> {
 pub struct OutcomeSummary {
     /// The job's sweep label.
     pub label: String,
-    /// `finished` / `failed` / `degraded` / `panicked` / `timed_out` /
-    /// `cancelled` (see [`JobOutcome::status`]).
+    /// `finished` / `failed` / `panicked` / `timed_out` / `cancelled`
+    /// (see [`JobOutcome::status`]).
     pub status: String,
-    /// Attempts made, for degraded jobs.
-    pub attempts: Option<u64>,
     /// Failure detail, when the job produced no result.
     pub error: Option<String>,
     /// Layout-tool calls spent.
@@ -888,7 +886,6 @@ impl OutcomeSummary {
         Some(Self {
             label: v.get("label")?.as_str()?.to_owned(),
             status: v.get("status")?.as_str()?.to_owned(),
-            attempts: v.get("attempts").and_then(Value::as_u64),
             error: v.get("error").and_then(Value::as_str).map(str::to_owned),
             layout_calls: v.get("layout_calls").and_then(Value::as_u64),
             synthesized: v.get("synthesized").and_then(perf_from_value),
@@ -903,15 +900,6 @@ pub fn outcome_json(label: &str, outcome: &JobOutcome) -> String {
         .str("label", label)
         .str("status", outcome.status());
     match outcome {
-        JobOutcome::Degraded {
-            attempts,
-            last_error,
-            ..
-        } => {
-            o = o
-                .u64("attempts", u64::from(*attempts))
-                .str("error", last_error);
-        }
         JobOutcome::Failed(e) => o = o.str("error", &e.to_string()),
         JobOutcome::Panicked(m) => o = o.str("error", m),
         _ => {}

@@ -1,15 +1,18 @@
 //! End-to-end daemon tests over a loopback socket: concurrent clients
 //! get results bitwise-identical to an offline `Engine::run_batch` of
 //! the same sweep, a restarted daemon answers the same bits from its
-//! disk cache, a round trip pays no delayed-ACK wait, a malformed line
-//! degrades to a typed error frame on a connection that stays usable,
-//! quotas reject over-subscription, and a drain shutdown finishes queued
-//! work before `run` returns.
+//! disk cache, a round trip pays no delayed-ACK wait, a new connection
+//! is served at once, a malformed line degrades to a typed error frame
+//! on a connection that stays usable, quotas reject over-subscription,
+//! a drain shutdown finishes queued work before `run` returns, and the
+//! `losac-serve` binary announces its address and exits 0 after a drain.
 
 use losac_engine::{Engine, EngineOptions, JobOutcome};
 use losac_serve::wire::{perf_bits, ErrorCode, Frame, OutcomeSummary, ShutdownMode};
 use losac_serve::{ServeClient, ServeOptions, Server, SubmitRequest, SweepSpec};
+use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// A small but real sweep: Table-1 cases 1 and 2 (no layout iteration,
@@ -196,6 +199,31 @@ fn a_round_trip_waits_for_no_delayed_ack() {
 }
 
 #[test]
+fn a_new_connection_is_served_at_once() {
+    // Each connection is fresh, so its first pong includes the daemon's
+    // `accept`, which must take the connection as soon as it arrives.
+    let (addr, handle) = start_server(ServeOptions::default());
+    let mut waits: Vec<Duration> = (0..10)
+        .map(|_| {
+            let start = Instant::now();
+            let mut client = ServeClient::connect(addr).expect("connect");
+            client.ping().expect("pong");
+            start.elapsed()
+        })
+        .collect();
+    waits.sort();
+    let median = waits[waits.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median connect-to-pong {median:?}: {waits:?}"
+    );
+    let mut client = ServeClient::connect(addr).expect("connect");
+    client.shutdown(ShutdownMode::Drain).expect("shutdown ack");
+    drop(client);
+    handle.join().unwrap().expect("clean drain exit");
+}
+
+#[test]
 fn malformed_line_gets_typed_error_and_connection_survives() {
     let (addr, handle) = start_server(ServeOptions::default());
     let mut client = ServeClient::connect(addr).expect("connect");
@@ -353,4 +381,62 @@ fn abort_cancels_in_flight_work() {
         outcomes.iter().map(|o| &o.status).collect::<Vec<_>>()
     );
     handle.join().unwrap().expect("abort exits cleanly");
+}
+
+/// Kills the daemon process on every path that does not reap it.
+struct Daemon(Option<Child>);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.0.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+#[test]
+fn the_daemon_binary_announces_its_address_and_drains_to_exit_0() {
+    let mut daemon = Daemon(Some(
+        Command::new(env!("CARGO_BIN_EXE_losac-serve"))
+            .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+            .env("LOSAC_LOG", "off")
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("start losac-serve"),
+    ));
+    let child = daemon.0.as_mut().expect("running");
+    // Read the `listening` frame on a helper thread, so a daemon that
+    // never prints fails the test instead of hanging it.
+    let stdout = child.stdout.take().expect("piped stdout");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut line = String::new();
+        let _ = BufReader::new(stdout).read_line(&mut line);
+        let _ = tx.send(line);
+    });
+    let line = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a listening frame within 30 s");
+    reader.join().expect("stdout reader");
+    let Ok(Frame::Listening { addr }) = Frame::parse(&line) else {
+        panic!("expected a listening frame, got {line:?}");
+    };
+    let mut client = ServeClient::connect(addr.as_str()).expect("connect");
+    client.ping().expect("pong");
+    client.shutdown(ShutdownMode::Drain).expect("shutdown ack");
+    drop(client);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll the daemon") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the daemon did not exit after a drain"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    daemon.0 = None;
+    assert!(status.success(), "losac-serve exited {status}");
 }

@@ -117,7 +117,6 @@ fn every_server_frame_round_trips() {
             outcomes: vec![wire::OutcomeSummary {
                 label: "case4/min_area".to_owned(),
                 status: "panicked".to_owned(),
-                attempts: None,
                 error: Some("boom".to_owned()),
                 layout_calls: None,
                 synthesized: None,
@@ -178,15 +177,6 @@ fn outcome_statuses_serialise() {
             JobOutcome::Panicked("kaboom".to_owned()),
             "panicked",
             Some("kaboom"),
-        ),
-        (
-            JobOutcome::Degraded {
-                attempts: 3,
-                last_error: "flaky".to_owned(),
-                partial: None,
-            },
-            "degraded",
-            Some("flaky"),
         ),
     ] {
         let line = frame_result("r", vec![outcome_json("lbl", &outcome)], "null".to_owned());

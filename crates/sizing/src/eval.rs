@@ -152,10 +152,11 @@ impl fmt::Display for Performance {
 
 /// Broad classification of an evaluation failure.
 ///
-/// The batch engine's retry policy keys off this: [`Analysis`] failures
-/// are worth another attempt (a perturbed continuation ladder often
-/// converges), [`BadNetlist`] never is, and the two interruption kinds
-/// mean the budget — not the circuit — ended the evaluation.
+/// [`Analysis`] and [`BadNetlist`] say what in the circuit failed; an
+/// evaluation is a pure function of its inputs, so either repeats on
+/// every run of the same inputs. The two interruption kinds mean the
+/// budget, not the circuit, ended the evaluation: the case runner turns
+/// them into the flow's own cancelled and timed-out outcomes.
 ///
 /// [`Analysis`]: EvalErrorKind::Analysis
 /// [`BadNetlist`]: EvalErrorKind::BadNetlist
@@ -163,10 +164,10 @@ impl fmt::Display for Performance {
 pub enum EvalErrorKind {
     /// A numerical analysis failed: non-convergence, a singular system,
     /// or an un-measurable response (no unity crossing, buffer never
-    /// settled). Potentially transient.
+    /// settled).
     Analysis,
     /// The generated netlist itself is invalid (bad element values, bad
-    /// time range). Permanent — retrying rebuilds the same netlist.
+    /// time range).
     BadNetlist,
     /// The evaluation was cancelled through the installed
     /// [`losac_sim::interrupt::SimInterrupt`] stop flag.

@@ -38,7 +38,6 @@ pub mod eval;
 pub mod feedback;
 pub mod ota;
 mod persist;
-pub mod rng;
 pub mod specs;
 pub mod statistical;
 pub mod techeval;

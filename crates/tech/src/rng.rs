@@ -1,18 +1,17 @@
 //! The workspace-internal deterministic PRNG.
 //!
 //! The workspace builds fully offline, so instead of the `rand` crate
-//! every randomised computation (Monte-Carlo mismatch draws, retry
-//! jitter, test-grid shuffles) uses this xorshift128+ generator seeded
-//! through SplitMix64 — the standard pairing (Vigna, "Further scramblings
-//! of Marsaglia's xorshift generators"): SplitMix64 decorrelates
-//! arbitrary user seeds (including 0) and xorshift128+ provides a fast,
-//! well-mixed stream that passes BigCrush except for the lowest bits,
-//! which [`Xorshift128Plus::next_f64`] discards anyway.
+//! every randomised computation (Monte-Carlo mismatch draws, seeded
+//! fault schedules, test-grid shuffles) uses this xorshift128+
+//! generator seeded through SplitMix64 — the standard pairing (Vigna,
+//! "Further scramblings of Marsaglia's xorshift generators"):
+//! SplitMix64 decorrelates arbitrary user seeds (including 0) and
+//! xorshift128+ provides a fast, well-mixed stream that passes BigCrush
+//! except for the lowest bits, which [`Xorshift128Plus::next_f64`]
+//! discards anyway.
 //!
-//! This module is the single canonical implementation for the whole
-//! workspace; `losac_sizing::rng` re-exports it, so historical call
-//! sites keep compiling and — crucially — keep producing the identical
-//! bit stream (pinned by `tests::golden_bit_stream`).
+//! This module is the single implementation for the whole workspace;
+//! its bit stream is pinned by `tests::golden_bit_stream`.
 
 /// SplitMix64 step — used to expand one 64-bit seed into the generator
 /// state. Never returns two equal values in a row, so the xorshift state
@@ -69,8 +68,8 @@ impl Xorshift128Plus {
 mod tests {
     use super::*;
 
-    /// Bit-stream equivalence with the historical `losac_sizing::rng`
-    /// implementation this module replaced: the first four outputs for a
+    /// Bit-stream equivalence with the generator's first implementation
+    /// (once a module of `losac-sizing`): the first four outputs for a
     /// spread of seeds, captured from that implementation before its
     /// deletion. Any change to the seeding or step functions — however
     /// innocent-looking — breaks every seeded reproducibility gate in the

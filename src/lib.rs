@@ -80,7 +80,7 @@ pub mod prelude {
     pub use losac_core::layout_gen::LayoutOptions;
     pub use losac_engine::{
         BatchResult, CancelToken, DesignPointYield, Engine, EngineOptions, JobOutcome,
-        MetricSpread, RetryPolicy, SpecAxis, SweepBuilder, SynthesisJob,
+        MetricSpread, SpecAxis, SweepBuilder, SynthesisJob,
     };
     pub use losac_layout::slicing::ShapeConstraint;
     pub use losac_serve::{ServeClient, ServeOptions, Server};

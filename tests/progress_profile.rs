@@ -1,7 +1,7 @@
 //! Telemetry-pipeline integration: the span-tree profiler must see the
-//! same call tree whether a batch runs on 1 worker or 4, and the batch
+//! same call tree whether a batch runs on 1 worker or 4, the batch
 //! telemetry must carry the job-latency distribution the progress stream
-//! is built from.
+//! is built from, and every line of the JSONL stream must parse.
 //!
 //! Everything lives in one test function, run sequentially: sinks are
 //! process-global, so two concurrently-profiled batches would pollute
@@ -9,10 +9,26 @@
 
 use losac::engine::{Engine, EngineOptions, SynthesisJob};
 use losac::flow::prelude::{Case, OtaSpecs};
-use losac::obs::{Collector, Profiler, RecordKind};
+use losac::obs::{Collector, JsonlSink, Profiler, RecordKind};
+use losac::serve::json::Value;
 use losac::tech::Technology;
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write;
+use std::sync::{Arc, Mutex};
+
+/// A byte buffer shared between a sink and the test that reads it.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("buffer lock").extend_from_slice(data);
+        Ok(data.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
 
 fn jobs() -> Vec<SynthesisJob> {
     let tech = Arc::new(Technology::cmos06());
@@ -78,16 +94,50 @@ fn profiler_tree_and_progress_telemetry_are_worker_count_invariant() {
     }
 
     // The progress event stream: re-run one batch under a collector and
-    // check the engine event vocabulary a ProgressSink consumes.
+    // a JSONL sink, and check the engine event vocabulary a ProgressSink
+    // consumes.
     let collector = Collector::new();
+    let jsonl = SharedBuf::default();
     let guard = losac::obs::install(Arc::new(collector.clone()));
+    let jsonl_guard = losac::obs::install(Arc::new(JsonlSink::new(jsonl.clone())));
     let batch = Engine::new(EngineOptions::with_workers(4)).run_batch(jobs());
+    drop(jsonl_guard);
     drop(guard);
     assert!(batch.outcomes.iter().all(|o| o.is_finished()));
+    // Every JSONL line parses and carries schema version 2, and the
+    // stream holds the four engine events.
+    let text = String::from_utf8(jsonl.0.lock().expect("buffer lock").clone()).expect("UTF-8");
+    let mut names = BTreeSet::new();
+    for (i, line) in text.lines().filter(|l| !l.trim().is_empty()).enumerate() {
+        let record = Value::parse(line).unwrap_or_else(|e| panic!("line {i}: {e}: {line}"));
+        assert_eq!(record.get("v").and_then(Value::as_u64), Some(2), "{line}");
+        if let Some(name) = record.get("name").and_then(Value::as_str) {
+            names.insert(name.to_owned());
+        }
+    }
+    for event in [
+        "engine.batch.start",
+        "engine.job.start",
+        "engine.job.done",
+        "engine.batch.done",
+    ] {
+        assert!(
+            names.contains(event),
+            "JSONL stream lacks {event}: {names:?}"
+        );
+    }
+    let telemetry = Value::parse(&batch.telemetry.to_json()).expect("telemetry JSON");
+    let job_ms = telemetry.get("job_ms").expect("job_ms");
+    for key in ["p50", "p90", "p99"] {
+        assert!(job_ms.get(key).is_some(), "job_ms lacks {key}");
+    }
+    assert_eq!(
+        job_ms.get("count").and_then(Value::as_u64),
+        Some(batch.outcomes.len() as u64)
+    );
     // Job events fire on worker threads, so count across all threads.
     assert_eq!(collector.all_events("engine.batch.start").len(), 1);
     assert_eq!(collector.all_events("engine.job.start").len(), 4);
-    assert_eq!(collector.all_events("engine.job.attempt").len(), 4);
     let done = collector.all_events("engine.job.done");
     assert_eq!(done.len(), 4);
     for e in &done {

@@ -10,20 +10,21 @@
 //! A run has two halves. [`prepare_case`] sizes and lays out the
 //! design, which no PVT or mismatch scenario changes;
 //! [`PreparedCase::measure`] simulates it under a scenario.
-//! [`run_case_with`] is the two in sequence, and the batch engine
-//! prepares once per design point and measures every scenario job of
-//! that point from the one preparation.
+//! [`run_case_with`] is the two in sequence. [`Preparations`] memoises
+//! the first half, so the batch engine prepares once per design point
+//! and the daemon keeps its reused points' preparations.
 
 use crate::flow::{layout_oriented_synthesis, FlowControl, FlowError, FlowOptions};
 use crate::layout_gen::{to_feedback, topology_layout_plan, LayoutOptions};
 use losac_layout::slicing::ShapeConstraint;
-use losac_sizing::eval::{evaluate_with, EvalError, EvalErrorKind, EvalOptions};
+use losac_sizing::eval::{evaluate_with, EvalError, EvalErrorKind, EvalOptions, FnvHasher};
 use losac_sizing::{
     FoldedCascodePlan, OtaSpecs, ParasiticMode, Performance, Topology, TopologyPlan,
 };
 use losac_tech::{Scenario, Technology};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Which of Table 1's four sizing strategies to run.
 ///
@@ -402,7 +403,7 @@ pub fn same_preparation(
     (tech_a, specs_a, case_a, opts_a): (&Technology, &OtaSpecs, Case, &CaseOptions),
     (tech_b, specs_b, case_b, opts_b): (&Technology, &OtaSpecs, Case, &CaseOptions),
 ) -> bool {
-    // Destructured without `..`, so a new option or specification field
+    // Destructured without `..` (as in `spec_bits`), so a new field
     // cannot be left out of the comparison.
     let CaseOptions {
         plan,
@@ -414,27 +415,6 @@ pub fn same_preparation(
         eval: _,
         scenarios: _,
     } = opts_a;
-    let spec_bits = |s: &OtaSpecs| {
-        let OtaSpecs {
-            vdd,
-            gbw,
-            phase_margin,
-            c_load,
-            input_cm_range,
-            output_range,
-        } = *s;
-        [
-            vdd,
-            gbw,
-            phase_margin,
-            c_load,
-            input_cm_range.0,
-            input_cm_range.1,
-            output_range.0,
-            output_range.1,
-        ]
-        .map(f64::to_bits)
-    };
     case_a == case_b
         && spec_bits(specs_a) == spec_bits(specs_b)
         && Arc::ptr_eq(plan, &opts_b.plan)
@@ -443,6 +423,151 @@ pub fn same_preparation(
         && tolerance.to_bits() == opts_b.tolerance.to_bits()
         && *max_layout_calls == opts_b.max_layout_calls
         && (std::ptr::eq(tech_a, tech_b) || tech_a == tech_b)
+}
+
+/// The bits of every specification field.
+fn spec_bits(s: &OtaSpecs) -> [u64; 8] {
+    // Destructured without `..`, so a new field cannot be left out.
+    let OtaSpecs {
+        vdd,
+        gbw,
+        phase_margin,
+        c_load,
+        input_cm_range,
+        output_range,
+    } = *s;
+    [
+        vdd,
+        gbw,
+        phase_margin,
+        c_load,
+        input_cm_range.0,
+        input_cm_range.1,
+        output_range.0,
+        output_range.1,
+    ]
+    .map(f64::to_bits)
+}
+
+/// A [`prepare_case`] result shared by every caller with equal inputs:
+/// the first `get_or_init` prepares, the others wait and read it.
+pub type PreparationCell = Arc<OnceLock<Result<PreparedCase, CaseError>>>;
+
+/// A memo of case preparations, keyed by the inputs [`same_preparation`]
+/// compares: [`cell`](Self::cell) gives every caller with equal inputs
+/// one [`PreparationCell`]. The engine makes one per batch unless given
+/// one; the daemon keeps one for its whole life. A preparation is a pure
+/// function of its key, so sharing it changes no outcome.
+///
+/// Memory grows only with reuse: [`end_batch`](Self::end_batch) keeps an
+/// entry only if its preparation succeeded and an earlier batch had
+/// asked for the same key. Every other entry goes and leaves its 8-byte
+/// key hash behind, so a failed or stopped preparation never outlives
+/// its batch, a one-shot point keeps nothing, and a hot point is served
+/// from the memo from its third batch on.
+#[derive(Debug, Default)]
+pub struct Preparations {
+    state: Mutex<MemoState>,
+}
+
+#[derive(Debug, Default)]
+struct MemoState {
+    /// Entries by key hash; inputs whose hashes collide share a bucket.
+    buckets: HashMap<u64, Vec<MemoEntry>>,
+    /// Key hashes of the entries earlier batches dropped.
+    seen: HashSet<u64>,
+}
+
+#[derive(Debug)]
+struct MemoEntry {
+    tech: Arc<Technology>,
+    specs: OtaSpecs,
+    case: Case,
+    /// The options with run control, evaluation options and scenario set
+    /// reset, so the memo holds no stop flag and no cache.
+    opts: CaseOptions,
+    /// Whether an earlier batch dropped an entry of this key.
+    reused: bool,
+    cell: PreparationCell,
+}
+
+impl Preparations {
+    /// The preparation cell for these [`prepare_case`] arguments: an
+    /// existing entry's when [`same_preparation`] holds for it, else a
+    /// new empty one.
+    pub fn cell(
+        &self,
+        tech: &Arc<Technology>,
+        specs: &OtaSpecs,
+        case: Case,
+        opts: &CaseOptions,
+    ) -> PreparationCell {
+        let mut h = FnvHasher::new();
+        for bits in spec_bits(specs) {
+            h.write_u64(bits);
+        }
+        h.write_u64(case as u64);
+        h.write_u64(opts.tolerance.to_bits());
+        h.write_u64(opts.max_layout_calls as u64);
+        let hash = h.finish();
+        let mut state = self.lock();
+        let MemoState { buckets, seen } = &mut *state;
+        let bucket = buckets.entry(hash).or_default();
+        let inputs = (tech.as_ref(), specs, case, opts);
+        if let Some(e) = bucket
+            .iter()
+            .find(|e| same_preparation((&e.tech, &e.specs, e.case, &e.opts), inputs))
+        {
+            return Arc::clone(&e.cell);
+        }
+        let cell = PreparationCell::default();
+        bucket.push(MemoEntry {
+            tech: Arc::clone(tech),
+            specs: *specs,
+            case,
+            opts: CaseOptions {
+                control: FlowControl::default(),
+                eval: EvalOptions::default(),
+                scenarios: Vec::new(),
+                ..opts.clone()
+            },
+            reused: seen.contains(&hash),
+            cell: Arc::clone(&cell),
+        });
+        cell
+    }
+
+    /// Close a batch: keep the entries whose preparation succeeded and
+    /// whose key an earlier batch had asked for; drop every other entry
+    /// and remember its key hash. A cell a caller still holds stays
+    /// valid for that caller.
+    pub fn end_batch(&self) {
+        let mut state = self.lock();
+        let MemoState { buckets, seen } = &mut *state;
+        buckets.retain(|&hash, bucket| {
+            let before = bucket.len();
+            bucket.retain(|e| e.reused && matches!(e.cell.get(), Some(Ok(_))));
+            if bucket.len() < before {
+                seen.insert(hash);
+            }
+            !bucket.is_empty()
+        });
+    }
+
+    /// Number of preparations held.
+    pub fn len(&self) -> usize {
+        self.lock().buckets.values().map(Vec::len).sum()
+    }
+
+    /// Whether the memo holds no preparation.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Lock the state; no code under the lock can leave it half-updated.
+    fn lock(&self) -> MutexGuard<'_, MemoState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
 }
 
 /// Extraction step: generate the layout of this sizing and extract all

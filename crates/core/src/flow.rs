@@ -88,13 +88,6 @@ impl FlowControl {
         self
     }
 
-    /// Time left until the deadline (zero once it has passed); `None`
-    /// when no deadline is attached.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
     /// Whether the stop flag has been raised.
     pub fn is_cancelled(&self) -> bool {
         self.stop

@@ -55,7 +55,7 @@ pub mod traditional;
 
 pub use cases::{
     prepare_case, run_case, run_case_with, same_preparation, Case, CaseError, CaseOptions,
-    CaseOptionsBuilder, CaseResult, PreparedCase,
+    CaseOptionsBuilder, CaseResult, PreparationCell, Preparations, PreparedCase,
 };
 pub use flow::{layout_oriented_synthesis, FlowControl, FlowError, FlowOptions, FlowResult};
 pub use layout_gen::{to_feedback, topology_layout_plan, LayoutOptions};

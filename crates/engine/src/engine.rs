@@ -4,12 +4,12 @@
 use crate::job::{JobOutcome, SynthesisJob};
 use crate::pool::{panic_message, run_indexed, PoolOutcome};
 use crate::telemetry::{collect_design_points, BatchTelemetry, YieldRow};
-use losac_core::cases::{prepare_case, same_preparation, CaseError, CaseOptions, PreparedCase};
+use losac_core::cases::{prepare_case, CaseError, Preparations};
 use losac_core::flow::{FlowControl, FlowError};
 use losac_obs::{f, Counter, Histogram, HistogramCore};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-job wall-clock time, across all batches (milliseconds).
@@ -29,60 +29,6 @@ fn shares_preparation(job: &SynthesisJob) -> bool {
     job.fail_plan.is_none() && job.budget.is_none()
 }
 
-/// Group the jobs that may share a case preparation by their flow
-/// inputs ([`same_preparation`]; the design-point label is user text and
-/// plays no part). Returns, per job, the index of its group's
-/// preparation cell, and the number of cells. A job with no equal
-/// partner gets `None` and prepares by itself.
-fn preparation_groups(jobs: &[SynthesisJob]) -> (Vec<Option<usize>>, usize) {
-    let opts: Vec<CaseOptions> = jobs
-        .iter()
-        .map(|job| job.case_options(FlowControl::default()))
-        .collect();
-    // The arguments `run_batch` passes to `prepare_case`.
-    let inputs = |i: usize| {
-        let job = &jobs[i];
-        (job.tech.as_ref(), &job.specs, job.case, &opts[i])
-    };
-    // Each group's first job and its size.
-    let mut firsts: Vec<usize> = Vec::new();
-    let mut sizes: Vec<usize> = Vec::new();
-    let group_of: Vec<Option<usize>> = (0..jobs.len())
-        .map(|i| {
-            if !shares_preparation(&jobs[i]) {
-                return None;
-            }
-            let g = match firsts
-                .iter()
-                .position(|&f| same_preparation(inputs(f), inputs(i)))
-            {
-                Some(g) => g,
-                None => {
-                    firsts.push(i);
-                    sizes.push(0);
-                    sizes.len() - 1
-                }
-            };
-            sizes[g] += 1;
-            Some(g)
-        })
-        .collect();
-    // Cells only for groups of two or more jobs, numbered in order.
-    let mut cell_of = vec![None; sizes.len()];
-    let mut cells = 0;
-    for (g, &size) in sizes.iter().enumerate() {
-        if size > 1 {
-            cell_of[g] = Some(cells);
-            cells += 1;
-        }
-    }
-    let cell_of_job = group_of
-        .into_iter()
-        .map(|g| g.and_then(|g| cell_of[g]))
-        .collect();
-    (cell_of_job, cells)
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
@@ -95,6 +41,11 @@ pub struct EngineOptions {
     /// [`losac_sizing::EvalCache::persistent`] — so hits carry across
     /// batches and restarts. Memoisation is bitwise-neutral either way.
     pub cache: Option<Arc<losac_sizing::EvalCache>>,
+    /// Shared case-preparation memo. `None` (the default) gives each
+    /// batch a fresh memo; a daemon passes one memo, so a reused design
+    /// point skips its sizing and layout calls across batches. Sharing
+    /// is bitwise-neutral either way.
+    pub preparations: Option<Arc<Preparations>>,
     /// Batch-wide absolute deadline, merged under each job's own budget
     /// via [`FlowControl::with_deadline_earliest`]: jobs past it stop at
     /// their next phase boundary as [`JobOutcome::TimedOut`]. `None`
@@ -222,10 +173,11 @@ impl Engine {
     ///   bitwise-equal specification and tolerance; see
     ///   [`losac_core::cases::same_preparation`]) and that carry no
     ///   budget or fault plan of their own share one case preparation
-    ///   ([`losac_core::cases::prepare_case`]), run once per batch;
-    ///   every job then measures its own scenario from it, with the
-    ///   outcome a lone run of that job would give
-    ///   ([`BatchTelemetry::prepared`] counts the preparations);
+    ///   ([`losac_core::cases::prepare_case`]) through the batch's
+    ///   [`Preparations`] memo, run at most once per batch; every job
+    ///   then measures its own scenario from it, with the outcome a lone
+    ///   run of that job would give ([`BatchTelemetry::prepared`] counts
+    ///   the preparations);
     /// * outcomes are a pure function of (jobs, cancellation): the
     ///   worker count never changes what comes back, only how fast.
     pub fn run_batch(&self, jobs: Vec<SynthesisJob>) -> BatchResult {
@@ -271,18 +223,15 @@ impl Engine {
             .cache
             .clone()
             .unwrap_or_else(|| Arc::new(losac_sizing::EvalCache::new()));
-        // One case preparation per distinct flow input for the batch:
-        // scenario jobs of one design point differ only in how they are
-        // measured, so the first job to reach its group's cell runs the
-        // sizing, the flow and the verification layout, later ones wait
-        // for it, and every job measures from the stored result. Errors
-        // are stored and shared; a panic is not, so a job waiting on a
-        // cell whose preparation panicked prepares again and panics on
-        // its own. Outcomes are unchanged, because the preparation is a
-        // pure function of the inputs that key it.
-        let (cell_of, cells) = preparation_groups(&jobs);
-        let prepared_cells: Vec<OnceLock<Result<PreparedCase, CaseError>>> =
-            (0..cells).map(|_| OnceLock::new()).collect();
+        // One case preparation per distinct flow input: the first job to
+        // reach its memo cell runs the sizing, the flow and the
+        // verification layout, later ones wait for it (or find it kept
+        // from an earlier batch), and every job measures from the stored
+        // result. Errors are stored and shared; a panic is not, so a job
+        // waiting on a cell whose preparation panicked prepares again and
+        // panics on its own. Outcomes are unchanged, because the
+        // preparation is a pure function of the inputs that key it.
+        let memo = self.opts.preparations.clone().unwrap_or_default();
         let prepared = AtomicU64::new(0);
 
         let (pool_out, stats) = run_indexed(workers, jobs, &self.stop, |i, job: SynthesisJob| {
@@ -323,12 +272,15 @@ impl Engine {
                 // A shared preparation runs under the batch's stop flag
                 // and deadline only: shareable jobs carry no budget of
                 // their own.
-                match cell_of[i].map(|c| &prepared_cells[c]) {
-                    Some(cell) => match cell.get_or_init(prepare) {
-                        Ok(case) => case.measure(&job.tech, &opts),
-                        Err(e) => Err(e.clone()),
-                    },
-                    None => prepare()?.measure(&job.tech, &opts),
+                if !shares_preparation(&job) {
+                    return prepare()?.measure(&job.tech, &opts);
+                }
+                match memo
+                    .cell(&job.tech, &job.specs, job.case, &opts)
+                    .get_or_init(prepare)
+                {
+                    Ok(case) => case.measure(&job.tech, &opts),
+                    Err(e) => Err(e.clone()),
                 }
             }));
             let outcome = match run {
@@ -368,6 +320,7 @@ impl Engine {
             outcome
         });
 
+        memo.end_batch();
         let outcomes: Vec<JobOutcome> = pool_out
             .into_iter()
             .map(|o| match o {
@@ -448,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn preparation_groups_key_on_every_flow_input() {
+    fn the_memo_keys_on_every_flow_input() {
         use losac_layout::slicing::ShapeConstraint;
         use losac_sizing::{FoldedCascodePlan, TopologyPlan};
         use losac_tech::{Corner, Scenario};
@@ -467,11 +420,11 @@ mod tests {
                 tech: Arc::new(Technology::cmos06()),
                 ..base.clone()
             },
-            // One ulp of GBW under the same label is another group.
+            // One ulp of GBW under the same label is another cell.
             next_gbw.clone().with_design_point("a"),
             next_gbw,
             // Each of these differs in one flow input, or carries its
-            // own budget, and has no partner.
+            // own budget, and shares with no other job.
             base.clone()
                 .with_topology_plan(Arc::new(FoldedCascodePlan::default())),
             base.clone().with_budget(Duration::from_secs(60)),
@@ -483,11 +436,40 @@ mod tests {
                 ..base.clone()
             },
         ];
-        let (cell_of, cells) = preparation_groups(&jobs);
-        assert_eq!(cells, 2);
-        let mut want = vec![Some(0), Some(0), Some(0), Some(1), Some(1)];
-        want.resize(jobs.len(), None);
+        // The cells `run_batch` hands each job, numbered by first use.
+        let memo = Preparations::default();
+        let mut cells: Vec<losac_core::cases::PreparationCell> = Vec::new();
+        let cell_of: Vec<Option<usize>> = jobs
+            .iter()
+            .map(|job| {
+                shares_preparation(job).then(|| {
+                    let opts = job.case_options(FlowControl::default());
+                    let cell = memo.cell(&job.tech, &job.specs, job.case, &opts);
+                    cells
+                        .iter()
+                        .position(|c| Arc::ptr_eq(c, &cell))
+                        .unwrap_or_else(|| {
+                            cells.push(cell);
+                            cells.len() - 1
+                        })
+                })
+            })
+            .collect();
+        let want = [
+            Some(0),
+            Some(0),
+            Some(0),
+            Some(1),
+            Some(1),
+            Some(2),
+            None,
+            Some(3),
+            Some(4),
+            Some(5),
+            Some(6),
+        ];
         assert_eq!(cell_of, want);
+        assert_eq!(memo.len(), 7);
     }
 
     #[test]

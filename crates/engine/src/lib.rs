@@ -19,8 +19,10 @@
 //!   budgets ([`JobOutcome::TimedOut`]) and cooperative cancellation
 //!   ([`CancelToken`], [`JobOutcome::Cancelled`]). Jobs with equal flow
 //!   inputs — the scenario jobs of one design point — share one case
-//!   preparation per batch and each measure their own scenario from it
-//!   ([`BatchTelemetry::prepared`]);
+//!   preparation through a memo and each measure their own scenario from
+//!   it ([`BatchTelemetry::prepared`]); a memo passed in
+//!   [`EngineOptions::preparations`] carries reused preparations across
+//!   batches;
 //! * one run per job: a job is a pure function of its inputs, so a
 //!   failure ([`JobOutcome::Failed`]) is final and reproducible. Per-job
 //!   fault plans ([`SynthesisJob::with_fail_plan`]) drive the seeded

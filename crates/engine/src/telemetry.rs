@@ -187,8 +187,8 @@ pub struct BatchTelemetry {
     pub serial_estimate: Duration,
     /// Case preparations the batch ran (sizing or flow plus the
     /// verification layout), failed ones included. Jobs with equal flow
-    /// inputs share one, so a scenario sweep prepares once per design
-    /// point; a job with its own budget or fault plan prepares alone.
+    /// inputs share one, which a shared memo may hold from an earlier
+    /// batch; a job with its own budget or fault plan prepares alone.
     pub prepared: u64,
     /// Distribution of per-job wall-clock times, in milliseconds
     /// (p50/p90/p99 via [`HistogramSnapshot`]'s quantile readouts).

@@ -173,6 +173,31 @@ fn seeded_chaos_batch_is_deterministic_across_worker_counts() {
 }
 
 #[test]
+fn an_injected_simulator_fault_names_its_site() {
+    // An injected fault reads as injected, not as a singular system at
+    // column `usize::MAX`.
+    let sites = ["sim.dc.newton", "sim.ac.sweep"];
+    let jobs = sites
+        .iter()
+        .map(|site| {
+            job(Case::NoParasitics).with_fail_plan(FailPlan::new().always(site, FailAction::Fail))
+        })
+        .collect();
+    let batch = Engine::new(EngineOptions::with_workers(1)).run_batch(jobs);
+    for (site, o) in sites.iter().zip(&batch.outcomes) {
+        let JobOutcome::Failed(e) = o else {
+            panic!("{site}: expected Failed, got {}", o.status());
+        };
+        let msg = e.to_string();
+        assert!(
+            msg.contains(&format!("injected failure at `{site}`")),
+            "{msg}"
+        );
+        assert!(!msg.contains(&usize::MAX.to_string()), "{msg}");
+    }
+}
+
+#[test]
 fn a_panicking_job_is_booked_like_any_other() {
     let collector = Collector::new();
     let guard = losac_obs::install(Arc::new(collector.clone()));

@@ -115,6 +115,13 @@ impl Cell {
                 net: s.net.clone(),
             });
         }
+        self.place_ports(child, dx, dy, prefix);
+    }
+
+    /// The port half of [`place`](Self::place): import `child`'s ports
+    /// alone, for a cell whose ports are all that is read (the channel
+    /// demand of a trial placement).
+    pub fn place_ports(&mut self, child: &Cell, dx: Nm, dy: Nm, prefix: &str) {
         for p in &child.ports {
             let name = if prefix.is_empty() {
                 p.name.clone()

@@ -326,7 +326,7 @@ impl LayoutPlan {
         // count; 0 for a stack): the second pass reuses every row the
         // first drew for the same choice.
         let mut drawn: Vec<Option<(u32, Row)>> = vec![None; self.modules.len()];
-        let mut place_and_build = |spacing_y: Nm| -> Result<_, PlanError> {
+        let mut place_and_build = |spacing_y: Nm, draw: bool| -> Result<_, PlanError> {
             let realization =
                 optimize_xy(&self.tree, &shapes, (self.spacing, spacing_y), constraint)
                     .map_err(|e| PlanError::new(e.to_string()))?;
@@ -349,13 +349,20 @@ impl LayoutPlan {
                 let row = &drawn[idx].as_ref().expect("drawn above").1;
                 // Normalise the module so its bbox lower-left sits at (x, y).
                 let bb = row.cell.bbox().expect("module has geometry");
-                top.place(&row.cell, x - bb.x0, y - bb.y0, m.name());
+                let (dx, dy) = (x - bb.x0, y - bb.y0);
+                if draw {
+                    top.place(&row.cell, dx, dy, m.name());
+                } else {
+                    top.place_ports(&row.cell, dx, dy, m.name());
+                }
                 spans.push((y, y + bb.height()));
             }
             Ok((realization, top, cluster_rows(spans)))
         };
 
-        let (_, dry_top, dry_rows) = place_and_build(self.spacing)?;
+        // The trial placement places ports only: the channel demand
+        // reads nothing else.
+        let (_, dry_top, dry_rows) = place_and_build(self.spacing, false)?;
         let demand = channel_demand(&dry_top, &dry_rows);
         // Interior channels need room for their tracks: per net one track
         // width (EM-widened nets are rare; budget 2× minimum) plus the
@@ -372,7 +379,7 @@ impl LayoutPlan {
             .unwrap_or(0);
         let spacing_y = self.spacing.max(tech.snap_up(interior_need));
 
-        let (realization, mut top, rows) = place_and_build(spacing_y)?;
+        let (realization, mut top, rows) = place_and_build(spacing_y, true)?;
         let mut devices: HashMap<String, DeviceLayout> = HashMap::new();
         let mut em_clean = true;
         for (m, (nf, row)) in self.modules.iter().zip(drawn.iter().flatten()) {

@@ -10,6 +10,7 @@
 //! race their submits.
 
 use crate::wire::{self, ErrorCode, Request, ShutdownMode, StatusInfo, SubmitRequest, WireError};
+use losac_core::Preparations;
 use losac_engine::{CancelToken, Engine, EngineOptions, SynthesisJob};
 use losac_obs::{Record, RecordKind, Sink};
 use losac_sizing::EvalCache;
@@ -41,8 +42,9 @@ pub struct ServeOptions {
     /// Address to bind; port 0 picks a free port (the bound address is
     /// announced in the `listening` frame). Default `127.0.0.1:0`.
     pub addr: String,
-    /// Engine configuration for every batch. Its `cache` and `deadline`
-    /// fields are overwritten per request by the dispatcher.
+    /// Engine configuration for every batch. Its `cache`, `deadline` and
+    /// `preparations` fields are overwritten per request by the
+    /// dispatcher.
     pub engine: EngineOptions,
     /// Maximum submits a single connection may have queued or running at
     /// once; 0 = unlimited. Default 0.
@@ -196,6 +198,8 @@ struct Shared {
     wake_addr: SocketAddr,
     jobs_done: AtomicU64,
     cache: Arc<EvalCache>,
+    /// The case preparations of reused design points, kept for life.
+    preparations: Arc<Preparations>,
     quota: usize,
     max_queue: usize,
     workers: usize,
@@ -301,6 +305,7 @@ impl Server {
                 wake_addr,
                 jobs_done: AtomicU64::new(0),
                 cache,
+                preparations: Arc::default(),
                 quota: opts.quota,
                 max_queue: opts.max_queue.max(1),
                 workers,
@@ -394,6 +399,7 @@ fn dispatcher(shared: &Arc<Shared>) {
 fn run_request(shared: &Arc<Shared>, req: QueuedRequest) {
     let mut eopts = shared.engine.clone();
     eopts.cache = Some(Arc::clone(&shared.cache));
+    eopts.preparations = Some(Arc::clone(&shared.preparations));
     eopts.deadline = req.deadline;
     let engine = Engine::new(eopts);
     let token = engine.cancel_token();

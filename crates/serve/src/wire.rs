@@ -28,7 +28,7 @@ use losac_obs::Record;
 use losac_sizing::{OtaSpecs, Performance, TopologyRegistry};
 use losac_tech::{Corner, Technology};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Protocol version emitted in every frame. Missing `"v"` on input is
@@ -332,18 +332,29 @@ impl SweepSpec {
         .ok_or_else(|| {
             WireError::bad_sweep(format!("sweep expands to more than {MAX_SWEEP_JOBS} jobs"))
         })?;
-        let tech = match self.tech.as_str() {
-            "" | "cmos06" => Technology::cmos06(),
-            "cmos035" => Technology::cmos035(),
+        // Every expansion of one name yields the same `Arc`, so a
+        // daemon's preparation memo matches a design point across
+        // requests (it compares plans by pointer).
+        static CMOS06: OnceLock<Arc<Technology>> = OnceLock::new();
+        static CMOS035: OnceLock<Arc<Technology>> = OnceLock::new();
+        static REGISTRY: OnceLock<TopologyRegistry> = OnceLock::new();
+        let (tech, make): (_, fn() -> Technology) = match self.tech.as_str() {
+            "" | "cmos06" => (&CMOS06, Technology::cmos06),
+            "cmos035" => (&CMOS035, Technology::cmos035),
             other => {
                 return Err(WireError::bad_sweep(format!(
                     "unknown technology {other:?} (expected cmos06 or cmos035)"
                 )))
             }
         };
-        let mut b = SweepBuilder::new(Arc::new(tech), OtaSpecs::paper_example());
+        let tech = Arc::clone(tech.get_or_init(|| Arc::new(make())));
+        let registry = REGISTRY.get_or_init(TopologyRegistry::builtin);
+        let default_plan = registry
+            .get("folded_cascode")
+            .expect("the folded cascode is built in");
+        let mut b =
+            SweepBuilder::new(tech, OtaSpecs::paper_example()).with_topology_plan(default_plan);
         if !self.topologies.is_empty() {
-            let registry = TopologyRegistry::builtin();
             let plans = self
                 .topologies
                 .iter()
@@ -928,7 +939,8 @@ pub struct StatusInfo {
     pub jobs_done: u64,
     /// Engine worker threads per batch.
     pub workers: u64,
-    /// Entries in the shared evaluation cache (memory layer).
+    /// Entries in the shared evaluation cache's memory layer; with a
+    /// cache directory, only the entries read back from disk.
     pub cache_entries: u64,
     /// Process-wide counter totals (`sizing.eval.cache_hit`, …).
     pub counters: Vec<(String, u64)>,

@@ -1,7 +1,8 @@
 //! End-to-end daemon tests over a loopback socket: concurrent clients
 //! get results bitwise-identical to an offline `Engine::run_batch` of
 //! the same sweep, a restarted daemon answers the same bits from its
-//! disk cache, a round trip pays no delayed-ACK wait, a new connection
+//! disk cache, a hot request runs no case preparation, a round trip pays
+//! no delayed-ACK wait, a new connection
 //! is served at once, a malformed line degrades to a typed error frame
 //! on a connection that stays usable, quotas reject over-subscription,
 //! a drain shutdown finishes queued work before `run` returns, and the
@@ -164,6 +165,48 @@ fn restarted_daemon_answers_from_its_disk_cache() {
     client.shutdown(ShutdownMode::Drain).expect("shutdown ack");
     handle.join().unwrap().expect("clean drain exit");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_hot_request_runs_no_preparation() {
+    // The daemon keeps a design point's preparation from its second
+    // request on, so the third request prepares nothing; every answer
+    // keeps the offline bits.
+    let sweep = SweepSpec {
+        cases: vec![1],
+        ..SweepSpec::default()
+    };
+    let reference = offline_digest(&sweep, 1);
+    let (addr, handle) = start_server(ServeOptions::default());
+    let mut client = ServeClient::connect(addr).expect("connect");
+    let mut prepared = Vec::new();
+    for _ in 0..3 {
+        let id = client
+            .submit(&SubmitRequest {
+                sweep: sweep.clone(),
+                ..SubmitRequest::default()
+            })
+            .expect("submit accepted");
+        let (result, _) = client.wait_result(&id).expect("result");
+        let Frame::Result {
+            outcomes,
+            telemetry,
+            ..
+        } = result
+        else {
+            panic!("expected result frame");
+        };
+        assert_eq!(
+            wire_digest(&outcomes),
+            reference,
+            "request {}",
+            prepared.len()
+        );
+        prepared.push(telemetry.get("prepared").and_then(|v| v.as_u64()));
+    }
+    assert_eq!(prepared, [Some(1), Some(1), Some(0)]);
+    client.shutdown(ShutdownMode::Drain).expect("shutdown ack");
+    handle.join().unwrap().expect("clean drain exit");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 use crate::dc::DcSolution;
 use crate::linear::{AcWorkspace, Linearized};
 use crate::netlist::Circuit;
-use crate::num::{Complex, SingularMatrix};
+use crate::num::{Complex, PointFailure};
 use losac_obs::Counter;
 use std::fmt;
 
@@ -174,8 +174,8 @@ pub fn unwrap_degrees(phase: &[f64]) -> Vec<f64> {
 pub struct AcError {
     /// Frequency at which the factorisation failed (Hz).
     pub frequency: f64,
-    /// Underlying singularity.
-    pub cause: SingularMatrix,
+    /// Why the point failed.
+    pub cause: PointFailure,
 }
 
 impl fmt::Display for AcError {
@@ -248,13 +248,13 @@ fn solve_point(lin: &Linearized, f: f64, ws: &mut AcWorkspace) -> Result<Vec<Com
     if losac_obs::failpoint::hit("sim.ac.sweep").is_some() {
         return Err(AcError {
             frequency: f,
-            cause: crate::num::SingularMatrix { column: usize::MAX },
+            cause: PointFailure::Injected("sim.ac.sweep"),
         });
     }
     let omega = 2.0 * std::f64::consts::PI * f;
     lin.factor_into(omega, ws).map_err(|cause| AcError {
         frequency: f,
-        cause,
+        cause: cause.into(),
     })?;
     let x = ws.solve(&lin.b_ac);
     let mut row = vec![Complex::ZERO; lin.num_nodes()];

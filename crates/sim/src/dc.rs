@@ -165,6 +165,9 @@ pub enum DcError {
     Singular(SingularMatrix),
     /// The netlist failed validation.
     BadNetlist(String),
+    /// A failure injected at the named fail point: a testing hook, not a
+    /// property of the circuit.
+    Injected(&'static str),
     /// The solve was interrupted by the installed
     /// [`crate::interrupt::SimInterrupt`] (stop flag or deadline) — not a
     /// numerical failure, so callers must not retry or fall back.
@@ -179,6 +182,9 @@ impl fmt::Display for DcError {
             }
             DcError::Singular(s) => write!(f, "dc analysis failed: {s}"),
             DcError::BadNetlist(m) => write!(f, "dc analysis rejected netlist: {m}"),
+            DcError::Injected(site) => {
+                write!(f, "dc analysis failed: injected failure at `{site}`")
+            }
             DcError::Interrupted(i) => write!(f, "dc analysis interrupted: {i}"),
         }
     }
@@ -575,7 +581,7 @@ pub(crate) fn newton(
                 losac_obs::failpoint::FailAction::Nan => {
                     DcError::NoConvergence { residual: f64::NAN }
                 }
-                _ => DcError::Singular(SingularMatrix { column: usize::MAX }),
+                _ => DcError::Injected("sim.dc.newton"),
             });
         }
         fill(
@@ -701,9 +707,10 @@ impl DcSession {
                 total_iter += it;
                 x
             }
-            Err(DcError::Singular(s)) => {
+            // A singular system, or an injected one, ends the solve.
+            Err(e @ (DcError::Singular(_) | DcError::Injected(_))) => {
                 DC_FAILURES.incr();
-                return Err(DcError::Singular(s));
+                return Err(e);
             }
             // Interruption is not a numerical failure: propagate immediately
             // instead of burning the remaining budget on the continuation
@@ -748,9 +755,10 @@ impl DcSession {
                 total_iter += it;
                 x
             }
-            Err(DcError::Singular(s)) => {
+            // A singular system, or an injected one, ends the solve.
+            Err(e @ (DcError::Singular(_) | DcError::Injected(_))) => {
                 DC_FAILURES.incr();
-                return Err(DcError::Singular(s));
+                return Err(e);
             }
             Err(e @ DcError::Interrupted(_)) => return Err(e),
             Err(_) => gmin_then_source_stepping(circuit, &u, &x0, opts, &mut total_iter, scratch)

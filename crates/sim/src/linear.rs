@@ -451,12 +451,13 @@ mod tests {
                 .unwrap_or(0)
         };
         let before = fallbacks();
+        let singular = crate::num::PointFailure::Singular(SingularMatrix { column: 1 });
         let err = crate::ac::ac_point_on(&lin, 1e3).unwrap_err();
-        assert_eq!(err.cause, SingularMatrix { column: 1 });
+        assert_eq!(err.cause, singular);
         assert!(fallbacks() > before, "the dense fallback did not run");
         let out = c.find_node("a").unwrap();
         let err = crate::noise::noise_analysis_on(&lin, &[1e3], out).unwrap_err();
-        assert_eq!(err.cause, SingularMatrix { column: 1 });
+        assert_eq!(err.cause, singular);
     }
 
     #[test]

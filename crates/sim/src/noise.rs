@@ -11,7 +11,7 @@
 use crate::dc::DcSolution;
 use crate::linear::{AcWorkspace, Linearized};
 use crate::netlist::Circuit;
-use crate::num::{Complex, SingularMatrix};
+use crate::num::{Complex, PointFailure};
 use std::fmt;
 
 /// Noise analysis result.
@@ -78,8 +78,8 @@ fn nearest_index(freqs: &[f64], f: f64) -> usize {
 pub struct NoiseError {
     /// Frequency at which factorisation failed (Hz).
     pub frequency: f64,
-    /// Underlying singularity.
-    pub cause: SingularMatrix,
+    /// Why the point failed.
+    pub cause: PointFailure,
 }
 
 impl fmt::Display for NoiseError {
@@ -145,14 +145,14 @@ fn solve_noise_point(
     if losac_obs::failpoint::hit("sim.noise").is_some() {
         return Err(NoiseError {
             frequency: f,
-            cause: SingularMatrix { column: usize::MAX },
+            cause: PointFailure::Injected("sim.noise"),
         });
     }
     let omega = 2.0 * std::f64::consts::PI * f;
     lin.factor_into(omega, &mut scratch.ws)
         .map_err(|cause| NoiseError {
             frequency: f,
-            cause,
+            cause: cause.into(),
         })?;
 
     // Signal gain.

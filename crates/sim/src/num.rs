@@ -509,6 +509,31 @@ impl fmt::Display for SingularMatrix {
 
 impl std::error::Error for SingularMatrix {}
 
+/// Why the linear system of one frequency point was not solved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PointFailure {
+    /// The system is singular at that frequency.
+    Singular(SingularMatrix),
+    /// A failure injected at the named fail point: a testing hook, not a
+    /// property of the circuit.
+    Injected(&'static str),
+}
+
+impl From<SingularMatrix> for PointFailure {
+    fn from(s: SingularMatrix) -> Self {
+        PointFailure::Singular(s)
+    }
+}
+
+impl fmt::Display for PointFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PointFailure::Singular(s) => write!(f, "{s}"),
+            PointFailure::Injected(site) => write!(f, "injected failure at `{site}`"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

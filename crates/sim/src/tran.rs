@@ -174,7 +174,7 @@ pub fn transient(
         if losac_obs::failpoint::hit("sim.tran.step").is_some() {
             return Err(TranError {
                 time: t_next,
-                cause: DcError::NoConvergence { residual: f64::NAN },
+                cause: DcError::Injected("sim.tran.step"),
             });
         }
         x_prev.copy_from_slice(&x);

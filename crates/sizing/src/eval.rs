@@ -152,23 +152,20 @@ impl fmt::Display for Performance {
 
 /// Broad classification of an evaluation failure.
 ///
-/// [`Analysis`] and [`BadNetlist`] say what in the circuit failed; an
-/// evaluation is a pure function of its inputs, so either repeats on
-/// every run of the same inputs. The two interruption kinds mean the
-/// budget, not the circuit, ended the evaluation: the case runner turns
-/// them into the flow's own cancelled and timed-out outcomes.
+/// [`Analysis`] says the circuit failed; an evaluation is a pure
+/// function of its inputs, so it repeats on every run of the same
+/// inputs. The two interruption kinds mean the budget, not the circuit,
+/// ended the evaluation: the case runner turns them into the flow's own
+/// cancelled and timed-out outcomes.
 ///
 /// [`Analysis`]: EvalErrorKind::Analysis
-/// [`BadNetlist`]: EvalErrorKind::BadNetlist
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalErrorKind {
-    /// A numerical analysis failed: non-convergence, a singular system,
-    /// or an un-measurable response (no unity crossing, buffer never
-    /// settled).
+    /// The circuit could not be measured: an invalid netlist (bad
+    /// element values, bad time range), non-convergence, a singular
+    /// system, or an un-measurable response (no unity crossing, buffer
+    /// never settled).
     Analysis,
-    /// The generated netlist itself is invalid (bad element values, bad
-    /// time range).
-    BadNetlist,
     /// The evaluation was cancelled through the installed
     /// [`losac_sim::interrupt::SimInterrupt`] stop flag.
     Cancelled,
@@ -211,7 +208,6 @@ impl std::error::Error for EvalError {}
 
 fn kind_of_dc(e: &DcError) -> EvalErrorKind {
     match e {
-        DcError::BadNetlist(_) => EvalErrorKind::BadNetlist,
         DcError::Interrupted(Interrupted::Cancelled) => EvalErrorKind::Cancelled,
         DcError::Interrupted(Interrupted::TimedOut) => EvalErrorKind::TimedOut,
         _ => EvalErrorKind::Analysis,
@@ -344,13 +340,12 @@ struct Memory {
 /// segment (`hash_technology`'s rendering, about 1.8 kB); a lookup still
 /// compares every byte.
 ///
-/// A cache opened with [`EvalCache::persistent`] additionally backs
-/// every entry with a content-addressed file (see `persist.rs`):
-/// memory misses probe the directory, verified disk entries are served
-/// as ordinary hits (plus `sizing.eval.cache_disk_hit`) and lazily
-/// re-populate memory, and fresh evaluations are written through with
-/// temp-file + atomic rename, so the cache survives the process and is
-/// shared across concurrent daemon runs.
+/// A cache opened with [`EvalCache::persistent`] writes every fresh
+/// evaluation to a content-addressed file only (see `persist.rs`);
+/// memory misses probe the directory, and verified disk entries are
+/// served as ordinary hits (plus `sizing.eval.cache_disk_hit`) and
+/// enter memory. So the cache survives the process, and its memory
+/// holds only the entries that were read back: reused ones.
 #[derive(Debug, Default)]
 pub struct EvalCache {
     map: Mutex<Memory>,
@@ -382,7 +377,8 @@ impl EvalCache {
         self.disk.as_ref().map(|d| d.dir())
     }
 
-    /// Number of distinct evaluations stored.
+    /// Number of distinct evaluations in memory (with a disk layer, the
+    /// entries read back from disk).
     pub fn len(&self) -> usize {
         self.lock().buckets.values().map(Vec::len).sum()
     }
@@ -426,16 +422,17 @@ impl EvalCache {
         None
     }
 
+    /// With a disk layer, write the file only: the entry enters memory
+    /// when a lookup reads it back, so memory holds reused entries only.
+    /// A failed write keeps the entry in memory instead.
     fn store(&self, key: &EvalKey, perf: Performance) {
-        if self.insert_memory(key, perf) {
-            if let Some(disk) = &self.disk {
-                disk.save(key, &perf);
-            }
+        if !self.disk.as_ref().is_some_and(|disk| disk.save(key, &perf)) {
+            self.insert_memory(key, perf);
         }
     }
 
-    /// Insert into the in-memory map only; `true` when the entry was new.
-    fn insert_memory(&self, key: &EvalKey, perf: Performance) -> bool {
+    /// Insert into the in-memory map, unless the entry is there already.
+    fn insert_memory(&self, key: &EvalKey, perf: Performance) {
         let mut map = self.lock();
         let Memory { buckets, techs } = &mut *map;
         // Almost every bucket holds one entry: reserve no room for more.
@@ -443,7 +440,7 @@ impl EvalCache {
             .entry(key.hash)
             .or_insert_with(|| Vec::with_capacity(1));
         if bucket.iter().any(|e| e.matches(key)) {
-            return false;
+            return;
         }
         let segment = &key.bytes[key.tech.clone()];
         let tech = match techs.iter().find(|t| t[..] == *segment) {
@@ -461,7 +458,6 @@ impl EvalCache {
             tech,
             perf,
         });
-        true
     }
 }
 

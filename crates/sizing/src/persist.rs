@@ -38,8 +38,8 @@ pub(crate) static EVAL_CACHE_DISK_HIT: Counter = Counter::new("sizing.eval.cache
 /// Disk entries that existed but failed verification (bad magic, short
 /// file, checksum or key-byte mismatch). Served as misses.
 pub(crate) static EVAL_CACHE_DISK_CORRUPT: Counter = Counter::new("sizing.eval.cache_disk_corrupt");
-/// Disk writes that failed (full disk, permissions). The in-memory entry
-/// is unaffected; persistence is best-effort.
+/// Disk writes that failed (full disk, permissions). The cache keeps such
+/// an entry in memory instead; persistence is best-effort.
 pub(crate) static EVAL_CACHE_DISK_WRITE_ERROR: Counter =
     Counter::new("sizing.eval.cache_disk_write_error");
 
@@ -145,9 +145,9 @@ impl DiskStore {
     }
 
     /// Persist `key → perf`, best-effort: temp file in the same
-    /// directory, fsync, atomic rename. Failures are counted and
-    /// swallowed — the in-memory cache still has the entry.
-    pub(crate) fn save(&self, key: &EvalKey, perf: &Performance) {
+    /// directory, fsync, atomic rename. Failures are counted and return
+    /// `false`, so the caller can keep the entry in memory instead.
+    pub(crate) fn save(&self, key: &EvalKey, perf: &Performance) -> bool {
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
@@ -159,10 +159,12 @@ impl DiskStore {
             f.sync_all()?;
             fs::rename(&tmp, self.entry_path(key))
         };
-        if write().is_err() {
+        let saved = write().is_ok();
+        if !saved {
             EVAL_CACHE_DISK_WRITE_ERROR.incr();
             let _ = fs::remove_file(&tmp);
         }
+        saved
     }
 }
 

@@ -5,7 +5,7 @@
 //! would race against sibling tests in the same process.
 //!
 //! The scenario walks one cache directory through its whole life:
-//! cold write → warm restart (verified disk hits, no simulator work) →
+//! cold write (to disk only) → read-back into memory → warm restart (verified disk hits, no simulator work) →
 //! crash mid-write (orphaned temp file: a plain miss, not corruption) →
 //! flipped byte in an entry (a *counted* corrupt miss, never a wrong
 //! hit) → self-heal on the next store.
@@ -93,6 +93,16 @@ fn disk_cache_survives_restart_and_tolerates_crashes() {
             .contains("tmp"),
         "entry must be the renamed final file, not a temp file"
     );
+    // A disk-backed cache keeps in memory only the entries it reads
+    // back: the store wrote the file alone, the first lookup reads it
+    // from disk into memory, and the next one stays off disk.
+    assert_eq!(cache.len(), 0, "a stored entry must not enter memory");
+    let (_, d) = deltas(|| evaluate_with(&ota, &tech, &mode, &opts).expect("read-back eval"));
+    assert_eq!(get(&d, "sizing.eval.cache_disk_hit"), 1);
+    assert_eq!(cache.len(), 1, "a read-back entry must enter memory");
+    let (_, d) = deltas(|| evaluate_with(&ota, &tech, &mode, &opts).expect("memory eval"));
+    assert_eq!(get(&d, "sizing.eval.cache_hit"), 1);
+    assert_eq!(get(&d, "sizing.eval.cache_disk_hit"), 0);
     drop(opts);
     drop(cache);
 

@@ -34,8 +34,7 @@ if ! RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps; then
 fi
 
 echo "==> tier-1: cargo build --release"
-# --workspace so the bench binary the profiler smoke invokes
-# (table1_cases) is guaranteed to exist.
+# --workspace, so every crate's binaries build, not only the facade's.
 if ! cargo build --release --workspace; then
     echo "FAIL: release build"
     fail=1
@@ -52,8 +51,9 @@ fi
 # There are no Cargo features, so these two steps run every test in the
 # tree, the batch, scenario, chaos and simulator-equivalence gates
 # included: every built-in topology's full loop (tests/topologies.rs),
-# the JSONL progress stream (tests/progress_profile.rs) and the daemon
-# binary's start, ping and drain (crates/serve/tests/serve_e2e.rs).
+# the JSONL progress stream (tests/progress_profile.rs), the daemon
+# binary's start, ping and drain (crates/serve/tests/serve_e2e.rs) and
+# `table1_cases --profile`'s span tree (crates/bench/tests/profile.rs).
 echo "==> cargo test --workspace (debug)"
 if ! LOSAC_LOG=off cargo test -q --workspace; then
     echo "FAIL: workspace tests (debug)"
@@ -74,22 +74,6 @@ if ! cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.
     echo "FAIL: perfbench"
     fail=1
 fi
-
-# Profiler smoke: `--profile` must print an aggregated span tree with the
-# flow's top-level span in it.
-echo "==> table1_cases --profile smoke"
-profile_err="$(mktemp)"
-if ! LOSAC_LOG=off ./target/release/table1_cases --profile \
-    >/dev/null 2>"$profile_err"; then
-    echo "FAIL: table1_cases --profile exited non-zero"
-    fail=1
-elif ! grep -q "profile (span tree)" "$profile_err" ||
-    ! grep -q "^flow " "$profile_err"; then
-    echo "FAIL: --profile printed no span tree (see below)"
-    cat "$profile_err"
-    fail=1
-fi
-rm -f "$profile_err"
 
 # Hot-path regression gate against the committed PR-9 baseline.
 echo "==> bench_check (fresh snapshot vs BENCH_PR9 baseline)"

@@ -12,12 +12,16 @@
 //!   per-metric worst case over the scenario set;
 //! * scenario jobs of one design point share one case preparation per
 //!   batch, and every outcome still equals that job run alone through
-//!   `run_case_with`, at 1 and 4 workers.
+//!   `run_case_with`, at 1 and 4 workers;
+//! * a memo shared across batches keeps a preparation only once a later
+//!   batch reuses it, and never keeps a stopped or one-shot one.
 
+use losac::flow::Preparations;
 use losac::prelude::*;
+use losac::sizing::EvalCache;
 use losac::tech::pvt::NOMINAL_TEMP_C;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn sweep_jobs() -> Vec<SynthesisJob> {
     // One design point (Case 1, min-area) measured under a corner ×
@@ -279,4 +283,93 @@ fn a_failed_synthesized_measurement_is_reported_before_a_failed_layout() {
         alone[1].starts_with("failed [evaluation failed: output cannot be centred"),
         "{alone:?}"
     );
+}
+
+/// Case-1 jobs of the paper example at `gbw`, one per supply scale.
+fn case1_point(gbw: f64, supplies: &[f64]) -> Vec<SynthesisJob> {
+    let specs = OtaSpecs {
+        gbw,
+        ..OtaSpecs::paper_example()
+    };
+    SweepBuilder::new(Arc::new(Technology::cmos06()), specs)
+        .over_cases([Case::NoParasitics])
+        .supplies(supplies.iter().copied())
+        .build()
+}
+
+/// Engine options sharing `memo`.
+fn with_memo(workers: usize, memo: &Arc<Preparations>) -> EngineOptions {
+    let mut opts = EngineOptions::with_workers(workers);
+    opts.preparations = Some(memo.clone());
+    opts
+}
+
+#[test]
+fn a_shared_memo_prepares_a_point_on_two_batches_then_never() {
+    // Two design points under two supply scales each. Every batch gets
+    // clones of one job list, so the jobs share their plan `Arc` across
+    // batches. The evaluation cache is shared as a daemon shares it, so
+    // only the first batch simulates.
+    let mut list = case1_point(65.0e6, &[1.0, 1.05]);
+    list.extend(case1_point(60.0e6, &[1.0, 1.05]));
+    let jobs = || list.clone();
+    let alone: Vec<String> = jobs().iter().map(alone_digest).collect();
+    let cache = Arc::new(EvalCache::new());
+    for workers in [1, 4] {
+        let memo = Arc::new(Preparations::default());
+        let mut opts = with_memo(workers, &memo);
+        opts.cache = Some(cache.clone());
+        let engine = Engine::new(opts);
+        let mut prepared = Vec::new();
+        for _ in 0..3 {
+            let batch = engine.run_batch(jobs());
+            let got: Vec<String> = batch.outcomes.iter().map(batch_digest).collect();
+            assert_eq!(got, alone, "{workers} workers");
+            prepared.push(batch.telemetry.prepared);
+        }
+        assert_eq!(prepared, [2, 2, 0], "{workers} workers");
+        assert_eq!(memo.len(), 2);
+    }
+}
+
+#[test]
+fn a_stopped_batch_leaves_the_memo_empty() {
+    let list = case1_point(65.0e6, &[1.0, 1.05]);
+    let jobs = || list.clone();
+    let alone: Vec<String> = jobs().iter().map(alone_digest).collect();
+    let memo = Arc::new(Preparations::default());
+    let cancelled = Engine::new(with_memo(2, &memo));
+    cancelled.cancel_token().cancel();
+    for o in &cancelled.run_batch(jobs()).outcomes {
+        assert!(matches!(o, JobOutcome::Cancelled), "{}", o.status());
+    }
+    assert!(memo.is_empty());
+    let mut late = with_memo(2, &memo);
+    late.deadline = Some(Instant::now());
+    for o in &Engine::new(late).run_batch(jobs()).outcomes {
+        assert!(matches!(o, JobOutcome::TimedOut), "{}", o.status());
+    }
+    assert!(
+        memo.is_empty(),
+        "a timed-out preparation outlived its batch"
+    );
+    // The point prepares afresh, with the lone runs' outcomes.
+    let batch = Engine::new(with_memo(2, &memo)).run_batch(jobs());
+    let got: Vec<String> = batch.outcomes.iter().map(batch_digest).collect();
+    assert_eq!(got, alone);
+    assert_eq!(batch.telemetry.prepared, 1);
+}
+
+#[test]
+fn one_shot_points_leave_no_preparation_behind() {
+    // At 0.9 × VDD the case-1 design cannot centre its output, so each
+    // job fails fast in its measurement; its preparation succeeds.
+    let memo = Arc::new(Preparations::default());
+    let engine = Engine::new(with_memo(2, &memo));
+    for k in 0..20 {
+        let batch = engine.run_batch(case1_point(60.0e6 + 0.25e6 * f64::from(k), &[0.9]));
+        assert_eq!(batch.telemetry.prepared, 1);
+        assert!(matches!(batch.outcomes[0], JobOutcome::Failed(_)));
+    }
+    assert_eq!(memo.len(), 0);
 }

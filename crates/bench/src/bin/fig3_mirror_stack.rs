@@ -12,7 +12,7 @@ use losac_layout::row::build_row;
 use losac_layout::stack::{plan_stack, stack_row_spec, StackDevice, StackSpec, StackStyle};
 use losac_tech::units::um;
 use losac_tech::{Polarity, Technology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn main() {
     let tech = Technology::cmos06();
@@ -21,7 +21,7 @@ fn main() {
     // leg scaled by the ratios) so the reliability rules visibly widen
     // wires and multiply contacts.
     let i_unit = 0.5e-3;
-    let mut net_currents = HashMap::new();
+    let mut net_currents = BTreeMap::new();
     net_currents.insert("s".to_owned(), 10.0 * i_unit);
     net_currents.insert("d_m1".to_owned(), i_unit);
     net_currents.insert("d_m2".to_owned(), 3.0 * i_unit);
@@ -68,9 +68,7 @@ fn main() {
     println!();
     println!("electromigration-clean: {}", row.em_clean);
     println!("contacts per net (sized for the current):");
-    let mut nets: Vec<_> = row.contacts.iter().collect();
-    nets.sort();
-    for (net, n) in nets {
+    for (net, n) in &row.contacts {
         println!("  {net:<8} {n:>3} cuts");
     }
 

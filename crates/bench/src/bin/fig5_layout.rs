@@ -39,10 +39,7 @@ fn main() {
     println!();
 
     println!("{:<8} {:>6} {:>12}", "device", "folds", "drawn W (um)");
-    let mut names: Vec<_> = g.devices.keys().collect();
-    names.sort();
-    for name in names {
-        let d = &g.devices[name];
+    for (name, d) in &g.devices {
         println!(
             "{name:<8} {:>6} {:>12.2}",
             d.folds,

@@ -19,10 +19,10 @@ use crate::layout_gen::{to_feedback, topology_layout_plan, LayoutOptions};
 use losac_layout::slicing::ShapeConstraint;
 use losac_sizing::eval::{evaluate_with, EvalError, EvalErrorKind, EvalOptions, FnvHasher};
 use losac_sizing::{
-    FoldedCascodePlan, OtaSpecs, ParasiticMode, Performance, Topology, TopologyPlan,
+    OtaSpecs, ParasiticMode, Performance, Topology, TopologyPlan, TopologyRegistry,
 };
 use losac_tech::{Scenario, Technology};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -188,7 +188,9 @@ impl Default for CaseOptions {
     fn default() -> Self {
         let flow = FlowOptions::default();
         Self {
-            plan: Arc::new(FoldedCascodePlan::default()),
+            plan: TopologyRegistry::builtin()
+                .get("folded_cascode")
+                .expect("the folded cascode is built in"),
             layout: flow.layout,
             shape: flow.shape,
             tolerance: flow.tolerance,
@@ -473,9 +475,9 @@ pub struct Preparations {
 #[derive(Debug, Default)]
 struct MemoState {
     /// Entries by key hash; inputs whose hashes collide share a bucket.
-    buckets: HashMap<u64, Vec<MemoEntry>>,
+    buckets: BTreeMap<u64, Vec<MemoEntry>>,
     /// Key hashes of the entries earlier batches dropped.
-    seen: HashSet<u64>,
+    seen: BTreeSet<u64>,
 }
 
 #[derive(Debug)]
@@ -643,6 +645,7 @@ impl PreparedCase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use losac_sizing::FoldedCascodePlan;
 
     // Case runs are exercised end-to-end by the integration tests and the
     // table1 binary; here we keep one smoke case to bound runtime.
@@ -721,6 +724,9 @@ mod tests {
         ));
         // One ulp of tolerance or of a specification, or another plan
         // `Arc`, is another preparation.
+        let other_plan = CaseOptions::builder()
+            .with_plan(Arc::new(FoldedCascodePlan::default()))
+            .build();
         let mut next_tolerance = base.clone();
         next_tolerance.tolerance = f64::from_bits(base.tolerance.to_bits() + 1);
         let mut next_cm = specs;
@@ -728,7 +734,7 @@ mod tests {
         for (s, o) in [
             (&specs, &next_tolerance),
             (&next_cm, &base),
-            (&specs, &CaseOptions::default()),
+            (&specs, &other_plan),
         ] {
             assert!(!same_preparation(
                 (&tech, &specs, case, &base),

@@ -16,7 +16,7 @@ use losac_layout::stack::{StackDevice, StackSpec, StackStyle};
 use losac_sizing::{DeviceFeedback, LayoutFeedback, LayoutModule, Topology};
 use losac_tech::units::{m_to_nm, Nm};
 use losac_tech::Technology;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Options forwarded to the layout tool ("layout options regarding the
 /// implementation of certain devices", §2).
@@ -24,23 +24,13 @@ use std::collections::HashMap;
 pub struct LayoutOptions {
     /// Matching style of the input differential pair.
     pub input_pair_style: StackStyle,
-    /// Target finger channel width for the stacked matched groups (nm).
+    /// Target finger channel width for the stacked matched groups (nm);
+    /// 0, the default, means 12 µm.
     pub finger_target: Nm,
     /// Freeze fold counts to these values (device name → folds). The flow
     /// sets this after the first layout call so the discrete folding
     /// decisions stay put while the continuous sizes converge.
-    pub fold_hints: HashMap<String, u32>,
-}
-
-impl LayoutOptions {
-    /// The defaults used by the flow on its first call.
-    pub fn new() -> Self {
-        Self {
-            input_pair_style: StackStyle::CommonCentroid,
-            finger_target: 12_000,
-            fold_hints: HashMap::new(),
-        }
-    }
+    pub fold_hints: BTreeMap<String, u32>,
 }
 
 /// Build a topology's layout plan from the sized circuit.

@@ -10,7 +10,7 @@
 use crate::job::SynthesisJob;
 use losac_core::prelude::{Case, OtaSpecs};
 use losac_layout::slicing::ShapeConstraint;
-use losac_sizing::{FoldedCascodePlan, TopologyPlan};
+use losac_sizing::{TopologyPlan, TopologyRegistry};
 use losac_tech::pvt::NOMINAL_TEMP_C;
 use losac_tech::{Corner, MismatchDraw, Pvt, Scenario, Technology};
 use std::sync::Arc;
@@ -48,15 +48,6 @@ impl SpecAxis {
             SpecAxis::LoadCap => specs.c_load = value,
             SpecAxis::Vdd => specs.vdd = value,
         }
-    }
-}
-
-fn shape_label(shape: &ShapeConstraint) -> String {
-    match shape {
-        ShapeConstraint::MinArea => "min_area".to_owned(),
-        ShapeConstraint::MaxHeight(h) => format!("hmax={h}"),
-        ShapeConstraint::MaxWidth(w) => format!("wmax={w}"),
-        ShapeConstraint::Aspect(r) => format!("aspect={r}"),
     }
 }
 
@@ -105,7 +96,9 @@ impl SweepBuilder {
             cases: Vec::new(),
             shapes: Vec::new(),
             axes: Vec::new(),
-            plan: Arc::new(FoldedCascodePlan::default()),
+            plan: TopologyRegistry::builtin()
+                .get("folded_cascode")
+                .expect("the folded cascode is built in"),
             topologies: Vec::new(),
             budget: None,
             corners: Vec::new(),
@@ -294,8 +287,7 @@ impl SweepBuilder {
             for case in &cases {
                 for shape in &shapes {
                     for (suffix, specs) in &spec_points {
-                        let point =
-                            format!("{prefix}{}/{}{}", case.label(), shape_label(shape), suffix);
+                        let point = format!("{prefix}{}/{shape}{suffix}", case.label());
                         for scenario in &scenarios {
                             let mut job = SynthesisJob::new(self.tech.clone(), *specs, *case)
                                 .with_topology_plan(plan.clone())

@@ -12,7 +12,7 @@
 use crate::geom::Rect;
 use losac_tech::units::Nm;
 use losac_tech::Layer;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A drawn shape: a rectangle on a layer, optionally bound to a net.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,8 +150,8 @@ impl Cell {
     /// Total drawn area per layer (nm², overlaps double-counted — fine
     /// for the generators here, which draw non-overlapping same-layer
     /// geometry within a cell).
-    pub fn area_by_layer(&self) -> HashMap<Layer, i128> {
-        let mut map = HashMap::new();
+    pub fn area_by_layer(&self) -> BTreeMap<Layer, i128> {
+        let mut map = BTreeMap::new();
         for s in &self.shapes {
             *map.entry(s.layer).or_insert(0) += s.rect.area_nm2();
         }

@@ -240,7 +240,7 @@ mod tests {
     use crate::row::{build_row, Finger, RowSpec};
     use losac_tech::units::um;
     use losac_tech::Polarity;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn simple_row(polarity: Polarity, tech: &Technology) -> Cell {
         let spec = RowSpec {
@@ -261,7 +261,7 @@ mod tests {
             } else {
                 "gnd".into()
             },
-            net_currents: HashMap::new(),
+            net_currents: BTreeMap::new(),
         };
         build_row(tech, &spec).unwrap().cell
     }

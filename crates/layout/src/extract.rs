@@ -16,18 +16,18 @@
 
 use crate::cell::Cell;
 use losac_tech::{Layer, Technology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Extracted parasitics of a cell.
 #[derive(Debug, Clone, Default)]
 pub struct Extraction {
     /// Wire capacitance to substrate per net (F).
-    pub net_cap: HashMap<String, f64>,
+    pub net_cap: BTreeMap<String, f64>,
     /// Coupling capacitance between net pairs (F), keys ordered
     /// lexicographically.
-    pub coupling: HashMap<(String, String), f64>,
+    pub coupling: BTreeMap<(String, String), f64>,
     /// Well junction capacitance per net (F) at zero bias.
-    pub well_cap: HashMap<String, f64>,
+    pub well_cap: BTreeMap<String, f64>,
 }
 
 impl Extraction {

@@ -30,7 +30,7 @@ use losac_device::DiffGeom;
 use losac_obs::Counter;
 use losac_tech::units::Nm;
 use losac_tech::{Polarity, Technology};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Full layout-generation pipeline runs (both modes).
@@ -122,9 +122,9 @@ pub struct GeneratedLayout {
     /// Extracted wire/coupling/well parasitics.
     pub extraction: Extraction,
     /// Per-transistor folding and diffusion report.
-    pub devices: HashMap<String, DeviceLayout>,
+    pub devices: BTreeMap<String, DeviceLayout>,
     /// Matching metrics of every stack module.
-    pub stack_plans: HashMap<String, StackPlan>,
+    pub stack_plans: BTreeMap<String, StackPlan>,
     /// Did every wire/contact meet its electromigration requirement?
     pub em_clean: bool,
 }
@@ -141,14 +141,14 @@ impl GeneratedLayout {
 #[derive(Debug, Clone)]
 pub struct ParasiticReport {
     /// Per-transistor folding style and diffusion geometry.
-    pub devices: HashMap<String, DeviceLayout>,
+    pub devices: BTreeMap<String, DeviceLayout>,
     /// Routing capacitance to ground per net (F), including device-level
     /// wiring (straps, rails).
-    pub net_cap: HashMap<String, f64>,
+    pub net_cap: BTreeMap<String, f64>,
     /// Coupling capacitance between net pairs (F).
-    pub coupling: HashMap<(String, String), f64>,
+    pub coupling: BTreeMap<(String, String), f64>,
     /// Floating-well capacitance per net (F).
-    pub well_cap: HashMap<String, f64>,
+    pub well_cap: BTreeMap<String, f64>,
     /// Layout bounding box (w, h) in nm.
     pub bbox: (Nm, Nm),
     /// Electromigration-clean?
@@ -160,20 +160,12 @@ impl ParasiticReport {
     /// (ground + coupling + well), excluding diffusion junctions (those
     /// are handed over as per-device geometry).
     pub fn lumped_on(&self, net: &str) -> f64 {
-        let mut c = self.net_cap.get(net).copied().unwrap_or(0.0)
+        let own = self.net_cap.get(net).copied().unwrap_or(0.0)
             + self.well_cap.get(net).copied().unwrap_or(0.0);
-        // Sorted order: a float sum in `HashMap` order would differ in the
-        // last bits from one map instance to the next.
-        let mut couplings: Vec<_> = self
-            .coupling
+        self.coupling
             .iter()
             .filter(|((a, b), _)| a == net || b == net)
-            .collect();
-        couplings.sort_by(|x, y| x.0.cmp(y.0));
-        for (_, v) in couplings {
-            c += v;
-        }
-        c
+            .fold(own, |c, (_, v)| c + v)
     }
 
     /// Compare against another report: the largest relative change of any
@@ -183,10 +175,7 @@ impl ParasiticReport {
     /// the loop alive.
     pub fn max_relative_change(&self, other: &ParasiticReport) -> f64 {
         const FLOOR: f64 = 2e-15;
-        let mut nets: Vec<&String> = self.net_cap.keys().collect();
-        nets.extend(other.net_cap.keys());
-        nets.sort();
-        nets.dedup();
+        let nets: BTreeSet<&String> = self.net_cap.keys().chain(other.net_cap.keys()).collect();
         let mut worst: f64 = 0.0;
         for net in nets {
             let a = self.lumped_on(net);
@@ -235,7 +224,7 @@ pub struct LayoutPlan {
     /// Placement structure over module indices.
     pub tree: SlicingTree,
     /// DC current per net (A) for reliability sizing.
-    pub net_currents: HashMap<String, f64>,
+    pub net_currents: BTreeMap<String, f64>,
     /// Spacing between sibling modules (nm).
     pub spacing: Nm,
 }
@@ -256,7 +245,7 @@ impl LayoutPlan {
             name: name.into(),
             modules,
             tree,
-            net_currents: HashMap::new(),
+            net_currents: BTreeMap::new(),
             spacing: 4_000,
         }
     }
@@ -287,7 +276,7 @@ impl LayoutPlan {
         let shape_span = losac_obs::span("layout.shapes");
         let row_err = |name: &str, e| PlanError::new(format!("{name}: {e}"));
         let mut shapes: Vec<ShapeFunction> = Vec::with_capacity(self.modules.len());
-        let mut stack_plans: HashMap<String, StackPlan> = HashMap::new();
+        let mut stack_plans: BTreeMap<String, StackPlan> = BTreeMap::new();
         for m in &self.modules {
             match m {
                 Module::Device(def) => {
@@ -380,7 +369,7 @@ impl LayoutPlan {
         let spacing_y = self.spacing.max(tech.snap_up(interior_need));
 
         let (realization, mut top, rows) = place_and_build(spacing_y, true)?;
-        let mut devices: HashMap<String, DeviceLayout> = HashMap::new();
+        let mut devices: BTreeMap<String, DeviceLayout> = BTreeMap::new();
         let mut em_clean = true;
         for (m, (nf, row)) in self.modules.iter().zip(drawn.iter().flatten()) {
             em_clean &= row.em_clean;
@@ -521,7 +510,7 @@ pub struct FoldedDevice<'a> {
     folds: usize,
     finger_w: Nm,
     gate_l: Nm,
-    net_currents: &'a HashMap<String, f64>,
+    net_currents: &'a BTreeMap<String, f64>,
 }
 
 impl RowLayout for FoldedDevice<'_> {
@@ -616,7 +605,7 @@ fn stack_device_layouts(
         source: DiffGeom,
         fingers: u32,
     }
-    let mut acc: HashMap<String, Acc> = HashMap::new();
+    let mut acc: BTreeMap<String, Acc> = BTreeMap::new();
     for d in &spec.devices {
         acc.insert(
             d.name.clone(),
@@ -767,7 +756,7 @@ mod tests {
     }
 
     #[test]
-    fn lumped_on_sums_couplings_in_a_map_independent_order() {
+    fn lumped_on_sums_couplings_in_key_order() {
         // Magnitudes far apart, so the rounding of the sum depends on the
         // order the couplings are added in.
         let couplings = [
@@ -777,14 +766,14 @@ mod tests {
             (("d", "out"), 2.9e-13),
             (("out", "e"), 5.1e-18),
         ];
-        let report_of = || ParasiticReport {
-            devices: HashMap::new(),
-            net_cap: HashMap::from([("out".to_owned(), 1.7e-14)]),
+        let report = ParasiticReport {
+            devices: BTreeMap::new(),
+            net_cap: BTreeMap::from([("out".to_owned(), 1.7e-14)]),
             coupling: couplings
                 .iter()
                 .map(|&((a, b), v)| ((a.to_owned(), b.to_owned()), v))
                 .collect(),
-            well_cap: HashMap::new(),
+            well_cap: BTreeMap::new(),
             bbox: (0, 0),
             em_clean: true,
         };
@@ -794,11 +783,7 @@ mod tests {
         for (_, v) in sorted_couplings {
             want += v;
         }
-        // Every fresh `HashMap` draws its own hash seed, and with it its
-        // own iteration order.
-        for _ in 0..32 {
-            assert_eq!(report_of().lumped_on("out").to_bits(), want.to_bits());
-        }
+        assert_eq!(report.lumped_on("out").to_bits(), want.to_bits());
     }
 
     #[test]
@@ -887,7 +872,7 @@ mod tests {
             bulk_net: "gnd".into(),
             end_dummies: true,
             style: StackStyle::CommonCentroid,
-            net_currents: HashMap::new(),
+            net_currents: BTreeMap::new(),
         };
         let plan = LayoutPlan::new(
             "withstack",

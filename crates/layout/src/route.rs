@@ -22,7 +22,7 @@ use crate::cell::Cell;
 use crate::geom::Rect;
 use losac_tech::units::Nm;
 use losac_tech::{Layer, Technology};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Router configuration.
@@ -65,9 +65,9 @@ impl std::error::Error for RouteError {}
 #[derive(Debug, Clone, Default)]
 pub struct RouteReport {
     /// Total routed wire length per net (m), all layers.
-    pub net_length: HashMap<String, f64>,
+    pub net_length: BTreeMap<String, f64>,
     /// Track rectangles per net (one per channel the net uses).
-    pub tracks: HashMap<String, Vec<Rect>>,
+    pub tracks: BTreeMap<String, Vec<Rect>>,
     /// Nets routed, in processing order.
     pub order: Vec<String>,
     /// Nets that needed a vertical trunk.
@@ -88,7 +88,7 @@ impl RouteReport {
 pub fn channel_demand(cell: &Cell, rows: &[(Nm, Nm)]) -> Vec<usize> {
     let mut nets_per_channel: Vec<std::collections::BTreeSet<&str>> =
         vec![Default::default(); rows.len() + 1];
-    let mut ports_per_net: HashMap<&str, usize> = HashMap::new();
+    let mut ports_per_net: BTreeMap<&str, usize> = BTreeMap::new();
     for p in &cell.ports {
         *ports_per_net.entry(p.net.as_str()).or_insert(0) += 1;
     }
@@ -145,7 +145,7 @@ fn nearest_channel(rows: &[(Nm, Nm)], port: &Rect) -> usize {
 pub fn route_rows(
     tech: &Technology,
     cell: &mut Cell,
-    net_currents: &HashMap<String, f64>,
+    net_currents: &BTreeMap<String, f64>,
     rows: &[(Nm, Nm)],
     opts: &RouteOptions,
 ) -> Result<RouteReport, RouteError> {
@@ -417,7 +417,7 @@ pub fn route_rows(
 pub fn route_channel(
     tech: &Technology,
     cell: &mut Cell,
-    net_currents: &HashMap<String, f64>,
+    net_currents: &BTreeMap<String, f64>,
     opts: &RouteOptions,
 ) -> Result<RouteReport, RouteError> {
     let bbox = cell
@@ -515,7 +515,7 @@ mod tests {
         let tech = Technology::cmos06();
         let mut cell = two_module_cell();
         let report =
-            route_channel(&tech, &mut cell, &HashMap::new(), &RouteOptions::default()).unwrap();
+            route_channel(&tech, &mut cell, &BTreeMap::new(), &RouteOptions::default()).unwrap();
         assert_eq!(report.order.len(), 2);
         // Ports near the bottom (n1) and near the top (n2) of the single
         // row pick their nearest channels.
@@ -531,7 +531,7 @@ mod tests {
         let tech = Technology::cmos06();
         let mut cell = two_module_cell();
         let report =
-            route_channel(&tech, &mut cell, &HashMap::new(), &RouteOptions::default()).unwrap();
+            route_channel(&tech, &mut cell, &BTreeMap::new(), &RouteOptions::default()).unwrap();
         for net in ["n1", "n2"] {
             let len = report.net_length[net];
             assert!(len > 10e-6 && len < 200e-6, "net {net} length {len}");
@@ -542,7 +542,7 @@ mod tests {
     fn high_current_net_gets_wide_track() {
         let tech = Technology::cmos06();
         let mut cell = two_module_cell();
-        let mut currents = HashMap::new();
+        let mut currents = BTreeMap::new();
         currents.insert("n1".to_owned(), 5e-3);
         let report = route_channel(&tech, &mut cell, &currents, &RouteOptions::default()).unwrap();
         assert!(report.tracks["n1"][0].height() >= um(5.0));
@@ -553,7 +553,7 @@ mod tests {
     fn no_cross_net_shorts_after_routing() {
         let tech = Technology::cmos06();
         let mut cell = two_module_cell();
-        route_channel(&tech, &mut cell, &HashMap::new(), &RouteOptions::default()).unwrap();
+        route_channel(&tech, &mut cell, &BTreeMap::new(), &RouteOptions::default()).unwrap();
         no_cross_net_violations(&tech, &cell);
     }
 
@@ -579,7 +579,7 @@ mod tests {
         let report = route_rows(
             &tech,
             &mut c,
-            &HashMap::new(),
+            &BTreeMap::new(),
             &rows,
             &RouteOptions::default(),
         )
@@ -638,7 +638,7 @@ mod tests {
         let err = route_rows(
             &tech,
             &mut c,
-            &HashMap::new(),
+            &BTreeMap::new(),
             &rows,
             &RouteOptions::default(),
         );
@@ -662,7 +662,7 @@ mod tests {
             Rect::from_size(0, 0, um(5.0), um(1.0)),
         );
         let report =
-            route_channel(&tech, &mut c, &HashMap::new(), &RouteOptions::default()).unwrap();
+            route_channel(&tech, &mut c, &BTreeMap::new(), &RouteOptions::default()).unwrap();
         assert!(report.order.is_empty());
     }
 
@@ -670,7 +670,7 @@ mod tests {
     fn empty_cell_rejected() {
         let tech = Technology::cmos06();
         let mut c = Cell::new("top");
-        assert!(route_channel(&tech, &mut c, &HashMap::new(), &RouteOptions::default()).is_err());
+        assert!(route_channel(&tech, &mut c, &BTreeMap::new(), &RouteOptions::default()).is_err());
     }
 
     #[test]
@@ -699,7 +699,7 @@ mod tests {
                 Rect::from_size(0, y2, um(10.0), um(1.0)),
             );
         }
-        route_channel(&tech, &mut c, &HashMap::new(), &RouteOptions::default()).unwrap();
+        route_channel(&tech, &mut c, &BTreeMap::new(), &RouteOptions::default()).unwrap();
         no_cross_net_violations(&tech, &c);
     }
 }

@@ -28,7 +28,7 @@ use crate::cell::Cell;
 use crate::geom::Rect;
 use losac_tech::units::Nm;
 use losac_tech::{Layer, Polarity, Technology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One poly finger of a row.
@@ -63,7 +63,7 @@ pub struct RowSpec {
     pub bulk_net: String,
     /// Total DC current carried by each net (A), for electromigration
     /// sizing. Missing nets are treated as signal-level (minimum widths).
-    pub net_currents: HashMap<String, f64>,
+    pub net_currents: BTreeMap<String, f64>,
 }
 
 /// A transistor row as the row routine reads it. [`RowSpec`] spells a
@@ -155,13 +155,13 @@ pub struct Row {
     /// The generated geometry.
     pub cell: Cell,
     /// Diffusion area per net (m²) — junction bottom plates.
-    pub diff_area: HashMap<String, f64>,
+    pub diff_area: BTreeMap<String, f64>,
     /// Diffusion sidewall perimeter per net (m), gate edges excluded.
-    pub diff_perimeter: HashMap<String, f64>,
+    pub diff_perimeter: BTreeMap<String, f64>,
     /// N-well rectangle (PMOS rows), for floating-well capacitance.
     pub well: Option<Rect>,
     /// Number of contacts placed per strip-net.
-    pub contacts: HashMap<String, usize>,
+    pub contacts: BTreeMap<String, usize>,
     /// Whether every wire/contact met its electromigration requirement.
     pub em_clean: bool,
 }
@@ -186,9 +186,9 @@ pub fn build_row<R: RowLayout + ?Sized>(tech: &Technology, row: &R) -> Result<Ro
     let mut out = Row {
         cell,
         well,
-        diff_area: HashMap::new(),
-        diff_perimeter: HashMap::new(),
-        contacts: HashMap::new(),
+        diff_area: BTreeMap::new(),
+        diff_perimeter: BTreeMap::new(),
+        contacts: BTreeMap::new(),
         em_clean: nets.iter().all(|n| n.kit.em_clean),
     };
     for n in &nets {
@@ -786,7 +786,7 @@ mod tests {
 
     /// A simple 4-finger NMOS with internal drains: S d S d S.
     fn simple_spec() -> RowSpec {
-        let mut net_currents = HashMap::new();
+        let mut net_currents = BTreeMap::new();
         net_currents.insert("d".to_owned(), 100e-6);
         net_currents.insert("s".to_owned(), 100e-6);
         RowSpec {

@@ -12,8 +12,9 @@
 
 use crate::shape::{ShapeFunction, Variant};
 use losac_tech::units::Nm;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::str::FromStr;
 
 /// A slicing structure over leaf modules (identified by index).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,6 +78,54 @@ pub enum ShapeConstraint {
     Aspect(f64),
 }
 
+/// The text form of job labels and the wire: `min_area`, `hmax=N`,
+/// `wmax=N` or `aspect=R`. [`FromStr`] reads it back.
+impl fmt::Display for ShapeConstraint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShapeConstraint::MinArea => f.write_str("min_area"),
+            ShapeConstraint::MaxHeight(h) => write!(f, "hmax={h}"),
+            ShapeConstraint::MaxWidth(w) => write!(f, "wmax={w}"),
+            ShapeConstraint::Aspect(r) => write!(f, "aspect={r}"),
+        }
+    }
+}
+
+impl FromStr for ShapeConstraint {
+    type Err = ParseShapeError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let shape = if s == "min_area" {
+            Some(ShapeConstraint::MinArea)
+        } else if let Some(v) = s.strip_prefix("hmax=") {
+            v.parse().ok().map(ShapeConstraint::MaxHeight)
+        } else if let Some(v) = s.strip_prefix("wmax=") {
+            v.parse().ok().map(ShapeConstraint::MaxWidth)
+        } else if let Some(v) = s.strip_prefix("aspect=") {
+            v.parse().ok().map(ShapeConstraint::Aspect)
+        } else {
+            None
+        };
+        shape.ok_or_else(|| ParseShapeError(s.to_owned()))
+    }
+}
+
+/// Text that is none of [`ShapeConstraint`]'s text forms.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseShapeError(String);
+
+impl fmt::Display for ParseShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "unknown shape {:?} (min_area, aspect=R, hmax=N, wmax=N)",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for ParseShapeError {}
+
 /// A chosen realisation of the tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Realization {
@@ -85,9 +134,9 @@ pub struct Realization {
     /// Total bounding-box height (nm).
     pub h: Nm,
     /// Chosen variant tag per leaf id.
-    pub choices: HashMap<usize, u32>,
+    pub choices: BTreeMap<usize, u32>,
     /// Lower-left placement per leaf id.
-    pub positions: HashMap<usize, (Nm, Nm)>,
+    pub positions: BTreeMap<usize, (Nm, Nm)>,
 }
 
 impl Realization {
@@ -316,8 +365,8 @@ pub fn optimize_xy(
     let mut out = Realization {
         w: v.w,
         h: v.h,
-        choices: HashMap::new(),
-        positions: HashMap::new(),
+        choices: BTreeMap::new(),
+        positions: BTreeMap::new(),
     };
     extract(&node, idx, 0, 0, spacing, &mut out);
     Ok(out)

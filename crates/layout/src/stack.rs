@@ -20,7 +20,7 @@
 use crate::row::{Finger, RowSpec};
 use losac_tech::units::Nm;
 use losac_tech::Polarity;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One matched device of a stack.
@@ -58,7 +58,7 @@ pub struct StackSpec {
     /// Pair-unit arrangement style.
     pub style: StackStyle,
     /// DC current per net for electromigration sizing (A).
-    pub net_currents: HashMap<String, f64>,
+    pub net_currents: BTreeMap<String, f64>,
 }
 
 /// How pair units are interleaved along the row.
@@ -95,9 +95,9 @@ pub struct StackPlan {
     /// Fingers in x order (devices and dummies).
     pub fingers: Vec<Finger>,
     /// Per-device centroid offset from the row centre, in gate pitches.
-    pub centroid_offset: HashMap<String, f64>,
+    pub centroid_offset: BTreeMap<String, f64>,
     /// Per-device |#left-conducting − #right-conducting| fingers.
-    pub direction_imbalance: HashMap<String, u32>,
+    pub direction_imbalance: BTreeMap<String, u32>,
     /// Number of dummy fingers inserted.
     pub dummies: usize,
 }
@@ -133,7 +133,7 @@ pub fn plan_stack(spec: &StackSpec) -> Result<StackPlan, StackError> {
             message: "a stack needs at least one device".into(),
         });
     }
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for d in &spec.devices {
         if d.fingers == 0 {
             return Err(StackError {
@@ -279,8 +279,8 @@ pub fn plan_stack(spec: &StackSpec) -> Result<StackPlan, StackError> {
     // Metrics.
     let n = fingers.len() as f64;
     let centre = (n - 1.0) / 2.0;
-    let mut centroid_offset = HashMap::new();
-    let mut direction_imbalance = HashMap::new();
+    let mut centroid_offset = BTreeMap::new();
+    let mut direction_imbalance = BTreeMap::new();
     for d in &spec.devices {
         let positions: Vec<usize> = fingers
             .iter()
@@ -338,7 +338,7 @@ mod tests {
             drain_net: format!("d_{name}"),
             gate_net: "g".into(),
         };
-        let mut net_currents = HashMap::new();
+        let mut net_currents = BTreeMap::new();
         net_currents.insert("s".to_owned(), 1.0e-3);
         net_currents.insert("d_m1".to_owned(), 0.1e-3);
         net_currents.insert("d_m2".to_owned(), 0.3e-3);
@@ -448,7 +448,7 @@ mod tests {
             bulk_net: "vdd".into(),
             end_dummies: true,
             style: StackStyle::default(),
-            net_currents: HashMap::new(),
+            net_currents: BTreeMap::new(),
         };
         let plan = plan_stack(&spec).unwrap();
         // Both centroids exactly centred, directions balanced.
@@ -483,7 +483,7 @@ mod tests {
             bulk_net: "gnd".into(),
             end_dummies: false,
             style: StackStyle::default(),
-            net_currents: HashMap::new(),
+            net_currents: BTreeMap::new(),
         };
         let plan = plan_stack(&spec).unwrap();
         // S d S d S with drains internal: the even/internal F = 1/2 case.
@@ -531,7 +531,7 @@ mod tests {
             bulk_net: "gnd".into(),
             end_dummies: false,
             style: StackStyle::default(),
-            net_currents: HashMap::new(),
+            net_currents: BTreeMap::new(),
         };
         let plan = plan_stack(&spec).unwrap();
         // Two singles fuse around one dummy; the third needs its own.

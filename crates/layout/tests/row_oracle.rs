@@ -15,7 +15,7 @@ use losac_layout::stack::{plan_stack, stack_row_spec};
 use losac_sizing::{ParasiticMode, Topology, TopologyRegistry};
 use losac_tech::rng::Xorshift128Plus;
 use losac_tech::{Polarity, Technology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Measure and draw one row; both must agree, on success and on failure.
 /// Returns whether the row was buildable.
@@ -86,15 +86,15 @@ fn measured_size_equals_the_drawn_bbox_for_every_table1_plan() {
                     .iter()
                     .map(|(n, d)| (n.clone(), d.folds))
                     .collect(),
-                ..LayoutOptions::new()
+                ..LayoutOptions::default()
             };
             let lplan = topology_layout_plan(&tech, r.ota.as_ref(), &hinted);
             rows += check_plan(&tech, &lplan, &format!("{name} {case:?} hinted"));
-            let lplan = topology_layout_plan(&tech, r.ota.as_ref(), &LayoutOptions::new());
+            let lplan = topology_layout_plan(&tech, r.ota.as_ref(), &LayoutOptions::default());
             rows += check_plan(&tech, &lplan, &format!("{name} {case:?}"));
         }
         for (k, ota) in otas.iter().enumerate() {
-            let lplan = topology_layout_plan(&tech, ota.as_ref(), &LayoutOptions::new());
+            let lplan = topology_layout_plan(&tech, ota.as_ref(), &LayoutOptions::default());
             rows += check_plan(&tech, &lplan, &format!("{name} case{}", k + 1));
         }
         // Both technologies across a band of GBW targets.
@@ -105,7 +105,7 @@ fn measured_size_equals_the_drawn_bbox_for_every_table1_plan() {
                 let Ok(ota) = plan.size_topology(&tech, &specs, &ParasiticMode::None) else {
                     continue;
                 };
-                let lplan = topology_layout_plan(&tech, ota.as_ref(), &LayoutOptions::new());
+                let lplan = topology_layout_plan(&tech, ota.as_ref(), &LayoutOptions::default());
                 rows += check_plan(&tech, &lplan, &format!("{name} {} x{scale}", tech.name()));
             }
         }
@@ -133,13 +133,13 @@ fn random_row(rng: &mut Xorshift128Plus, tech: &Technology) -> RowSpec {
     let min_wf = min_finger_width(tech);
     let finger_w = tech.snap_up(min_wf + (rng.next_f64() * 25_000.0) as i64);
     let gate_l = tech.snap_up(tech.rules.poly_width + (rng.next_f64() * 2_500.0) as i64);
-    let net_currents: HashMap<String, f64> = if em {
+    let net_currents: BTreeMap<String, f64> = if em {
         strip_nets
             .iter()
             .map(|&n| (n.to_owned(), rng.next_f64() * 6e-3))
             .collect()
     } else {
-        HashMap::new()
+        BTreeMap::new()
     };
     RowSpec {
         name: "r".into(),

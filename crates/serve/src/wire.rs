@@ -211,48 +211,6 @@ fn case_from_num(n: u8) -> Option<Case> {
     }
 }
 
-fn shape_to_wire(shape: &ShapeConstraint) -> String {
-    match shape {
-        ShapeConstraint::MinArea => "min_area".to_owned(),
-        ShapeConstraint::MaxHeight(h) => format!("hmax={h}"),
-        ShapeConstraint::MaxWidth(w) => format!("wmax={w}"),
-        ShapeConstraint::Aspect(r) => format!("aspect={r}"),
-    }
-}
-
-fn corner_to_wire(c: Corner) -> &'static str {
-    match c {
-        Corner::Typical => "tt",
-        Corner::Slow => "ss",
-        Corner::Fast => "ff",
-    }
-}
-
-fn corner_from_wire(s: &str) -> Option<Corner> {
-    match s {
-        "tt" => Some(Corner::Typical),
-        "ss" => Some(Corner::Slow),
-        "ff" => Some(Corner::Fast),
-        _ => None,
-    }
-}
-
-fn shape_from_wire(s: &str) -> Option<ShapeConstraint> {
-    if s == "min_area" {
-        return Some(ShapeConstraint::MinArea);
-    }
-    if let Some(v) = s.strip_prefix("hmax=") {
-        return v.parse().ok().map(ShapeConstraint::MaxHeight);
-    }
-    if let Some(v) = s.strip_prefix("wmax=") {
-        return v.parse().ok().map(ShapeConstraint::MaxWidth);
-    }
-    if let Some(v) = s.strip_prefix("aspect=") {
-        return v.parse().ok().map(ShapeConstraint::Aspect);
-    }
-    None
-}
-
 /// The most jobs one sweep may expand to. The daemon expands a sweep
 /// when it accepts it, before any quota or queue check, so the bound is
 /// checked on the axis lengths before anything is allocated.
@@ -337,7 +295,6 @@ impl SweepSpec {
         // requests (it compares plans by pointer).
         static CMOS06: OnceLock<Arc<Technology>> = OnceLock::new();
         static CMOS035: OnceLock<Arc<Technology>> = OnceLock::new();
-        static REGISTRY: OnceLock<TopologyRegistry> = OnceLock::new();
         let (tech, make): (_, fn() -> Technology) = match self.tech.as_str() {
             "" | "cmos06" => (&CMOS06, Technology::cmos06),
             "cmos035" => (&CMOS035, Technology::cmos035),
@@ -348,12 +305,8 @@ impl SweepSpec {
             }
         };
         let tech = Arc::clone(tech.get_or_init(|| Arc::new(make())));
-        let registry = REGISTRY.get_or_init(TopologyRegistry::builtin);
-        let default_plan = registry
-            .get("folded_cascode")
-            .expect("the folded cascode is built in");
-        let mut b =
-            SweepBuilder::new(tech, OtaSpecs::paper_example()).with_topology_plan(default_plan);
+        let registry = TopologyRegistry::builtin();
+        let mut b = SweepBuilder::new(tech, OtaSpecs::paper_example());
         if !self.topologies.is_empty() {
             let plans = self
                 .topologies
@@ -442,7 +395,7 @@ impl SweepSpec {
                 array(
                     self.shapes
                         .iter()
-                        .map(|s| losac_obs::json::string(&shape_to_wire(s))),
+                        .map(|s| losac_obs::json::string(&s.to_string())),
                 ),
             );
         }
@@ -462,7 +415,7 @@ impl SweepSpec {
                 array(
                     self.corners
                         .iter()
-                        .map(|c| losac_obs::json::string(corner_to_wire(*c))),
+                        .map(|c| losac_obs::json::string(c.label())),
                 ),
             );
         }
@@ -532,11 +485,10 @@ impl SweepSpec {
                 let text = item
                     .as_str()
                     .ok_or_else(|| WireError::bad_sweep("shape entries must be strings"))?;
-                spec.shapes.push(shape_from_wire(text).ok_or_else(|| {
-                    WireError::bad_sweep(format!(
-                        "unknown shape {text:?} (min_area, aspect=R, hmax=N, wmax=N)"
-                    ))
-                })?);
+                spec.shapes.push(
+                    text.parse::<ShapeConstraint>()
+                        .map_err(|e| WireError::bad_sweep(e.to_string()))?,
+                );
             }
         }
         if let Some(items) = v.get("corners") {
@@ -547,7 +499,7 @@ impl SweepSpec {
                 let text = item
                     .as_str()
                     .ok_or_else(|| WireError::bad_sweep("corner entries must be strings"))?;
-                spec.corners.push(corner_from_wire(text).ok_or_else(|| {
+                spec.corners.push(Corner::from_label(text).ok_or_else(|| {
                     WireError::bad_sweep(format!("unknown corner {text:?} (tt, ss, ff)"))
                 })?);
             }

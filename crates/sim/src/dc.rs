@@ -21,7 +21,7 @@ use crate::sparse::StampProgram;
 use losac_device::caps::intrinsic_caps;
 use losac_device::ekv::{evaluate_at, MosBatch, MosOp};
 use losac_obs::Counter;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Operating points solved (cold starts and warm restarts alike).
@@ -69,7 +69,7 @@ pub struct DcSolution {
     /// current flows *into* the positive terminal through the source.
     pub branch_currents: Vec<f64>,
     /// Operating point of every MOS instance, by name.
-    pub mos_ops: HashMap<String, MosOp>,
+    pub mos_ops: BTreeMap<String, MosOp>,
     /// Newton iterations spent (summed over continuation steps).
     pub iterations: usize,
 }
@@ -103,10 +103,7 @@ impl DcSolution {
             "{:<10} {:>10} {:>12} {:>10} {:>10} {:>8}",
             "device", "region", "id (uA)", "gm (uS)", "gds (uS)", "gm/id"
         );
-        let mut names: Vec<&String> = self.mos_ops.keys().collect();
-        names.sort();
-        for name in names {
-            let op = &self.mos_ops[name];
+        for (name, op) in &self.mos_ops {
             let _ = writeln!(
                 out,
                 "{name:<10} {:>10} {:>12.2} {:>10.1} {:>10.2} {:>8.1}",
@@ -904,7 +901,7 @@ fn package(circuit: &Circuit, u: &Unknowns, x: Vec<f64>, iterations: usize) -> D
     let mut v = vec![0.0; n];
     v[1..].copy_from_slice(&x[..n - 1]);
     let mut branch_currents = Vec::new();
-    let mut mos_ops = HashMap::new();
+    let mut mos_ops = BTreeMap::new();
     let mut vsrc_idx = 0;
     for e in circuit.elements() {
         match e {

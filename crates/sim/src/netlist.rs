@@ -20,7 +20,7 @@
 pub use losac_device::DiffGeom;
 use losac_device::Mosfet;
 use losac_tech::JunctionCaps;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Node index into a circuit. Ground is index 0.
@@ -206,7 +206,9 @@ impl Element {
 #[derive(Debug, Clone, Default)]
 pub struct Circuit {
     node_names: Vec<String>,
-    node_ids: HashMap<String, NodeId>,
+    // Looked up by name only, never iterated, so hashing is safe here.
+    #[allow(clippy::disallowed_types)]
+    node_ids: std::collections::HashMap<String, NodeId>,
     elements: Vec<Element>,
     /// Bad element values recorded at insertion and surfaced by
     /// [`Circuit::validate`]. Builders stay infallible (chainable), but a
@@ -222,13 +224,7 @@ pub struct Circuit {
 impl Circuit {
     /// An empty circuit containing only the ground node.
     pub fn new() -> Self {
-        let mut c = Self {
-            node_names: Vec::new(),
-            node_ids: HashMap::new(),
-            elements: Vec::new(),
-            value_errors: Vec::new(),
-            temp_k: None,
-        };
+        let mut c = Self::default();
         c.node_names.push("0".to_owned());
         c.node_ids.insert("0".to_owned(), GROUND);
         c.node_ids.insert("gnd".to_owned(), GROUND);
@@ -508,9 +504,9 @@ impl Circuit {
         if let Some(first) = self.value_errors.first() {
             return Err(NetlistError::new(first.clone()));
         }
-        let mut seen = HashMap::new();
+        let mut seen = BTreeSet::new();
         for e in &self.elements {
-            if let Some(_prev) = seen.insert(e.name().to_owned(), ()) {
+            if !seen.insert(e.name()) {
                 return Err(NetlistError::new(format!(
                     "duplicate element name `{}`",
                     e.name()

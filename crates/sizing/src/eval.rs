@@ -23,7 +23,7 @@ use losac_sim::tran::{transient, TranError, TranOptions};
 use losac_tech::pvt::NOMINAL_TEMP_C;
 use losac_tech::{Corner, Scenario, Technology};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -317,7 +317,10 @@ impl CacheEntry {
 /// technology segment for the entries to share.
 #[derive(Debug, Default)]
 struct Memory {
-    buckets: HashMap<u64, Vec<CacheEntry>>,
+    // Looked up by key hash on the hot path and never iterated in an
+    // order-dependent way (`len` only counts), so hashing is safe here.
+    #[allow(clippy::disallowed_types)]
+    buckets: std::collections::HashMap<u64, Vec<CacheEntry>>,
     techs: Vec<Arc<[u8]>>,
 }
 
@@ -539,17 +542,14 @@ impl FnvHasher {
 }
 
 /// Mix the fingerprint parts every topology shares: the sized-device map
-/// (sorted by name, so `HashMap` order cannot perturb the key) and the
-/// spec block. Topologies add their bias voltages, currents and passives
-/// on top.
+/// (in name order) and the spec block. Topologies add their bias
+/// voltages, currents and passives on top.
 pub fn hash_common_fingerprint(
     h: &mut FnvHasher,
-    devices: &HashMap<String, crate::ota::folded_cascode::SizedDevice>,
+    devices: &BTreeMap<String, crate::ota::folded_cascode::SizedDevice>,
     specs: &OtaSpecs,
 ) {
-    let mut sorted: Vec<_> = devices.iter().collect();
-    sorted.sort_by(|a, b| a.0.cmp(b.0));
-    for (name, d) in sorted {
+    for (name, d) in devices {
         h.write_str(name);
         h.write_u64(matches!(d.polarity, losac_tech::Polarity::Pmos) as u64);
         h.write_f64(d.w);
@@ -695,13 +695,11 @@ fn hash_technology(h: &mut FnvHasher, tech: &Technology) {
 
 /// Mix the full content of a parasitic mode: the case label separates
 /// the four cases, and the layout feedback (when present) is hashed in
-/// sorted order so `HashMap` iteration order cannot perturb the key.
+/// key order.
 fn hash_mode(h: &mut FnvHasher, mode: &ParasiticMode) {
     h.write_str(mode.case_label());
     let Some(fb) = mode.feedback() else { return };
-    let mut devices: Vec<_> = fb.devices.iter().collect();
-    devices.sort_by(|a, b| a.0.cmp(b.0));
-    for (name, d) in devices {
+    for (name, d) in &fb.devices {
         h.write_str(name);
         h.write_u64(d.folds as u64);
         h.write_u64(d.drawn_w as u64);
@@ -710,22 +708,16 @@ fn hash_mode(h: &mut FnvHasher, mode: &ParasiticMode) {
             h.write_f64(g.perimeter);
         }
     }
-    let mut nets: Vec<_> = fb.net_caps.iter().collect();
-    nets.sort_by(|a, b| a.0.cmp(b.0));
-    for (net, &c) in nets {
+    for (net, &c) in &fb.net_caps {
         h.write_str(net);
         h.write_f64(c);
     }
-    let mut coupling: Vec<_> = fb.coupling.iter().collect();
-    coupling.sort_by(|a, b| a.0.cmp(b.0));
-    for ((a, b), &c) in coupling {
+    for ((a, b), &c) in &fb.coupling {
         h.write_str(a);
         h.write_str(b);
         h.write_f64(c);
     }
-    let mut wells: Vec<_> = fb.well_caps.iter().collect();
-    wells.sort_by(|a, b| a.0.cmp(b.0));
-    for (net, &c) in wells {
+    for (net, &c) in &fb.well_caps {
         h.write_str(net);
         h.write_f64(c);
     }
@@ -1201,7 +1193,7 @@ mod tests {
                 h.write_str("identical-stream");
                 h.write_f64(1.25);
             }
-            fn devices(&self) -> &HashMap<String, crate::SizedDevice> {
+            fn devices(&self) -> &BTreeMap<String, crate::SizedDevice> {
                 unreachable!("key construction never reads devices")
             }
             fn layout_spec(&self) -> crate::TopologyLayoutSpec {

@@ -9,7 +9,7 @@
 
 pub use losac_device::DiffGeom;
 use losac_tech::units::Nm;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Per-transistor layout feedback.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,13 +29,13 @@ pub struct DeviceFeedback {
 #[derive(Debug, Clone, Default)]
 pub struct LayoutFeedback {
     /// Per-device folding and diffusion geometry, by device name.
-    pub devices: HashMap<String, DeviceFeedback>,
+    pub devices: BTreeMap<String, DeviceFeedback>,
     /// Routing capacitance to ground per net (F).
-    pub net_caps: HashMap<String, f64>,
+    pub net_caps: BTreeMap<String, f64>,
     /// Coupling capacitance between net pairs (F).
-    pub coupling: HashMap<(String, String), f64>,
+    pub coupling: BTreeMap<(String, String), f64>,
     /// Floating-well capacitance per net (F).
-    pub well_caps: HashMap<String, f64>,
+    pub well_caps: BTreeMap<String, f64>,
     /// Lump coupling capacitances to ground instead of instantiating them
     /// between their nets. `true` models how the *sizing* tool treats the
     /// fed-back parasitics (one lumped capacitance per net); `false` is

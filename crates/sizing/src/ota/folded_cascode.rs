@@ -36,7 +36,7 @@ use losac_device::solve::vgs_for_current;
 use losac_device::Mosfet;
 use losac_sim::netlist::Circuit;
 use losac_tech::{Polarity, Technology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One sized transistor of the OTA.
@@ -82,7 +82,7 @@ pub struct BranchCurrents {
 pub struct FoldedCascodeOta {
     /// Devices by name (`mp1`, `mp2`, `mptail`, `mn5`, `mn6`, `mn1c`,
     /// `mn2c`, `mp3`, `mp4`, `mp3c`, `mp4c`).
-    pub devices: HashMap<String, SizedDevice>,
+    pub devices: BTreeMap<String, SizedDevice>,
     /// Bias voltages.
     pub bias: BiasVoltages,
     /// Branch currents.
@@ -230,12 +230,12 @@ impl FoldedCascodePlan {
         let analytic_pass = |gm_cal: f64,
                              k_casc_seed: f64|
          -> Result<
-            (HashMap<String, SizedDevice>, BranchCurrents, f64, usize),
+            (BTreeMap<String, SizedDevice>, BranchCurrents, f64, usize),
             SizingError,
         > {
             let mut c_out_par = parasitic_on(mode, "out"); // routing and well
             let mut k_casc = k_casc_seed;
-            let mut sizes: HashMap<String, SizedDevice> = HashMap::new();
+            let mut sizes: BTreeMap<String, SizedDevice> = BTreeMap::new();
             let mut currents = BranchCurrents {
                 i_tail: 0.0,
                 i_in: 0.0,
@@ -414,7 +414,7 @@ impl FoldedCascodePlan {
         &self,
         tech: &Technology,
         specs: &OtaSpecs,
-        sizes: &HashMap<String, SizedDevice>,
+        sizes: &BTreeMap<String, SizedDevice>,
         currents: &BranchCurrents,
         mode: &ParasiticMode,
     ) -> f64 {
@@ -462,7 +462,7 @@ impl FoldedCascodePlan {
         &self,
         tech: &Technology,
         specs: &OtaSpecs,
-        sizes: &HashMap<String, SizedDevice>,
+        sizes: &BTreeMap<String, SizedDevice>,
         currents: &BranchCurrents,
         veff_n: f64,
         veff_p: f64,
@@ -526,7 +526,7 @@ fn quick_ac(ota: &FoldedCascodeOta, tech: &Technology, mode: &ParasiticMode) -> 
 /// capacitances its own cascode drains put on the output node (F). Zero
 /// until the devices are sized (first outer iteration).
 fn self_loading(
-    sizes: &HashMap<String, SizedDevice>,
+    sizes: &BTreeMap<String, SizedDevice>,
     tech: &Technology,
     mode: &ParasiticMode,
 ) -> f64 {
@@ -598,13 +598,13 @@ impl Topology for FoldedCascodeOta {
         }
     }
 
-    fn devices(&self) -> &HashMap<String, SizedDevice> {
+    fn devices(&self) -> &BTreeMap<String, SizedDevice> {
         &self.devices
     }
 
     fn layout_spec(&self) -> TopologyLayoutSpec {
         let cur = &self.currents;
-        let net_currents: HashMap<String, f64> = [
+        let net_currents: BTreeMap<String, f64> = [
             ("vdd", cur.i_tail + 2.0 * cur.i_casc),
             ("gnd", 2.0 * cur.i_sink),
             ("tail", cur.i_tail),

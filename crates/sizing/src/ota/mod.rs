@@ -33,7 +33,7 @@ use losac_device::Mosfet;
 use losac_sim::netlist::{Circuit, Waveform};
 use losac_tech::units::m_to_nm;
 use losac_tech::{Polarity, Technology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One transistor of a topology and the nets on its drain, gate, source
 /// and bulk. Ground is spelled `gnd`: [`Circuit`] aliases it to node 0,
@@ -165,7 +165,7 @@ pub(crate) fn build_netlist(
 /// width otherwise. Feedback carried over from a previous sizing
 /// iteration describes the old geometry and must not override freshly
 /// computed widths — only the final snap of the same widths.
-fn drawn_w(devices: &HashMap<String, SizedDevice>, mode: &ParasiticMode, name: &str) -> f64 {
+fn drawn_w(devices: &BTreeMap<String, SizedDevice>, mode: &ParasiticMode, name: &str) -> f64 {
     let w = devices[name].w;
     if let Some(fb) = mode.feedback() {
         if let Some(d) = fb.device(name) {
@@ -180,21 +180,21 @@ fn drawn_w(devices: &HashMap<String, SizedDevice>, mode: &ParasiticMode, name: &
 
 /// Attach the mode's routing, coupling and well parasitics (case 4 only)
 /// to the netlist as lumped capacitors, restricted to nets `is_routed`
-/// accepts. Iteration is sorted so the element order (and thus the
-/// matrix stamp order) is deterministic.
+/// accepts. The feedback maps iterate in key order, so the element order
+/// (and thus the matrix stamp order) is deterministic.
 fn add_routing_caps(c: &mut Circuit, mode: &ParasiticMode, is_routed: impl Fn(&str) -> bool) {
     if !mode.includes_routing() {
         return;
     }
     let Some(fb) = mode.feedback() else { return };
     let mut k = 0usize;
-    for (net, cap) in sorted(&fb.net_caps) {
+    for (net, cap) in &fb.net_caps {
         if is_routed(net) && *cap > 0.0 {
             c.capacitor(&format!("cr{k}"), net, "0", *cap);
             k += 1;
         }
     }
-    for ((na, nb), cap) in sorted(&fb.coupling) {
+    for ((na, nb), cap) in &fb.coupling {
         if !(is_routed(na) && is_routed(nb) && *cap > 0.0) {
             continue;
         }
@@ -207,19 +207,12 @@ fn add_routing_caps(c: &mut Circuit, mode: &ParasiticMode, is_routed: impl Fn(&s
         }
         k += 1;
     }
-    for (net, cap) in sorted(&fb.well_caps) {
+    for (net, cap) in &fb.well_caps {
         if is_routed(net) && *cap > 0.0 {
             c.capacitor(&format!("cw{k}"), net, "0", *cap);
             k += 1;
         }
     }
-}
-
-/// Deterministic iteration over a hash map (sorted by key).
-fn sorted<K: Ord + Clone, V>(map: &HashMap<K, V>) -> Vec<(&K, &V)> {
-    let mut v: Vec<(&K, &V)> = map.iter().collect();
-    v.sort_by(|a, b| a.0.cmp(b.0));
-    v
 }
 
 /// Lumped routing/coupling/well capacitance the mode attributes to `net`.
@@ -232,16 +225,12 @@ pub(crate) fn parasitic_on(mode: &ParasiticMode, net: &str) -> f64 {
     if !mode.includes_routing() {
         return 0.0;
     }
-    let mut c = fb.net_caps.get(net).copied().unwrap_or(0.0)
+    let own = fb.net_caps.get(net).copied().unwrap_or(0.0)
         + fb.well_caps.get(net).copied().unwrap_or(0.0);
-    // Sorted order: a float sum in `HashMap` order would differ in the
-    // last bits from one map instance to the next.
-    for ((a, b), v) in sorted(&fb.coupling) {
-        if a == net || b == net {
-            c += v;
-        }
-    }
-    c
+    fb.coupling
+        .iter()
+        .filter(|((a, b), _)| a == net || b == net)
+        .fold(own, |c, (_, v)| c + v)
 }
 
 /// Diffusion geometry of one terminal under the given parasitic mode.
@@ -283,11 +272,11 @@ pub(crate) fn diffusion_geometry(
 /// polarity from the sized devices.
 pub(crate) struct Modules<'a> {
     pins: &'a [Pins],
-    devices: &'a HashMap<String, SizedDevice>,
+    devices: &'a BTreeMap<String, SizedDevice>,
 }
 
 impl<'a> Modules<'a> {
-    pub(crate) fn new(pins: &'a [Pins], devices: &'a HashMap<String, SizedDevice>) -> Self {
+    pub(crate) fn new(pins: &'a [Pins], devices: &'a BTreeMap<String, SizedDevice>) -> Self {
         Self { pins, devices }
     }
 
@@ -348,7 +337,7 @@ mod tests {
     use crate::feedback::{DeviceFeedback, LayoutFeedback};
 
     #[test]
-    fn parasitic_on_sums_couplings_in_a_map_independent_order() {
+    fn parasitic_on_sums_couplings_in_key_order() {
         // Magnitudes far apart, so the rounding of the sum depends on the
         // order the couplings are added in.
         let couplings = [
@@ -358,28 +347,22 @@ mod tests {
             (("d", "out"), 2.9e-13),
             (("out", "e"), 5.1e-18),
         ];
-        let mode_of = || {
-            let mut fb = LayoutFeedback {
-                lump_coupling_to_ground: true,
-                ..Default::default()
-            };
-            fb.net_caps.insert("out".to_owned(), 1.7e-14);
-            for ((a, b), v) in couplings {
-                fb.coupling.insert((a.to_owned(), b.to_owned()), v);
-            }
-            ParasiticMode::Full(fb)
+        let mut fb = LayoutFeedback {
+            lump_coupling_to_ground: true,
+            ..Default::default()
         };
+        fb.net_caps.insert("out".to_owned(), 1.7e-14);
+        for ((a, b), v) in couplings {
+            fb.coupling.insert((a.to_owned(), b.to_owned()), v);
+        }
+        let mode = ParasiticMode::Full(fb);
         let mut want = 1.7e-14;
         let mut sorted_couplings = couplings;
         sorted_couplings.sort_by(|x, y| x.0.cmp(&y.0));
         for (_, v) in sorted_couplings {
             want += v;
         }
-        // Every fresh `HashMap` draws its own hash seed, and with it its
-        // own iteration order.
-        for _ in 0..32 {
-            assert_eq!(parasitic_on(&mode_of(), "out").to_bits(), want.to_bits());
-        }
+        assert_eq!(parasitic_on(&mode, "out").to_bits(), want.to_bits());
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::specs::OtaSpecs;
 use crate::topology::{Topology, TopologyLayoutSpec, TopologyPlan};
 use losac_sim::netlist::Circuit;
 use losac_tech::{Polarity, Technology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The transistors and their drain, gate, source and bulk nets, in
 /// netlist (stamp) order.
@@ -58,7 +58,7 @@ pub const PINS: [Pins; 9] = [
 #[derive(Debug, Clone)]
 pub struct TelescopicOta {
     /// Devices by name.
-    pub devices: HashMap<String, SizedDevice>,
+    pub devices: BTreeMap<String, SizedDevice>,
     /// Tail gate bias (V).
     pub vp1: f64,
     /// PMOS cascode gate bias (V).
@@ -147,7 +147,7 @@ impl TelescopicPlan {
         let (input_dev, i_in) = size_diff_pair(tech, Polarity::Pmos, self.l_in, veff_in, gm1)?;
         let i_tail = 2.0 * i_in;
 
-        let mut devices = HashMap::new();
+        let mut devices = BTreeMap::new();
         devices.insert("mp1".to_owned(), input_dev);
         devices.insert("mp2".to_owned(), input_dev);
         devices.insert(
@@ -239,7 +239,7 @@ impl Topology for TelescopicOta {
         }
     }
 
-    fn devices(&self) -> &HashMap<String, SizedDevice> {
+    fn devices(&self) -> &BTreeMap<String, SizedDevice> {
         &self.devices
     }
 
@@ -247,7 +247,7 @@ impl Topology for TelescopicOta {
         // One tail current feeds both telescopic branches; there is no
         // separate cascode branch.
         let i_in = self.i_tail / 2.0;
-        let net_currents: HashMap<String, f64> = [
+        let net_currents: BTreeMap<String, f64> = [
             ("vdd", self.i_tail),
             ("gnd", self.i_tail),
             ("tail", self.i_tail),

@@ -33,7 +33,7 @@ use losac_device::solve::vgs_for_current;
 use losac_device::Mosfet;
 use losac_sim::netlist::Circuit;
 use losac_tech::{Polarity, Technology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The transistors and their drain, gate, source and bulk nets, in
 /// netlist (stamp) order.
@@ -56,7 +56,7 @@ pub const PINS: [Pins; 7] = [
 #[derive(Debug, Clone)]
 pub struct TwoStageOta {
     /// Devices by name.
-    pub devices: HashMap<String, SizedDevice>,
+    pub devices: BTreeMap<String, SizedDevice>,
     /// Tail-source gate bias (V).
     pub vp1: f64,
     /// Second-stage current-source gate bias (V).
@@ -160,7 +160,7 @@ impl TwoStagePlan {
         let i_stage2 = gm6 / gm_over_id_6;
         let _ = pm_est;
 
-        let mut devices = HashMap::new();
+        let mut devices = BTreeMap::new();
         let mut size = |name: &str,
                         pol: Polarity,
                         l: f64,
@@ -265,7 +265,7 @@ impl Topology for TwoStageOta {
         }
     }
 
-    fn devices(&self) -> &HashMap<String, SizedDevice> {
+    fn devices(&self) -> &BTreeMap<String, SizedDevice> {
         &self.devices
     }
 
@@ -273,7 +273,7 @@ impl Topology for TwoStageOta {
         // Two paths from VDD to ground: the first-stage tail and the
         // second-stage branch.
         let i_in = self.i_tail / 2.0;
-        let net_currents: HashMap<String, f64> = [
+        let net_currents: BTreeMap<String, f64> = [
             ("vdd", self.i_tail + self.i_stage2),
             ("gnd", self.i_tail + self.i_stage2),
             ("tail", self.i_tail),

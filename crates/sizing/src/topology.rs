@@ -22,8 +22,8 @@ use crate::ota::folded_cascode::{SizedDevice, SizingError};
 use crate::specs::OtaSpecs;
 use losac_sim::netlist::Circuit;
 use losac_tech::{Polarity, Technology};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 /// One member of a matched group: a device plus the nets that differ
 /// between the group's members (drain and gate; source and bulk are
@@ -102,7 +102,7 @@ pub struct TopologyLayoutSpec {
     pub placement_rows: Vec<Vec<usize>>,
     /// Current carried by each signal net (A). Gate/bias nets carry none
     /// and are omitted; the `vdd` entry is the total supply current.
-    pub net_currents: HashMap<String, f64>,
+    pub net_currents: BTreeMap<String, f64>,
 }
 
 /// An amplifier the full sizing↔layout loop can drive: everything the
@@ -143,7 +143,7 @@ pub trait Topology: std::fmt::Debug + Send + Sync {
     fn write_fingerprint(&self, h: &mut FnvHasher);
 
     /// The sized devices by name.
-    fn devices(&self) -> &HashMap<String, SizedDevice>;
+    fn devices(&self) -> &BTreeMap<String, SizedDevice>;
 
     /// The layout description: matched groups, standalone devices,
     /// placement rows and net currents. The supply current is the `vdd`
@@ -194,16 +194,22 @@ impl TopologyRegistry {
         Self::default()
     }
 
-    /// The registry of built-in topologies with their default plans:
-    /// `folded_cascode`, `telescopic`, `two_stage`.
-    pub fn builtin() -> Self {
-        let mut r = Self::new();
-        r.register(Arc::new(
-            crate::ota::folded_cascode::FoldedCascodePlan::default(),
-        ));
-        r.register(Arc::new(crate::ota::telescopic::TelescopicPlan::default()));
-        r.register(Arc::new(crate::ota::two_stage::TwoStagePlan::default()));
-        r
+    /// The process-wide registry of built-in topologies with their
+    /// default plans: `folded_cascode`, `telescopic`, `two_stage`. Every
+    /// caller gets the same plan `Arc` for a name, so equal jobs built
+    /// apart share one entry of a preparation memo, which compares plans
+    /// by pointer.
+    pub fn builtin() -> &'static Self {
+        static BUILTIN: OnceLock<TopologyRegistry> = OnceLock::new();
+        BUILTIN.get_or_init(|| {
+            let mut r = Self::new();
+            r.register(Arc::new(
+                crate::ota::folded_cascode::FoldedCascodePlan::default(),
+            ));
+            r.register(Arc::new(crate::ota::telescopic::TelescopicPlan::default()));
+            r.register(Arc::new(crate::ota::two_stage::TwoStagePlan::default()));
+            r
+        })
     }
 
     /// Register a plan under its [`TopologyPlan::topology_name`],

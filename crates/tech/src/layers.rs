@@ -82,11 +82,11 @@ impl fmt::Display for Layer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn all_layers_unique_mnemonics() {
-        let set: HashSet<_> = Layer::ALL.iter().map(|l| l.mnemonic()).collect();
+        let set: BTreeSet<_> = Layer::ALL.iter().map(|l| l.mnemonic()).collect();
         assert_eq!(set.len(), Layer::ALL.len());
     }
 

@@ -463,6 +463,22 @@ pub enum Corner {
 }
 
 impl Corner {
+    /// The short label of job labels and the wire: `tt`, `ss` or `ff`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Corner::Typical => "tt",
+            Corner::Slow => "ss",
+            Corner::Fast => "ff",
+        }
+    }
+
+    /// The corner whose [`label`](Self::label) is `label`, if any.
+    pub fn from_label(label: &str) -> Option<Corner> {
+        [Corner::Typical, Corner::Slow, Corner::Fast]
+            .into_iter()
+            .find(|c| c.label() == label)
+    }
+
     /// The suffix the derived technology's name gains (`""` for Typical).
     pub fn suffix(self) -> &'static str {
         match self {

@@ -94,12 +94,7 @@ impl Pvt {
 
     /// Compact label, e.g. `tt/27C`, `ss/-40C`, `ff/125C/v0.90`.
     pub fn label(&self) -> String {
-        let corner = match self.corner {
-            Corner::Typical => "tt",
-            Corner::Slow => "ss",
-            Corner::Fast => "ff",
-        };
-        let mut s = format!("{corner}/{}C", self.temp_c);
+        let mut s = format!("{}/{}C", self.corner.label(), self.temp_c);
         if self.vdd_scale != 1.0 {
             s.push_str(&format!("/v{:.2}", self.vdd_scale));
         }

@@ -13,14 +13,14 @@ use losac::layout::row::build_row;
 use losac::layout::stack::{plan_stack, stack_row_spec, StackDevice, StackSpec, StackStyle};
 use losac::tech::units::um;
 use losac::tech::{Polarity, Technology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tech = Technology::cmos06();
 
     // A 1:2:4 mirror carrying 200 µA on the diode leg.
     let i_unit = 200e-6;
-    let mut net_currents = HashMap::new();
+    let mut net_currents = BTreeMap::new();
     net_currents.insert("src".to_owned(), 7.0 * i_unit);
     net_currents.insert("d_bias".to_owned(), i_unit);
     net_currents.insert("d_out1".to_owned(), 2.0 * i_unit);
@@ -74,9 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let x = extract_default(&tech, &row.cell);
     println!("\nper-net wiring capacitance:");
-    let mut nets: Vec<_> = x.net_cap.iter().collect();
-    nets.sort_by(|a, b| a.0.cmp(b.0));
-    for (net, c) in nets {
+    for (net, c) in &x.net_cap {
         println!("  {net:<8} {:6.1} fF", c * 1e15);
     }
 

@@ -29,11 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. The sized devices.
     println!("\ndevices:");
-    let devices = result.ota.devices();
-    let mut names: Vec<_> = devices.keys().collect();
-    names.sort();
-    for name in names {
-        let d = &devices[name];
+    for (name, d) in result.ota.devices() {
         println!(
             "  {name:<8} W = {:7.2} um  L = {:.2} um",
             d.w * 1e6,

@@ -14,7 +14,9 @@ if ! cargo fmt --all -- --check; then
 fi
 
 # Clippy blocks when the toolchain component is present; an absent clippy
-# must not break the offline gate. Every workspace crate is linted.
+# must not break the offline gate. Every workspace crate is linted, and
+# the root clippy.toml's ordered-map ban (no std HashMap or HashSet) is
+# enforced with the other lints.
 echo "==> cargo clippy -D warnings"
 if command -v cargo-clippy >/dev/null 2>&1; then
     if ! cargo clippy -q --workspace --all-targets -- -D warnings; then

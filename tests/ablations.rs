@@ -13,7 +13,7 @@ use losac::device::folding::{DiffusionGeometry, FoldSpec};
 use losac::layout::stack::{plan_stack, StackDevice, StackPlan, StackSpec, StackStyle};
 use losac::tech::units::um;
 use losac::tech::{Polarity, Technology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 #[test]
 fn even_internal_folding_at_least_halves_the_drain_area() {
@@ -45,7 +45,7 @@ fn two_device_stack(style: StackStyle) -> StackPlan {
         bulk_net: "vdd".into(),
         end_dummies: true,
         style,
-        net_currents: HashMap::new(),
+        net_currents: BTreeMap::new(),
     })
     .expect("a two-device stack plans")
 }

@@ -28,7 +28,7 @@ use losac::sizing::{ParasiticMode, TopologyRegistry};
 use losac::tech::rng::Xorshift128Plus;
 use losac::tech::units::nm_to_m;
 use losac::tech::{Polarity, Technology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 /// Inputs drawn per property.
@@ -313,7 +313,7 @@ fn stack_conserves_fingers_and_isolates_drains() {
                 bulk_net: "gnd".into(),
                 end_dummies: *dummies,
                 style: StackStyle::CommonCentroid,
-                net_currents: HashMap::new(),
+                net_currents: BTreeMap::new(),
             };
             let plan = plan_stack(&spec).map_err(|e| e.to_string())?;
             // Conservation.
@@ -408,7 +408,7 @@ fn row_is_drc_clean(c: &RowCase) -> Result<(), String> {
             })
             .collect(),
         bulk_net: if c.pmos { "vdd".into() } else { "gnd".into() },
-        net_currents: HashMap::from([("d".to_owned(), c.current_ma * 1e-3)]),
+        net_currents: BTreeMap::from([("d".to_owned(), c.current_ma * 1e-3)]),
     };
     let row = build_row(&tech, &spec).map_err(|e| e.to_string())?;
     let violations = drc::check(&tech, &row.cell);

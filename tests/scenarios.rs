@@ -306,13 +306,15 @@ fn with_memo(workers: usize, memo: &Arc<Preparations>) -> EngineOptions {
 
 #[test]
 fn a_shared_memo_prepares_a_point_on_two_batches_then_never() {
-    // Two design points under two supply scales each. Every batch gets
-    // clones of one job list, so the jobs share their plan `Arc` across
-    // batches. The evaluation cache is shared as a daemon shares it, so
-    // only the first batch simulates.
-    let mut list = case1_point(65.0e6, &[1.0, 1.05]);
-    list.extend(case1_point(60.0e6, &[1.0, 1.05]));
-    let jobs = || list.clone();
+    // Two design points under two supply scales each. Every batch builds
+    // its jobs afresh, as a daemon does per request: they still share the
+    // built-in plan `Arc`. The evaluation cache is shared as a daemon
+    // shares it, so only the first batch simulates.
+    let jobs = || {
+        let mut jobs = case1_point(65.0e6, &[1.0, 1.05]);
+        jobs.extend(case1_point(60.0e6, &[1.0, 1.05]));
+        jobs
+    };
     let alone: Vec<String> = jobs().iter().map(alone_digest).collect();
     let cache = Arc::new(EvalCache::new());
     for workers in [1, 4] {

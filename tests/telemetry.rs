@@ -9,10 +9,11 @@ use losac::tech::Technology;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// The flow test installs a process-wide sink, and the overhead probe
+/// The flow tests install a process-wide sink, and the overhead probe
 /// measures the path with none. A sink installed and removed while the
-/// probe loops would go unseen by the probe's before/after check, so the
-/// two tests take turns.
+/// probe loops would go unseen by the probe's before/after check, and a
+/// flow test's collector would record another's flow, so the tests take
+/// turns.
 fn sink_turn() -> MutexGuard<'static, ()> {
     static TURN: Mutex<()> = Mutex::new(());
     // One test's panic must not fail the other.
@@ -94,6 +95,36 @@ fn flow_emits_spans_events_and_counters() {
         result.layout_calls
     );
     assert!(result.telemetry.counter("sim.dc.solves") > 0);
+}
+
+#[test]
+fn the_net_cap_event_repeats_bit_for_bit() {
+    // Each run builds its layout reports afresh, so a sum over one of
+    // their maps repeats only if the map's iteration order is its key
+    // order, not an order drawn per map instance.
+    let _turn = sink_turn();
+    let runs: Vec<Vec<u64>> = (0..8)
+        .map(|_| {
+            let collector = Collector::new();
+            let guard = losac::obs::install(Arc::new(collector.clone()));
+            run_flow();
+            drop(guard);
+            collector
+                .events("flow.net_cap")
+                .iter()
+                .map(|e| {
+                    e.field("total_f")
+                        .and_then(|v| v.as_f64())
+                        .expect("total_f field")
+                        .to_bits()
+                })
+                .collect()
+        })
+        .collect();
+    assert!(!runs[0].is_empty(), "the flow made layout calls");
+    for (k, run) in runs.iter().enumerate().skip(1) {
+        assert_eq!(run, &runs[0], "run {k} against run 0");
+    }
 }
 
 #[test]

@@ -223,6 +223,10 @@ impl Engine {
             .cache
             .clone()
             .unwrap_or_else(|| Arc::new(losac_sizing::EvalCache::new()));
+        // The cache renders each job technology's key segment once.
+        for job in &jobs {
+            eval_cache.hold_technology(&job.tech);
+        }
         // One case preparation per distinct flow input: the first job to
         // reach its memo cell runs the sizing, the flow and the
         // verification layout, later ones wait for it (or find it kept

@@ -10,6 +10,11 @@
 //! Cancellation is cooperative: the stop flag is re-checked before every
 //! claim, so raising it lets in-flight jobs finish while everything still
 //! queued comes back as [`PoolOutcome::Skipped`].
+//!
+//! Worker 0 is the calling thread, so a one-worker batch spawns no
+//! thread. It runs in the context a spawned worker starts with: the
+//! caller's span stack, fail plan and simulator interrupt are set aside
+//! while it works and restored afterwards.
 
 use losac_obs::f;
 use std::collections::VecDeque;
@@ -58,13 +63,14 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run `work` over `items` on `workers` scoped threads.
+/// Run `work` over `items` on `workers` workers: the calling thread and
+/// `workers - 1` scoped threads.
 ///
 /// Returns one [`PoolOutcome`] per item **in submission order**, plus a
-/// [`WorkerStats`] per worker. `workers` is clamped to `1..=items.len()`
-/// (at least one thread even for an empty batch, which returns
-/// immediately). The `stop` flag is checked before every claim; items
-/// not yet claimed when it is raised come back [`PoolOutcome::Skipped`].
+/// [`WorkerStats`] per worker. `workers` is clamped to `1..=items.len()`;
+/// an empty batch returns immediately. The `stop` flag is checked before
+/// every claim; items not yet claimed when it is raised come back
+/// [`PoolOutcome::Skipped`].
 pub fn run_indexed<T, R, F>(
     workers: usize,
     items: Vec<T>,
@@ -87,33 +93,33 @@ where
         .map(|_| Mutex::new(WorkerStats::default()))
         .collect();
 
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let queue = &queue;
-            let results = &results;
-            let stats = &stats[w];
-            let work = &work;
-            s.spawn(move || {
-                let _worker_span =
-                    losac_obs::span_with("engine.worker", vec![f("worker", w as u64)]);
-                let mut local = WorkerStats::default();
-                while !stop.load(Ordering::Relaxed) {
-                    let claimed = queue.lock().expect("queue lock poisoned").pop_front();
-                    let Some((i, item)) = claimed else {
-                        break;
-                    };
-                    let begun = Instant::now();
-                    let outcome = match catch_unwind(AssertUnwindSafe(|| work(i, item))) {
-                        Ok(r) => PoolOutcome::Done(r),
-                        Err(payload) => PoolOutcome::Panicked(panic_message(payload)),
-                    };
-                    local.busy += begun.elapsed();
-                    local.jobs += 1;
-                    *results[i].lock().expect("result lock poisoned") = Some(outcome);
-                }
-                *stats.lock().expect("stats lock poisoned") = local;
-            });
+    let worker = |w: usize| {
+        let _worker_span = losac_obs::span_with("engine.worker", vec![f("worker", w as u64)]);
+        let mut local = WorkerStats::default();
+        while !stop.load(Ordering::Relaxed) {
+            let claimed = queue.lock().expect("queue lock poisoned").pop_front();
+            let Some((i, item)) = claimed else {
+                break;
+            };
+            let begun = Instant::now();
+            let outcome = match catch_unwind(AssertUnwindSafe(|| work(i, item))) {
+                Ok(r) => PoolOutcome::Done(r),
+                Err(payload) => PoolOutcome::Panicked(panic_message(payload)),
+            };
+            local.busy += begun.elapsed();
+            local.jobs += 1;
+            *results[i].lock().expect("result lock poisoned") = Some(outcome);
         }
+        *stats[w].lock().expect("stats lock poisoned") = local;
+    };
+    std::thread::scope(|s| {
+        for w in 1..workers {
+            s.spawn(move || worker(w));
+        }
+        let _spans = losac_obs::span::detach();
+        let _plan = losac_obs::failpoint::suspend();
+        let _interrupt = losac_sim::interrupt::suspend();
+        worker(0);
     });
 
     let outcomes = results
@@ -207,6 +213,60 @@ mod tests {
         let (out, stats) = run_indexed::<u32, u32, _>(4, vec![], &stop, |_, v| v);
         assert!(out.is_empty());
         assert!(stats.is_empty());
+    }
+
+    #[test]
+    fn worker_0_is_the_calling_thread_in_a_fresh_context() {
+        use losac_obs::failpoint::{self, FailAction, FailPlan};
+        use losac_obs::{Collector, RecordKind};
+        use losac_sim::interrupt::{self, Interrupted, SimInterrupt};
+        use std::sync::Arc;
+
+        let collector = Collector::new();
+        let sink = losac_obs::install(Arc::new(collector.clone()));
+        let _plan =
+            failpoint::install(FailPlan::new().always("engine.test.caller", FailAction::Fail));
+        let _interrupt =
+            interrupt::install(SimInterrupt::new().with_stop(Arc::new(AtomicBool::new(true))));
+        let caller = std::thread::current().id();
+        let stop = no_stop();
+        {
+            let _batch = losac_obs::span("engine.test.batch");
+            let (out, stats) = run_indexed(1, vec![0], &stop, |_, _| {
+                let _job = losac_obs::span("engine.test.job");
+                (
+                    std::thread::current().id(),
+                    failpoint::hit("engine.test.caller"),
+                    interrupt::current().is_none() && interrupt::poll().is_ok(),
+                )
+            });
+            assert_eq!(stats.len(), 1);
+            let (thread, fired, no_interrupt) = *out[0].done().expect("the job ran");
+            assert_eq!(thread, caller, "a one-worker batch runs on the caller");
+            assert_eq!(fired, None, "the caller's fail plan is set aside");
+            assert!(no_interrupt, "the caller's interrupt is set aside");
+            // Restored afterwards: the span stack, the plan, the interrupt.
+            let _after = losac_obs::span("engine.test.after");
+        }
+        drop(sink);
+        assert_eq!(failpoint::hit("engine.test.caller"), Some(FailAction::Fail));
+        assert_eq!(interrupt::poll(), Err(Interrupted::Cancelled));
+        let me = losac_obs::thread_id();
+        let paths: Vec<String> = collector
+            .records()
+            .into_iter()
+            .filter(|r| r.thread == me && matches!(r.kind, RecordKind::SpanStart))
+            .map(|r| r.path)
+            .filter(|p| p.contains("engine.test"))
+            .collect();
+        assert_eq!(
+            paths,
+            [
+                "engine.test.batch",
+                "engine.worker>engine.test.job",
+                "engine.test.batch>engine.test.after"
+            ]
+        );
     }
 
     #[test]

@@ -174,7 +174,8 @@ pub(crate) fn collect_design_points(rows: &[YieldRow]) -> Vec<DesignPointYield> 
 pub struct BatchTelemetry {
     /// Number of jobs submitted.
     pub jobs: usize,
-    /// Number of worker threads the pool actually spawned.
+    /// Number of workers the pool ran: the calling thread and the
+    /// threads it spawned.
     pub workers: usize,
     /// Wall-clock time of the whole batch.
     pub wall: Duration,

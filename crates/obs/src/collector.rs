@@ -59,7 +59,7 @@ impl Collector {
 
     /// Events with the given name from *every* thread, in arrival order.
     /// Use for multi-threaded emitters like the batch engine, whose
-    /// `engine.job.*` events fire on worker threads.
+    /// `engine.job.*` events fire on whichever thread runs the worker.
     pub fn all_events(&self, name: &str) -> Vec<Record> {
         self.records()
             .into_iter()

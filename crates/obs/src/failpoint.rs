@@ -156,6 +156,29 @@ pub fn install(plan: FailPlan) -> FailGuard {
     FailGuard { prev }
 }
 
+/// Set this thread's plan aside until the guard drops, as if none were
+/// installed here. Unlike installing an empty plan, this leaves the
+/// process-wide count of installed plans alone, so it sends no [`hit`]
+/// down the armed path. The plan comes back with its hit counters.
+pub fn suspend() -> SuspendGuard {
+    SuspendGuard {
+        plan: ACTIVE.with(|a| std::mem::take(&mut *a.borrow_mut())),
+    }
+}
+
+/// Restores the plan [`suspend`] set aside, on drop.
+#[must_use = "the plan is restored when the guard drops"]
+#[derive(Debug)]
+pub struct SuspendGuard {
+    plan: Vec<Armed>,
+}
+
+impl Drop for SuspendGuard {
+    fn drop(&mut self) {
+        ACTIVE.with(|a| *a.borrow_mut() = std::mem::take(&mut self.plan));
+    }
+}
+
 /// Evaluate the fail point `site` on the current thread.
 ///
 /// Returns `Some(Fail | Nan)` when an armed spec's window covers this
@@ -226,6 +249,17 @@ mod tests {
             assert_eq!(hit("obs.test.outer"), None, "inner plan shadows outer");
         }
         assert_eq!(hit("obs.test.outer"), Some(FailAction::Fail));
+    }
+
+    #[test]
+    fn a_suspended_plan_comes_back_with_its_hits() {
+        let _g = install(FailPlan::new().window("obs.test.suspend", FailAction::Fail, 1, 1));
+        assert_eq!(hit("obs.test.suspend"), None, "skip the first hit");
+        {
+            let _s = suspend();
+            assert_eq!(hit("obs.test.suspend"), None, "no plan while suspended");
+        }
+        assert_eq!(hit("obs.test.suspend"), Some(FailAction::Fail));
     }
 
     #[test]

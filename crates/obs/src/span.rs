@@ -44,6 +44,29 @@ pub(crate) fn current_path() -> String {
     STACK.with(|s| s.borrow().join(">"))
 }
 
+/// Set this thread's span stack aside until the guard drops: spans
+/// entered meanwhile root at the top, as they would on a fresh thread.
+/// A worker pool that runs a worker on the calling thread uses it, so
+/// that worker's span paths are those of a spawned one.
+pub fn detach() -> DetachGuard {
+    DetachGuard {
+        saved: STACK.with(|s| std::mem::take(&mut *s.borrow_mut())),
+    }
+}
+
+/// Restores the span stack [`detach`] set aside, on drop.
+#[must_use = "the span stack is restored when the guard drops"]
+#[derive(Debug)]
+pub struct DetachGuard {
+    saved: Vec<&'static str>,
+}
+
+impl Drop for DetachGuard {
+    fn drop(&mut self) {
+        STACK.with(|s| *s.borrow_mut() = std::mem::take(&mut self.saved));
+    }
+}
+
 /// RAII guard for an entered span. Created by [`crate::span()`] /
 /// [`crate::span_with`]; emits the `span_end` record (with elapsed time)
 /// when dropped.
@@ -153,6 +176,30 @@ mod tests {
             unreachable!()
         };
         assert!(elapsed_ns >= 2_000_000, "outer elapsed {elapsed_ns} ns");
+    }
+
+    #[test]
+    fn a_detached_stack_roots_new_spans_and_comes_back() {
+        let c = Collector::new();
+        let guard = crate::install(Arc::new(c.clone()));
+        {
+            let _outer = crate::span("detach_outer");
+            {
+                let _detached = detach();
+                assert_eq!(current_path(), "");
+                let _inner = crate::span("detach_inner");
+            }
+            assert_eq!(current_path(), "detach_outer");
+        }
+        drop(guard);
+        let me = thread_id();
+        let inner: Vec<_> = c
+            .records()
+            .into_iter()
+            .filter(|r| r.thread == me && r.name == "detach_inner")
+            .map(|r| r.path)
+            .collect();
+        assert_eq!(inner, ["detach_inner", "detach_inner"]);
     }
 
     #[test]

@@ -44,6 +44,7 @@ impl Value {
     /// Returns a [`JsonError`] with the byte position of the defect.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -140,6 +141,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -253,10 +255,26 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A string literal. Each run of plain bytes is copied in one step,
+    /// up to the next quote, backslash or control byte, so the scan is
+    /// linear in the literal's length.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            // A run starts after an ASCII byte and ends before one (or at
+            // the end), so it is whole UTF-8 scalars of the input.
+            let plain = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("invalid UTF-8"))?;
+            out.push_str(plain);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -284,16 +302,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 already).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().expect("peek saw a byte");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -369,6 +378,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use losac_tech::rng::Xorshift128Plus;
 
     #[test]
     fn scalars_and_structure() {
@@ -445,5 +455,141 @@ mod tests {
     fn depth_limit_is_enforced() {
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(Value::parse(&deep).is_err());
+    }
+
+    /// The per-character string scanner the run copier replaced: the
+    /// oracle of `the_run_scanner_matches_the_per_character_one`.
+    fn per_character_string(p: &mut Parser<'_>) -> Result<String, JsonError> {
+        p.expect(b'"', "expected '\"'")?;
+        let mut out = String::new();
+        loop {
+            match p.peek() {
+                None => return Err(p.err("unterminated string")),
+                Some(b'"') => {
+                    p.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    p.pos += 1;
+                    match p.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            p.pos += 1;
+                            let c = p.unicode_escape()?;
+                            out.push(c);
+                            continue;
+                        }
+                        _ => return Err(p.err("invalid escape")),
+                    }
+                    p.pos += 1;
+                }
+                Some(c) if c < 0x20 => return Err(p.err("raw control character in string")),
+                Some(_) => {
+                    let rest = &p.bytes[p.pos..];
+                    let s = std::str::from_utf8(rest).map_err(|_| p.err("invalid UTF-8"))?;
+                    let ch = s.chars().next().expect("peek saw a byte");
+                    out.push(ch);
+                    p.pos += ch.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// Scan the string literal at the start of `text` with `scan`: the
+    /// value, or the error, and where the scan stopped.
+    fn scan_with(
+        text: &str,
+        scan: fn(&mut Parser<'_>) -> Result<String, JsonError>,
+    ) -> (Result<Value, JsonError>, usize) {
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        (scan(&mut p).map(Value::Str), p.pos)
+    }
+
+    /// One random piece of a string literal's body.
+    fn random_piece(rng: &mut Xorshift128Plus) -> String {
+        const ESCAPES: [&str; 8] = ["\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t"];
+        let pick = |rng: &mut Xorshift128Plus, n: u64| (rng.next_u64() % n) as u32;
+        match pick(rng, 12) {
+            // Plain ASCII, quote and backslash excluded.
+            0..=3 => (0..1 + pick(rng, 12))
+                .map(|_| match char::from(b' ' + pick(rng, 95) as u8) {
+                    '"' | '\\' => 'a',
+                    c => c,
+                })
+                .collect(),
+            // 2-, 3- and 4-byte UTF-8.
+            4 => char::from_u32(0x80 + pick(rng, 0x780)).map_or_else(String::new, String::from),
+            5 => char::from_u32(0x800 + pick(rng, 0xF800))
+                .map_or_else(|| "\u{FFFD}".to_owned(), String::from),
+            6 => {
+                char::from_u32(0x10000 + pick(rng, 0x100000)).map_or_else(String::new, String::from)
+            }
+            7 => ESCAPES[pick(rng, 8) as usize].to_owned(),
+            // A `\u` escape of any code unit: surrogates come out lone.
+            8 => format!("\\u{:04x}", pick(rng, 0x10000)),
+            // A surrogate pair, sometimes with a bad low half.
+            9 => format!(
+                "\\u{:04X}\\u{:04x}",
+                0xD800 + pick(rng, 0x400),
+                0xDA00 + pick(rng, 0x800)
+            ),
+            // A raw control byte, a bad escape or a short `\u`.
+            10 => char::from(pick(rng, 0x20) as u8).to_string(),
+            _ => ["\\x", "\\u12", "\\uZZZZ", "\\"][pick(rng, 4) as usize].to_owned(),
+        }
+    }
+
+    #[test]
+    fn the_run_scanner_matches_the_per_character_one() {
+        let mut rng = Xorshift128Plus::seed_from_u64(0x150A_5CA7);
+        let (mut ok, mut failed) = (0, 0);
+        for case in 0..4000 {
+            let mut text = String::from("\"");
+            for _ in 0..rng.next_u64() % 12 {
+                text.push_str(&random_piece(&mut rng));
+            }
+            // Most literals close; the rest end early or run into more
+            // input after the closing quote.
+            match rng.next_u64() % 4 {
+                0 => {}
+                1 => text.push_str("\",\"k\":1}"),
+                _ => text.push('"'),
+            }
+            let want = scan_with(&text, per_character_string);
+            let got = scan_with(&text, |p| p.string());
+            assert_eq!(got, want, "case {case}: {text:?}");
+            if want.0.is_ok() {
+                ok += 1;
+            } else {
+                failed += 1;
+            }
+        }
+        // The generator reaches both outcomes often.
+        assert!(ok > 500 && failed > 500, "{ok} parsed, {failed} failed");
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_parses_in_linear_time() {
+        let piece = "plain ascii é€😀 \\n\\u00e9 ";
+        let body = piece.repeat((1_usize << 20).div_ceil(piece.len()));
+        assert!(body.len() >= 1 << 20, "{} bytes", body.len());
+        let line = format!("{{\"s\":\"{body}\"}}");
+        let begun = std::time::Instant::now();
+        let v = Value::parse(&line).expect("valid document");
+        let took = begun.elapsed();
+        let s = v.get("s").and_then(Value::as_str).expect("string field");
+        assert_eq!(s, body.replace("\\n", "\n").replace("\\u00e9", "é"));
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
     }
 }

@@ -22,9 +22,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// How long a blocked `read_line` waits before re-checking the shutdown
-/// flag. Partial lines survive the timeout (the buffer persists).
+/// How long a blocked read waits before re-checking the shutdown flag.
+/// Partial lines survive the timeout (the buffer persists).
 const READ_TIMEOUT: Duration = Duration::from_millis(200);
+/// The longest request line the daemon reads, in bytes before the
+/// newline. A longer line is answered `malformed` and skipped up to its
+/// newline, so no client can grow a handler's buffer without bound.
+const MAX_LINE: usize = 1 << 20;
 /// A client that cannot absorb a frame within this budget is declared
 /// dead instead of blocking the dispatcher.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
@@ -442,6 +446,70 @@ fn run_request(shared: &Arc<Shared>, req: QueuedRequest) {
     shared.wake();
 }
 
+/// What [`LineReader::next`] read.
+enum Line {
+    /// One request line, without its newline (or the unterminated last
+    /// line before end of input).
+    Text(String),
+    /// A line too long or not UTF-8, answered with this error.
+    Rejected(WireError),
+    /// End of input.
+    Eof,
+}
+
+/// Reads request lines of at most [`MAX_LINE`] bytes from a connection.
+/// The line read so far persists across calls, so a partial line
+/// survives a read timeout.
+struct LineReader {
+    reader: BufReader<TcpStream>,
+    line: Vec<u8>,
+    /// Whether the rest of an over-long line is being skipped.
+    skipping: bool,
+}
+
+impl LineReader {
+    fn new(stream: TcpStream) -> Self {
+        Self {
+            reader: BufReader::new(stream),
+            line: Vec::new(),
+            skipping: false,
+        }
+    }
+
+    /// The next line; a read error (a timeout included) keeps what was
+    /// read of the current line.
+    fn next(&mut self) -> io::Result<Line> {
+        if self.skipping {
+            self.reader.skip_until(b'\n')?;
+            self.skipping = false;
+        }
+        // Room for the rest of the line and its newline.
+        let room = MAX_LINE + 1 - self.line.len();
+        (&mut self.reader)
+            .take(room as u64)
+            .read_until(b'\n', &mut self.line)?;
+        if self.line.last() == Some(&b'\n') {
+            self.line.pop();
+        } else if self.line.len() > MAX_LINE {
+            self.line.clear();
+            self.skipping = true;
+            return Ok(Line::Rejected(WireError::new(
+                ErrorCode::Malformed,
+                format!("request line longer than {MAX_LINE} bytes"),
+            )));
+        } else if self.line.is_empty() {
+            return Ok(Line::Eof);
+        }
+        Ok(match String::from_utf8(std::mem::take(&mut self.line)) {
+            Ok(text) => Line::Text(text),
+            Err(_) => Line::Rejected(WireError::new(
+                ErrorCode::Malformed,
+                "request line is not UTF-8",
+            )),
+        })
+    }
+}
+
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
@@ -453,20 +521,16 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         return;
     };
     let client = Arc::new(ClientHandle::new(write_half));
-    let mut reader = BufReader::new(stream);
-    // `read_line` may return a timeout error with a partial line already
-    // appended; keeping the buffer across iterations lets the retry
-    // finish the line instead of corrupting the stream.
-    let mut buf = String::new();
+    let mut lines = LineReader::new(stream);
     while client.alive.load(Ordering::Acquire) && !shared.stopping.load(Ordering::Acquire) {
-        match reader.read_line(&mut buf) {
-            Ok(0) => break,
-            Ok(_) => {
-                let line = std::mem::take(&mut buf);
+        match lines.next() {
+            Ok(Line::Eof) => break,
+            Ok(Line::Text(line)) => {
                 if !line.trim().is_empty() {
                     handle_line(&line, &client, shared);
                 }
             }
+            Ok(Line::Rejected(err)) => client.send_line(&wire::frame_error(&err)),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
             }
@@ -479,7 +543,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         // which can reach the client before the frames already sent. So
         // close the write half, letting the client read EOF, and consume
         // its input until it closes too or the read timeout passes.
-        let mut stream = reader.into_inner();
+        let mut stream = lines.reader.into_inner();
         let _ = stream.shutdown(Shutdown::Write);
         let until = Instant::now() + READ_TIMEOUT;
         let mut sink = [0u8; 512];

@@ -2,16 +2,17 @@
 //! get results bitwise-identical to an offline `Engine::run_batch` of
 //! the same sweep, a restarted daemon answers the same bits from its
 //! disk cache, a hot request runs no case preparation, a round trip pays
-//! no delayed-ACK wait, a new connection
-//! is served at once, a malformed line degrades to a typed error frame
-//! on a connection that stays usable, quotas reject over-subscription,
-//! a drain shutdown finishes queued work before `run` returns, and the
-//! `losac-serve` binary announces its address and exits 0 after a drain.
+//! no delayed-ACK wait, a new connection is served at once, a malformed
+//! or over-long line degrades to a typed error frame on a connection
+//! that stays usable, a line split across a read timeout still parses,
+//! quotas reject over-subscription, a drain shutdown
+//! finishes queued work before `run` returns, and the `losac-serve`
+//! binary announces its address and exits 0 after a drain.
 
 use losac_engine::{Engine, EngineOptions, JobOutcome};
 use losac_serve::wire::{perf_bits, ErrorCode, Frame, OutcomeSummary, ShutdownMode};
 use losac_serve::{ServeClient, ServeOptions, Server, SubmitRequest, SweepSpec};
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -298,6 +299,49 @@ fn malformed_line_gets_typed_error_and_connection_survives() {
     let err = rejected.expect_err("unknown tech must be rejected");
     assert!(err.to_string().contains("bad_sweep"), "{err}");
     client.ping().expect("ping after rejected submit");
+    client.shutdown(ShutdownMode::Drain).expect("shutdown");
+    handle.join().unwrap().expect("clean exit");
+}
+
+#[test]
+fn an_over_long_line_is_refused_and_skipped() {
+    // A line over the 1 MiB cap gets a typed error, its rest is
+    // discarded up to the newline, and the connection stays usable.
+    let (addr, handle) = start_server(ServeOptions::default());
+    let mut client = ServeClient::connect(addr).expect("connect");
+    let long = format!(
+        "{{\"v\":1,\"type\":\"ping\",\"pad\":\"{}\"}}",
+        "x".repeat(2 << 20)
+    );
+    client.send_raw(&long).expect("send a 2 MiB line");
+    let frame = client.next_frame().expect("server must answer, not drop");
+    let Frame::Error(err) = frame else {
+        panic!("expected error frame, got {frame:?}");
+    };
+    assert_eq!(err.code, ErrorCode::Malformed);
+    assert!(err.message.contains("longer than"), "{}", err.message);
+    client.ping().expect("ping after the over-long line");
+    client.shutdown(ShutdownMode::Drain).expect("shutdown");
+    handle.join().unwrap().expect("clean exit");
+}
+
+#[test]
+fn a_partial_line_survives_a_read_timeout() {
+    // The handler's reads time out every 200 ms to check for shutdown;
+    // a line split across such a timeout must still parse whole.
+    let (addr, handle) = start_server(ServeOptions::default());
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.write_all(b"{\"v\":1,\"ty").expect("first half");
+    std::thread::sleep(Duration::from_millis(300));
+    stream.write_all(b"pe\":\"ping\"}\n").expect("second half");
+    let mut reply = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut reply)
+        .expect("reply line");
+    let frame = Frame::parse(&reply).expect("a frame");
+    assert!(matches!(frame, Frame::Pong), "{frame:?}");
+    drop(stream);
+    let mut client = ServeClient::connect(addr).expect("connect");
     client.shutdown(ShutdownMode::Drain).expect("shutdown");
     handle.join().unwrap().expect("clean exit");
 }

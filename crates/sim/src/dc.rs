@@ -960,15 +960,23 @@ mod tests {
     #[ignore = "diagnostic timing breakdown, run with --ignored --nocapture"]
     fn newton_iteration_cost_breakdown() {
         // Rough per-phase cost of one Newton iteration on a mid-size MOS
-        // circuit: the fill (batched model eval, residual, quantities),
-        // the scatter with the numeric refactorisation, and the solve.
+        // circuit, in DC and in transient mode: the fill (batched model
+        // eval, residual, quantities; in transient mode also the
+        // backward-Euler companions of the linear and device
+        // capacitances), the scatter with the numeric refactorisation,
+        // and the solve.
         let t = Technology::cmos06();
         let mut c = Circuit::new();
         c.vsource("vdd", "vdd", "0", 3.3);
         c.vsource("vb", "bias", "0", 1.2);
+        let diffusion = DiffGeom {
+            area: 12e-12,
+            perimeter: 26e-6,
+        };
         for i in 0..13 {
             let d = format!("d{i}");
             c.resistor(&format!("r{i}"), "vdd", &d, 30e3 + i as f64 * 1e3);
+            c.capacitor(&format!("c{i}"), &d, "0", 50e-15);
             c.mos(
                 &format!("m{i}"),
                 &d,
@@ -977,15 +985,13 @@ mod tests {
                 "0",
                 Mosfet::new(t.nmos, 10e-6 + i as f64 * 2e-6, 0.8e-6),
                 t.caps.ndiff,
-                Default::default(),
-                Default::default(),
+                diffusion,
+                diffusion,
             );
         }
         let u = Unknowns::of(&c);
         let x = vec![0.5; u.total];
-        let mode = AssembleMode::Dc { src_scale: 1.0 };
-        let mut s = NewtonScratch::default();
-        s.prepare(&c, &u, false);
+        let x_prev = vec![0.49; u.total];
         let reps = 20000;
         let time = |f: &mut dyn FnMut()| {
             let t0 = std::time::Instant::now();
@@ -994,27 +1000,60 @@ mod tests {
             }
             t0.elapsed().as_secs_f64() / reps as f64 * 1e9
         };
-        let t_fill = time(&mut || {
-            fill(&c, &u, &x, 1e-12, &mode, &mut s.q, &mut s.f, &mut s.batch);
-        });
-        let t_fac = time(&mut || s.program.factor(&s.q).unwrap());
-        s.rhs.clear();
-        s.rhs.extend(s.f.iter().map(|&v| -v));
-        let t_sol = time(&mut || s.program.solve_into(&s.rhs, &mut s.dx));
-        // Model-eval share of the fill.
-        let t_model = time(&mut || {
-            s.batch.begin();
-            for e in c.elements() {
-                if let Element::Mos(m) = e {
-                    s.batch.bias(&m.dev, 1.2, 0.9, 0.0);
+        let modes = [
+            ("dc", AssembleMode::Dc { src_scale: 1.0 }),
+            (
+                "tran",
+                AssembleMode::Tran {
+                    h: 1e-9,
+                    x_prev: &x_prev,
+                    time: 1e-6,
+                },
+            ),
+        ];
+        for (label, mode) in modes {
+            let transient = matches!(mode, AssembleMode::Tran { .. });
+            let mut s = NewtonScratch::default();
+            s.prepare(&c, &u, transient);
+            let t_fill = time(&mut || {
+                fill(&c, &u, &x, 1e-12, &mode, &mut s.q, &mut s.f, &mut s.batch);
+            });
+            let t_fac = time(&mut || s.program.factor(&s.q).unwrap());
+            s.rhs.clear();
+            s.rhs.extend(s.f.iter().map(|&v| -v));
+            let t_sol = time(&mut || s.program.solve_into(&s.rhs, &mut s.dx));
+            // Model-eval share of the fill.
+            let t_model = time(&mut || {
+                s.batch.begin();
+                for e in c.elements() {
+                    if let Element::Mos(m) = e {
+                        s.batch.bias(&m.dev, 1.2, 0.9, 0.0);
+                    }
                 }
-            }
-            s.batch.evaluate_all();
-        });
-        println!(
-            "fill {t_fill:.0} ns (model {t_model:.0} ns), scatter + factor {t_fac:.0} ns, \
-             solve {t_sol:.0} ns"
-        );
+                s.batch.evaluate_all();
+            });
+            // Device-capacitance share of a transient fill: the intrinsic
+            // and junction capacitances at each MOSFET's operating point.
+            let t_caps = if transient {
+                time(&mut || {
+                    let mut k = 0;
+                    for e in c.elements() {
+                        if let Element::Mos(m) = e {
+                            let (vd, vs, vb) =
+                                (v_of(&x, &u, m.d), v_of(&x, &u, m.s), v_of(&x, &u, m.b));
+                            std::hint::black_box(mos_caps(m, s.batch.op(k), vd, vs, vb));
+                            k += 1;
+                        }
+                    }
+                })
+            } else {
+                0.0
+            };
+            println!(
+                "{label}: fill {t_fill:.0} ns (model {t_model:.0} ns, device caps {t_caps:.0} ns), \
+                 scatter + factor {t_fac:.0} ns, solve {t_sol:.0} ns"
+            );
+        }
     }
 
     #[test]

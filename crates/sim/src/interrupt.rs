@@ -114,6 +114,14 @@ pub fn install(interrupt: SimInterrupt) -> InterruptGuard {
     InterruptGuard { prev }
 }
 
+/// Set this thread's interrupt aside until the guard drops, as if none
+/// were installed here.
+pub fn suspend() -> InterruptGuard {
+    InterruptGuard {
+        prev: ACTIVE.with(|a| a.borrow_mut().take()),
+    }
+}
+
 /// The interrupt installed on this thread, if any — used to re-install it
 /// on worker threads a solver or evaluator spawns, so budgets follow the
 /// work across threads.
@@ -166,6 +174,17 @@ mod tests {
         {
             let _inner = install(SimInterrupt::new());
             assert_eq!(poll(), Ok(()), "inner interrupt shadows the outer one");
+        }
+        assert_eq!(poll(), Err(Interrupted::Cancelled));
+    }
+
+    #[test]
+    fn suspend_sets_the_interrupt_aside_until_the_guard_drops() {
+        let _g = install(SimInterrupt::new().with_stop(Arc::new(AtomicBool::new(true))));
+        {
+            let _s = suspend();
+            assert!(current().is_none());
+            assert_eq!(poll(), Ok(()));
         }
         assert_eq!(poll(), Err(Interrupted::Cancelled));
     }

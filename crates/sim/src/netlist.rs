@@ -203,7 +203,7 @@ impl Element {
 }
 
 /// A flat netlist.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Circuit {
     node_names: Vec<String>,
     // Looked up by name only, never iterated, so hashing is safe here.
@@ -221,14 +221,23 @@ pub struct Circuit {
     temp_k: Option<f64>,
 }
 
+impl Default for Circuit {
+    /// [`Circuit::new`]: the ground node alone.
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Circuit {
     /// An empty circuit containing only the ground node.
     pub fn new() -> Self {
-        let mut c = Self::default();
-        c.node_names.push("0".to_owned());
-        c.node_ids.insert("0".to_owned(), GROUND);
-        c.node_ids.insert("gnd".to_owned(), GROUND);
-        c
+        Self {
+            node_names: vec!["0".to_owned()],
+            node_ids: [("0".to_owned(), GROUND), ("gnd".to_owned(), GROUND)].into(),
+            elements: Vec::new(),
+            value_errors: Vec::new(),
+            temp_k: None,
+        }
     }
 
     /// Get-or-create a node by name. `"0"` and `"gnd"` are ground.
@@ -552,6 +561,14 @@ mod tests {
         assert_eq!(c.node("0"), GROUND);
         assert_eq!(c.node("gnd"), GROUND);
         assert_eq!(c.node_name(GROUND), "0");
+    }
+
+    #[test]
+    fn a_default_circuit_has_one_ground() {
+        let mut c = Circuit::default();
+        assert_eq!(c.node("gnd"), GROUND);
+        assert_eq!(c.node("0"), GROUND);
+        assert_eq!(c.num_nodes(), 1);
     }
 
     #[test]

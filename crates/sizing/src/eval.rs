@@ -343,6 +343,9 @@ struct Memory {
 /// segment (`hash_technology`'s rendering, about 1.8 kB); a lookup still
 /// compares every byte.
 ///
+/// A technology handed over with [`EvalCache::hold_technology`] renders
+/// its key segment once; keys built for that same `Arc` reuse it.
+///
 /// A cache opened with [`EvalCache::persistent`] writes every fresh
 /// evaluation to a content-addressed file only (see `persist.rs`);
 /// memory misses probe the directory, and verified disk entries are
@@ -353,7 +356,24 @@ struct Memory {
 pub struct EvalCache {
     map: Mutex<Memory>,
     disk: Option<crate::persist::DiskStore>,
+    /// Held technologies, oldest first.
+    held: Mutex<Vec<HeldTechnology>>,
 }
+
+/// A technology an [`EvalCache`] holds, with its key segment once
+/// rendered. Holding the `Arc` keeps its allocation alive, so a
+/// technology at the same address is the held one: a match by pointer is
+/// exact. A match by `==` is not, because `==` equates `+0.0` and `-0.0`,
+/// which render differently.
+#[derive(Debug)]
+struct HeldTechnology {
+    tech: Arc<Technology>,
+    segment: Option<Arc<[u8]>>,
+}
+
+/// Technologies an [`EvalCache`] holds at most; holding one more drops
+/// the oldest, which then renders its key segment like any other.
+const MAX_HELD_TECHNOLOGIES: usize = 16;
 
 impl EvalCache {
     /// An empty in-memory cache.
@@ -370,9 +390,43 @@ impl EvalCache {
     /// Fails when the directory cannot be created.
     pub fn persistent(dir: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
         Ok(Self {
-            map: Mutex::default(),
             disk: Some(crate::persist::DiskStore::open(dir.into())?),
+            ..Self::default()
         })
+    }
+
+    /// Hold `tech`, so that keys built for this `Arc`'s technology render
+    /// its key segment once instead of on every evaluation. The key
+    /// bytes are the same either way.
+    pub fn hold_technology(&self, tech: &Arc<Technology>) {
+        let mut held = self.held.lock().unwrap_or_else(|p| p.into_inner());
+        if held.iter().any(|h| Arc::ptr_eq(&h.tech, tech)) {
+            return;
+        }
+        if held.len() == MAX_HELD_TECHNOLOGIES {
+            held.remove(0);
+        }
+        held.push(HeldTechnology {
+            tech: Arc::clone(tech),
+            segment: None,
+        });
+    }
+
+    /// The key segment of `tech` when this cache holds it, rendered on
+    /// first use.
+    fn rendered(&self, tech: &Technology) -> Option<Arc<[u8]>> {
+        let mut held = self.held.lock().unwrap_or_else(|p| p.into_inner());
+        let HeldTechnology {
+            tech: held_tech,
+            segment,
+        } = held
+            .iter_mut()
+            .find(|h| std::ptr::eq(Arc::as_ptr(&h.tech), tech))?;
+        Some(Arc::clone(segment.get_or_insert_with(|| {
+            let mut h = FnvHasher::new();
+            hash_technology(&mut h, held_tech);
+            h.bytes.into()
+        })))
     }
 
     /// The backing directory, when the cache is persistent.
@@ -504,6 +558,13 @@ impl FnvHasher {
         self.bytes.push(b);
     }
 
+    /// Mix bytes another hasher recorded, as it mixed them.
+    fn write_recorded(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix_byte(b);
+        }
+    }
+
     /// Mix raw 64 bits.
     pub fn write_u64(&mut self, v: u64) {
         for b in v.to_le_bytes() {
@@ -567,10 +628,12 @@ pub fn hash_common_fingerprint(
 
 /// Cache key for one evaluation: the topology name, then the
 /// topology's fingerprint, the technology, the mode and any non-nominal
-/// scenario.
+/// scenario. `rendered` is the technology's key segment when a cache
+/// holds it rendered already.
 fn eval_key(
     ota: &dyn Topology,
     tech: &Technology,
+    rendered: Option<&[u8]>,
     mode: &ParasiticMode,
     scenario: &Scenario,
 ) -> EvalKey {
@@ -578,7 +641,10 @@ fn eval_key(
     h.write_str(ota.topology_name());
     ota.write_fingerprint(&mut h);
     let tech_at = h.bytes.len();
-    hash_technology(&mut h, tech);
+    match rendered {
+        Some(segment) => h.write_recorded(segment),
+        None => hash_technology(&mut h, tech),
+    }
     let tech_range = tech_at..h.bytes.len();
     hash_mode(&mut h, mode);
     // The scenario is hashed only when non-nominal: the nominal scenario
@@ -688,8 +754,8 @@ impl<'a> ScenarioEnv<'a> {
 fn hash_technology(h: &mut FnvHasher, tech: &Technology) {
     h.write_str(tech.name());
     // The Debug rendering covers every field — including ones added after
-    // this function was written — at the cost of hashing text. Key
-    // construction is once per evaluation; the simulations dwarf it.
+    // this function was written — at the cost of hashing text. A cache
+    // renders a technology it holds once (`EvalCache::hold_technology`).
     h.write_str(&format!("{tech:?}"));
 }
 
@@ -839,10 +905,11 @@ pub fn evaluate_with(
             _ => EvalError::new("injected failure at `sizing.evaluate`"),
         });
     }
-    let cached = opts
-        .cache
-        .as_ref()
-        .map(|cache| (cache, eval_key(ota, tech, mode, &opts.scenario)));
+    let cached = opts.cache.as_ref().map(|cache| {
+        let rendered = cache.rendered(tech);
+        let key = eval_key(ota, tech, rendered.as_deref(), mode, &opts.scenario);
+        (cache, key)
+    });
     if let Some((cache, key)) = &cached {
         if let Some(perf) = cache.lookup(key) {
             return Ok(perf);
@@ -1203,8 +1270,8 @@ mod tests {
 
         let tech = Technology::cmos06();
         let nom = Scenario::nominal();
-        let key_a = eval_key(&Twin("topology_a"), &tech, &ParasiticMode::None, &nom);
-        let key_b = eval_key(&Twin("topology_b"), &tech, &ParasiticMode::None, &nom);
+        let key_a = eval_key(&Twin("topology_a"), &tech, None, &ParasiticMode::None, &nom);
+        let key_b = eval_key(&Twin("topology_b"), &tech, None, &ParasiticMode::None, &nom);
         assert_ne!(
             key_a.bytes, key_b.bytes,
             "the topology name must separate the byte streams"
@@ -1274,7 +1341,13 @@ mod tests {
         // persisted by scenario-unaware builds (and warm daemon caches)
         // keep hitting only if the byte streams are identical.
         let (tech, ota) = setup();
-        let key = eval_key(&ota, &tech, &ParasiticMode::None, &Scenario::nominal());
+        let key = eval_key(
+            &ota,
+            &tech,
+            None,
+            &ParasiticMode::None,
+            &Scenario::nominal(),
+        );
         let mut h = FnvHasher::new();
         h.write_str("folded_cascode");
         ota.write_fingerprint(&mut h);
@@ -1292,8 +1365,8 @@ mod tests {
     fn entries_of_one_technology_share_its_key_bytes() {
         let (tech, ota) = setup();
         let nom = Scenario::nominal();
-        let key_a = eval_key(&ota, &tech, &ParasiticMode::None, &nom);
-        let key_b = eval_key(&ota, &tech, &ParasiticMode::UnfoldedDiffusion, &nom);
+        let key_a = eval_key(&ota, &tech, None, &ParasiticMode::None, &nom);
+        let key_b = eval_key(&ota, &tech, None, &ParasiticMode::UnfoldedDiffusion, &nom);
         assert_eq!(
             key_a.bytes[key_a.tech.clone()],
             key_b.bytes[key_b.tech.clone()]
@@ -1316,9 +1389,61 @@ mod tests {
     }
 
     #[test]
+    fn a_held_technology_keys_by_pointer_with_unchanged_bytes() {
+        let (tech, ota) = setup();
+        let nom = Scenario::nominal();
+        // Two technologies that are `==` but differ in the sign of a zero,
+        // which the key renders.
+        let mut plus = tech.clone();
+        plus.vdd_nominal = 0.0;
+        let mut minus = tech;
+        minus.vdd_nominal = -0.0;
+        assert_eq!(plus, minus);
+        let (plus, minus) = (Arc::new(plus), Arc::new(minus));
+        let cache = EvalCache::new();
+        cache.hold_technology(&plus);
+        let key = |tech: &Technology| {
+            let rendered = cache.rendered(tech);
+            eval_key(&ota, tech, rendered.as_deref(), &ParasiticMode::None, &nom)
+        };
+        // The held technology keys from its memo, with today's bytes.
+        assert!(cache.rendered(&plus).is_some());
+        let held = key(&plus);
+        assert_eq!(
+            held,
+            eval_key(&ota, &plus, None, &ParasiticMode::None, &nom)
+        );
+        // An equal technology the cache does not hold renders its own.
+        assert!(cache.rendered(&minus).is_none());
+        let other = key(&minus);
+        assert_eq!(
+            other,
+            eval_key(&ota, &minus, None, &ParasiticMode::None, &nom)
+        );
+        assert_ne!(held.bytes, other.bytes, "+0.0 and -0.0 key apart");
+        // Holding is idempotent and bounded; the oldest is dropped first.
+        cache.hold_technology(&plus);
+        for _ in 0..MAX_HELD_TECHNOLOGIES - 1 {
+            cache.hold_technology(&Arc::new(Technology::cmos06()));
+        }
+        assert!(cache.rendered(&plus).is_some());
+        cache.hold_technology(&minus);
+        assert!(cache.rendered(&plus).is_none());
+        assert!(cache.rendered(&minus).is_some());
+        assert_eq!(key(&plus), held);
+        assert_eq!(key(&minus), other);
+    }
+
+    #[test]
     fn a_key_differing_only_inside_the_technology_segment_misses() {
         let (tech, ota) = setup();
-        let key = eval_key(&ota, &tech, &ParasiticMode::None, &Scenario::nominal());
+        let key = eval_key(
+            &ota,
+            &tech,
+            None,
+            &ParasiticMode::None,
+            &Scenario::nominal(),
+        );
         let cache = EvalCache::new();
         cache.store(&key, sample_perf(0.0));
         let mut bytes = key.bytes.to_vec();
@@ -1343,18 +1468,32 @@ mod tests {
         let key_ss = eval_key(
             &ota,
             &tech,
+            None,
             &mode,
             &Scenario::corner(losac_tech::Corner::Slow),
         );
         let key_hot = eval_key(
             &ota,
             &tech,
+            None,
             &mode,
             &Scenario::at(losac_tech::Pvt::new(losac_tech::Corner::Slow, 125.0, 1.0)),
         );
-        let key_mc0 = eval_key(&ota, &tech, &mode, &Scenario::nominal().with_mismatch(7, 0));
-        let key_mc1 = eval_key(&ota, &tech, &mode, &Scenario::nominal().with_mismatch(7, 1));
-        let key_nom = eval_key(&ota, &tech, &mode, &Scenario::nominal());
+        let key_mc0 = eval_key(
+            &ota,
+            &tech,
+            None,
+            &mode,
+            &Scenario::nominal().with_mismatch(7, 0),
+        );
+        let key_mc1 = eval_key(
+            &ota,
+            &tech,
+            None,
+            &mode,
+            &Scenario::nominal().with_mismatch(7, 1),
+        );
+        let key_nom = eval_key(&ota, &tech, None, &mode, &Scenario::nominal());
         let keys = [&key_nom, &key_ss, &key_hot, &key_mc0, &key_mc1];
         for (i, a) in keys.iter().enumerate() {
             for b in keys.iter().skip(i + 1) {

@@ -225,12 +225,7 @@ pub(crate) fn parasitic_on(mode: &ParasiticMode, net: &str) -> f64 {
     if !mode.includes_routing() {
         return 0.0;
     }
-    let own = fb.net_caps.get(net).copied().unwrap_or(0.0)
-        + fb.well_caps.get(net).copied().unwrap_or(0.0);
-    fb.coupling
-        .iter()
-        .filter(|((a, b), _)| a == net || b == net)
-        .fold(own, |c, (_, v)| c + v)
+    losac_tech::parasitics::lumped_on(&fb.net_caps, &fb.well_caps, &fb.coupling, net)
 }
 
 /// Diffusion geometry of one terminal under the given parasitic mode.
@@ -335,35 +330,6 @@ impl<'a> Modules<'a> {
 mod tests {
     use super::*;
     use crate::feedback::{DeviceFeedback, LayoutFeedback};
-
-    #[test]
-    fn parasitic_on_sums_couplings_in_key_order() {
-        // Magnitudes far apart, so the rounding of the sum depends on the
-        // order the couplings are added in.
-        let couplings = [
-            (("a", "out"), 1.0e-12),
-            (("b", "out"), 3.3e-16),
-            (("out", "c"), 7.7e-17),
-            (("d", "out"), 2.9e-13),
-            (("out", "e"), 5.1e-18),
-        ];
-        let mut fb = LayoutFeedback {
-            lump_coupling_to_ground: true,
-            ..Default::default()
-        };
-        fb.net_caps.insert("out".to_owned(), 1.7e-14);
-        for ((a, b), v) in couplings {
-            fb.coupling.insert((a.to_owned(), b.to_owned()), v);
-        }
-        let mode = ParasiticMode::Full(fb);
-        let mut want = 1.7e-14;
-        let mut sorted_couplings = couplings;
-        sorted_couplings.sort_by(|x, y| x.0.cmp(&y.0));
-        for (_, v) in sorted_couplings {
-            want += v;
-        }
-        assert_eq!(parasitic_on(&mode, "out").to_bits(), want.to_bits());
-    }
 
     #[test]
     fn drawn_w_prefers_matching_feedback_only() {

@@ -10,6 +10,26 @@
 //! * `fringe` / sidewall / coupling coefficients: F/m (1 fF/µm = 1e-9 F/m),
 //! * sheet resistances: Ω/□, contact/via resistance: Ω per cut.
 
+use std::collections::BTreeMap;
+
+/// The capacitance lumped on `net` (F): its routing and well capacitance
+/// to ground plus every coupling that touches it, added in key order.
+/// The layout tool's parasitic report and the sizing tool's layout
+/// feedback both carry these three maps and sum them here.
+pub fn lumped_on(
+    net_caps: &BTreeMap<String, f64>,
+    well_caps: &BTreeMap<String, f64>,
+    coupling: &BTreeMap<(String, String), f64>,
+    net: &str,
+) -> f64 {
+    let own =
+        net_caps.get(net).copied().unwrap_or(0.0) + well_caps.get(net).copied().unwrap_or(0.0);
+    coupling
+        .iter()
+        .filter(|((a, b), _)| a == net || b == net)
+        .fold(own, |c, (_, v)| c + v)
+}
+
 /// Bias-dependent junction (diffusion) capacitance coefficients.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JunctionCaps {
@@ -220,6 +240,32 @@ impl ResistanceRules {
 mod tests {
     use super::*;
     use crate::Technology;
+
+    #[test]
+    fn lumped_on_sums_couplings_in_key_order() {
+        // Magnitudes far apart, so the rounding of the sum depends on the
+        // order the couplings are added in.
+        let couplings = [
+            (("a", "out"), 1.0e-12),
+            (("b", "out"), 3.3e-16),
+            (("out", "c"), 7.7e-17),
+            (("d", "out"), 2.9e-13),
+            (("out", "e"), 5.1e-18),
+        ];
+        let coupling = couplings
+            .iter()
+            .map(|&((a, b), v)| ((a.to_owned(), b.to_owned()), v))
+            .collect();
+        let net_caps = BTreeMap::from([("out".to_owned(), 1.7e-14)]);
+        let mut want = 1.7e-14;
+        let mut sorted_couplings = couplings;
+        sorted_couplings.sort_by(|x, y| x.0.cmp(&y.0));
+        for (_, v) in sorted_couplings {
+            want += v;
+        }
+        let got = lumped_on(&net_caps, &BTreeMap::new(), &coupling, "out");
+        assert_eq!(got.to_bits(), want.to_bits());
+    }
 
     fn caps() -> CapacitanceRules {
         Technology::cmos06().caps

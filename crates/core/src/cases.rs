@@ -14,9 +14,10 @@
 //! the first half, so the batch engine prepares once per design point
 //! and the daemon keeps its reused points' preparations.
 
-use crate::flow::{layout_oriented_synthesis, FlowControl, FlowError, FlowOptions};
+use crate::flow::{layout_oriented_synthesis, FlowError, FlowOptions};
 use crate::layout_gen::{to_feedback, topology_layout_plan, LayoutOptions};
 use losac_layout::slicing::ShapeConstraint;
+use losac_sim::interrupt;
 use losac_sizing::eval::{evaluate_with, EvalError, EvalErrorKind, EvalOptions, FnvHasher};
 use losac_sizing::{
     OtaSpecs, ParasiticMode, Performance, Topology, TopologyPlan, TopologyRegistry,
@@ -151,7 +152,10 @@ impl From<losac_layout::plan::PlanError> for CaseError {
 ///
 /// The default value reproduces the historical `run_case` behaviour
 /// exactly (default plan, default layout options, min-area shape, the
-/// default flow tolerance and call budget, no cancellation).
+/// default flow tolerance and call budget). The options hold no stop
+/// flag or deadline: a run stops only through the
+/// [`SimInterrupt`](losac_sim::interrupt::SimInterrupt) installed on its
+/// thread.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct CaseOptions {
@@ -167,9 +171,6 @@ pub struct CaseOptions {
     pub tolerance: f64,
     /// Layout-call budget of the sizing↔layout loop (cases 3–4).
     pub max_layout_calls: usize,
-    /// Cooperative cancellation / deadline control, checked between the
-    /// phases of the run.
-    pub control: FlowControl,
     /// Evaluation options for the two `evaluate` calls of the run: a
     /// shared evaluation cache (bitwise-neutral) and
     /// [`EvalOptions::scenario`], which selects the single PVT/mismatch
@@ -195,7 +196,6 @@ impl Default for CaseOptions {
             shape: flow.shape,
             tolerance: flow.tolerance,
             max_layout_calls: flow.max_layout_calls,
-            control: FlowControl::default(),
             eval: EvalOptions::default(),
             scenarios: Vec::new(),
         }
@@ -218,7 +218,6 @@ impl CaseOptions {
             tolerance: self.tolerance,
             max_layout_calls: self.max_layout_calls,
             diffusion_only,
-            control: self.control.clone(),
         }
     }
 }
@@ -265,12 +264,6 @@ impl CaseOptionsBuilder {
         self
     }
 
-    /// Cancellation / deadline control (see [`CaseOptions::control`]).
-    pub fn with_control(mut self, control: FlowControl) -> Self {
-        self.opts.control = control;
-        self
-    }
-
     /// Evaluation knobs (see [`CaseOptions::eval`]).
     pub fn with_eval(mut self, eval: EvalOptions) -> Self {
         self.opts.eval = eval;
@@ -308,8 +301,9 @@ pub fn run_case(tech: &Technology, specs: &OtaSpecs, case: Case) -> Result<CaseR
 ///
 /// Returns [`CaseError`] when sizing, layout generation or any
 /// measurement fails, and `CaseError::Flow(FlowError::Cancelled /
-/// TimedOut)` when the options' [`FlowControl`] stops the run between
-/// phases.
+/// TimedOut)` when the thread's installed
+/// [`SimInterrupt`](losac_sim::interrupt::SimInterrupt) stops the run at
+/// a phase boundary or inside a solve.
 pub fn run_case_with(
     tech: &Technology,
     specs: &OtaSpecs,
@@ -342,14 +336,14 @@ pub struct PreparedCase {
 /// sizing↔layout flow (cases 3–4), then generate, extract and keep the
 /// verification layout's parasitics.
 ///
-/// Reads the options' plan, layout options, shape, tolerance, call
-/// budget and run control; never the evaluation options or the scenario
-/// set, which only [`PreparedCase::measure`] reads.
+/// Reads the options' plan, layout options, shape, tolerance and call
+/// budget; never the evaluation options or the scenario set, which only
+/// [`PreparedCase::measure`] reads.
 ///
 /// # Errors
 ///
 /// Returns [`CaseError::Flow`] when sizing or the flow fails, or when
-/// the options' [`FlowControl`] stops the run before or during it. A
+/// the thread's installed interrupt stops the run before or during it. A
 /// failure of the verification layout is held in the prepared case and
 /// surfaces from [`PreparedCase::measure`].
 pub fn prepare_case(
@@ -358,15 +352,7 @@ pub fn prepare_case(
     case: Case,
     opts: &CaseOptions,
 ) -> Result<PreparedCase, CaseError> {
-    opts.control.check()?;
-    // Thread the control's stop flag / deadline into every solver on this
-    // thread (the flow re-installs the same interrupt, which is
-    // idempotent): the case 1–2 sizing runs outside the flow and must
-    // honour the budget too.
-    let _sim_interrupt = opts
-        .control
-        .sim_interrupt()
-        .map(losac_sim::interrupt::install);
+    interrupt::poll().map_err(FlowError::from)?;
     let (ota, synth_mode, layout_calls): (Arc<dyn Topology>, ParasiticMode, usize) = match case {
         Case::NoParasitics | Case::UnfoldedDiffusion => {
             let mode = if case == Case::NoParasitics {
@@ -397,10 +383,9 @@ pub fn prepare_case(
 /// `(tech, specs, case, opts)` arguments, compute the same preparation:
 /// every input it reads is exactly equal — the same plan `Arc`, equal
 /// technology, case, layout options, shape and call budget, and
-/// bitwise-equal specification and tolerance. The run control decides
-/// only whether a preparation finishes, and the evaluation options and
-/// scenario set are read only by [`PreparedCase::measure`], so none of
-/// them plays a part.
+/// bitwise-equal specification and tolerance. The evaluation options and
+/// scenario set are read only by [`PreparedCase::measure`], so neither
+/// plays a part.
 pub fn same_preparation(
     (tech_a, specs_a, case_a, opts_a): (&Technology, &OtaSpecs, Case, &CaseOptions),
     (tech_b, specs_b, case_b, opts_b): (&Technology, &OtaSpecs, Case, &CaseOptions),
@@ -413,7 +398,6 @@ pub fn same_preparation(
         shape,
         tolerance,
         max_layout_calls,
-        control: _,
         eval: _,
         scenarios: _,
     } = opts_a;
@@ -485,8 +469,8 @@ struct MemoEntry {
     tech: Arc<Technology>,
     specs: OtaSpecs,
     case: Case,
-    /// The options with run control, evaluation options and scenario set
-    /// reset, so the memo holds no stop flag and no cache.
+    /// The options with evaluation options and scenario set reset, so the
+    /// memo holds no cache.
     opts: CaseOptions,
     /// Whether an earlier batch dropped an entry of this key.
     reused: bool,
@@ -528,7 +512,6 @@ impl Preparations {
             specs: *specs,
             case,
             opts: CaseOptions {
-                control: FlowControl::default(),
                 eval: EvalOptions::default(),
                 scenarios: Vec::new(),
                 ..opts.clone()
@@ -582,7 +565,7 @@ fn verification_mode(
     ota: &dyn Topology,
     opts: &CaseOptions,
 ) -> Result<ParasiticMode, CaseError> {
-    opts.control.check()?;
+    interrupt::poll().map_err(FlowError::from)?;
     let report =
         topology_layout_plan(tech, ota, &opts.layout).calculate_parasitics(tech, opts.shape)?;
     Ok(ParasiticMode::Full(to_feedback(&report, false)))
@@ -592,8 +575,8 @@ impl PreparedCase {
     /// Measure both performance rows of the prepared design under the
     /// options' scenario (`opts.eval`), or — corner-aware acceptance —
     /// as the per-metric worst case over `opts.scenarios`. Reads only
-    /// the evaluation options, the scenario set and the run control;
-    /// `tech` must be the technology the case was prepared with.
+    /// the evaluation options and the scenario set; `tech` must be the
+    /// technology the case was prepared with.
     ///
     /// Errors surface in a single run's order: the synthesized row's,
     /// then the verification layout's, then the extracted row's.
@@ -602,17 +585,13 @@ impl PreparedCase {
     ///
     /// Returns [`CaseError`] when the verification layout or a
     /// measurement failed, and `CaseError::Flow(FlowError::Cancelled /
-    /// TimedOut)` when the options' [`FlowControl`] stops the run before
-    /// or during a measurement.
+    /// TimedOut)` when the thread's installed interrupt stops the run
+    /// before or during a measurement.
     pub fn measure(&self, tech: &Technology, opts: &CaseOptions) -> Result<CaseResult, CaseError> {
         // A phase boundary: a job that waited on a shared preparation
         // past its deadline or a cancel stops here, even when both rows
         // would be cache hits.
-        opts.control.check()?;
-        let _sim_interrupt = opts
-            .control
-            .sim_interrupt()
-            .map(losac_sim::interrupt::install);
+        interrupt::poll().map_err(FlowError::from)?;
         let measure = |mode: &ParasiticMode| -> Result<Performance, CaseError> {
             if opts.scenarios.is_empty() {
                 return Ok(evaluate_with(self.ota.as_ref(), tech, mode, &opts.eval)?);
@@ -645,7 +624,9 @@ impl PreparedCase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use losac_sim::interrupt::SimInterrupt;
     use losac_sizing::FoldedCascodePlan;
+    use std::sync::atomic::AtomicBool;
 
     // Case runs are exercised end-to-end by the integration tests and the
     // table1 binary; here we keep one smoke case to bound runtime.
@@ -665,12 +646,11 @@ mod tests {
 
     #[test]
     fn run_case_with_honours_cancellation() {
-        use std::sync::atomic::AtomicBool;
         let tech = Technology::cmos06();
         let specs = OtaSpecs::paper_example();
-        let opts = CaseOptions::builder()
-            .with_control(FlowControl::new().with_stop(Arc::new(AtomicBool::new(true))))
-            .build();
+        let opts = CaseOptions::default();
+        let _stop =
+            interrupt::install(SimInterrupt::new().with_stop(Arc::new(AtomicBool::new(true))));
         // Every case — including the loop-free cases 1–2 — stops before
         // doing any work.
         for case in Case::ALL {
@@ -683,8 +663,33 @@ mod tests {
     }
 
     #[test]
+    fn an_installed_interrupt_stops_the_run_before_any_layout_or_evaluation() {
+        use losac_obs::Collector;
+        use std::time::Instant;
+        let tech = Technology::cmos06();
+        let specs = OtaSpecs::paper_example();
+        let raised = SimInterrupt::new().with_stop(Arc::new(AtomicBool::new(true)));
+        let expired = SimInterrupt::new().with_deadline(Instant::now());
+        for (control, want) in [
+            (raised, FlowError::Cancelled),
+            (expired, FlowError::TimedOut),
+        ] {
+            let collector = Collector::new();
+            let sink = losac_obs::install(Arc::new(collector.clone()));
+            let stop = interrupt::install(control);
+            let r = run_case_with(&tech, &specs, Case::NoParasitics, &CaseOptions::default());
+            drop(stop);
+            drop(sink);
+            let want = CaseError::Flow(want).to_string();
+            assert_eq!(r.err().map(|e| e.to_string()), Some(want.clone()));
+            for span in ["layout.generate", "sizing.evaluate"] {
+                assert!(collector.spans(span).is_empty(), "{span} ran, then: {want}");
+            }
+        }
+    }
+
+    #[test]
     fn measure_honours_cancellation_even_on_cache_hits() {
-        use std::sync::atomic::AtomicBool;
         let tech = Technology::cmos06();
         let specs = OtaSpecs::paper_example();
         let prepared = prepare_case(&tech, &specs, Case::NoParasitics, &CaseOptions::default())
@@ -692,13 +697,11 @@ mod tests {
         let eval = EvalOptions::default().with_cache(Arc::new(losac_sizing::EvalCache::new()));
         let warm = CaseOptions::builder().with_eval(eval.clone()).build();
         prepared.measure(&tech, &warm).expect("case 1 measures");
-        // Both rows are now cache hits, which no solver interrupt sees.
-        let stopped = CaseOptions::builder()
-            .with_eval(eval)
-            .with_control(FlowControl::new().with_stop(Arc::new(AtomicBool::new(true))))
-            .build();
+        // Both rows are now cache hits, which no solver poll sees.
+        let _stop =
+            interrupt::install(SimInterrupt::new().with_stop(Arc::new(AtomicBool::new(true))));
         assert!(matches!(
-            prepared.measure(&tech, &stopped),
+            prepared.measure(&tech, &warm),
             Err(CaseError::Flow(FlowError::Cancelled))
         ));
     }
@@ -706,15 +709,13 @@ mod tests {
     #[test]
     fn same_preparation_ignores_only_what_prepare_case_never_reads() {
         use losac_tech::Corner;
-        use std::sync::atomic::AtomicBool;
         let tech = Technology::cmos06();
         let specs = OtaSpecs::paper_example();
         let base = CaseOptions::default();
         let case = Case::AllParasitics;
-        // Run control, evaluation options and scenario set differ.
+        // Evaluation options and scenario set differ.
         let measured_apart = CaseOptions::builder()
             .with_plan(base.plan.clone())
-            .with_control(FlowControl::new().with_stop(Arc::new(AtomicBool::new(true))))
             .with_eval(EvalOptions::default().with_scenario(Scenario::corner(Corner::Slow)))
             .with_scenarios([Scenario::corner(Corner::Fast)])
             .build();

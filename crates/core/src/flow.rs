@@ -26,117 +26,12 @@ use crate::telemetry::FlowTelemetry;
 use losac_layout::plan::{GeneratedLayout, ParasiticReport};
 use losac_layout::slicing::ShapeConstraint;
 use losac_obs::f;
+use losac_sim::interrupt::{self, Interrupted};
 use losac_sizing::{OtaSpecs, ParasiticMode, SizingError, Topology, TopologyPlan};
 use losac_tech::Technology;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Cooperative run control: an optional stop flag and an optional
-/// wall-clock deadline, checked by the flow between layout calls.
-///
-/// The default control never stops a run. Cancellation is *cooperative*:
-/// a phase that is already in progress completes before the flag or
-/// deadline is observed, so a run ends at the next phase boundary rather
-/// than mid-solve. This is what lets a batch engine abort a whole queue
-/// without poisoning any partially-computed state.
-#[derive(Debug, Clone, Default)]
-pub struct FlowControl {
-    stop: Option<Arc<AtomicBool>>,
-    deadline: Option<Instant>,
-}
-
-impl FlowControl {
-    /// Control that never stops the run (same as `Default`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attach a shared stop flag; the flow returns
-    /// [`FlowError::Cancelled`] at the next phase boundary after the flag
-    /// is raised.
-    #[must_use]
-    pub fn with_stop(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.stop = Some(flag);
-        self
-    }
-
-    /// Attach an absolute deadline; the flow returns
-    /// [`FlowError::TimedOut`] at the next phase boundary past it.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Attach a wall-clock budget counted from now.
-    #[must_use]
-    pub fn with_budget(self, budget: Duration) -> Self {
-        self.with_deadline(Instant::now() + budget)
-    }
-
-    /// Attach `deadline` only if it is sooner than any deadline already
-    /// set — the merge rule for stacking limits from different layers (a
-    /// per-job budget under a batch-wide or request-wide deadline).
-    #[must_use]
-    pub fn with_deadline_earliest(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(match self.deadline {
-            Some(d) => d.min(deadline),
-            None => deadline,
-        });
-        self
-    }
-
-    /// Whether the stop flag has been raised.
-    pub fn is_cancelled(&self) -> bool {
-        self.stop
-            .as_ref()
-            .is_some_and(|s| s.load(Ordering::Relaxed))
-    }
-
-    /// Whether the deadline has passed.
-    pub fn is_past_deadline(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// The shared stop flag, when one is attached.
-    pub fn stop_flag(&self) -> Option<Arc<AtomicBool>> {
-        self.stop.clone()
-    }
-
-    /// The simulator-level interrupt mirroring this control, or `None`
-    /// when the control never stops a run. Installing it (see
-    /// [`losac_sim::interrupt::install`]) makes the Newton iterations
-    /// *inside* a phase observe the same stop flag and deadline the flow
-    /// checks between phases, so a hung solve cannot outlive the budget.
-    pub fn sim_interrupt(&self) -> Option<losac_sim::interrupt::SimInterrupt> {
-        let mut si = losac_sim::interrupt::SimInterrupt::new();
-        if let Some(flag) = self.stop_flag() {
-            si = si.with_stop(flag);
-        }
-        if let Some(d) = self.deadline {
-            si = si.with_deadline(d);
-        }
-        si.is_armed().then_some(si)
-    }
-
-    /// Check both conditions, cancellation first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::Cancelled`] when the stop flag is raised,
-    /// [`FlowError::TimedOut`] when the deadline has passed.
-    pub fn check(&self) -> Result<(), FlowError> {
-        if self.is_cancelled() {
-            return Err(FlowError::Cancelled);
-        }
-        if self.is_past_deadline() {
-            return Err(FlowError::TimedOut);
-        }
-        Ok(())
-    }
-}
+use std::time::Instant;
 
 /// Flow configuration.
 #[derive(Debug, Clone)]
@@ -153,9 +48,6 @@ pub struct FlowOptions {
     /// Feed back only diffusion information (Table 1 case 3) instead of
     /// all parasitics (case 4).
     pub diffusion_only: bool,
-    /// Cooperative cancellation / deadline control (defaults to "never
-    /// stop").
-    pub control: FlowControl,
 }
 
 impl Default for FlowOptions {
@@ -166,7 +58,6 @@ impl Default for FlowOptions {
             tolerance: 0.02,
             max_layout_calls: 10,
             diffusion_only: false,
-            control: FlowControl::default(),
         }
     }
 }
@@ -245,9 +136,10 @@ pub enum FlowError {
     Sizing(SizingError),
     /// The layout tool failed.
     Layout(losac_layout::plan::PlanError),
-    /// The run exceeded its wall-clock budget ([`FlowControl`] deadline).
+    /// The run passed the deadline of the thread's installed
+    /// [`SimInterrupt`](losac_sim::interrupt::SimInterrupt).
     TimedOut,
-    /// The run was cancelled via its [`FlowControl`] stop flag.
+    /// The stop flag of the thread's installed interrupt was raised.
     Cancelled,
 }
 
@@ -274,6 +166,15 @@ impl From<SizingError> for FlowError {
 impl From<losac_layout::plan::PlanError> for FlowError {
     fn from(e: losac_layout::plan::PlanError) -> Self {
         FlowError::Layout(e)
+    }
+}
+
+impl From<Interrupted> for FlowError {
+    fn from(i: Interrupted) -> Self {
+        match i {
+            Interrupted::Cancelled => FlowError::Cancelled,
+            Interrupted::TimedOut => FlowError::TimedOut,
+        }
     }
 }
 
@@ -305,9 +206,10 @@ fn diffusion_change(a: &ParasiticReport, b: &ParasiticReport) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns [`FlowError`] when sizing or layout generation fails; an
-/// unconverged run within the call budget is *not* an error (see
-/// [`FlowResult::converged`]).
+/// Returns [`FlowError`] when sizing or layout generation fails, and
+/// `Cancelled` or `TimedOut` when the thread's installed interrupt fires
+/// at a phase boundary or inside a solve; an unconverged run within the
+/// call budget is *not* an error (see [`FlowResult::converged`]).
 pub fn layout_oriented_synthesis(
     tech: &Technology,
     specs: &OtaSpecs,
@@ -316,13 +218,6 @@ pub fn layout_oriented_synthesis(
 ) -> Result<FlowResult, FlowError> {
     opts.validate()?;
     let start = Instant::now();
-    // Mirror the flow control down into the simulator: Newton polls the
-    // interrupt every iteration, so a stop or deadline fires inside a
-    // solve rather than waiting for the next phase boundary.
-    let _sim_interrupt = opts
-        .control
-        .sim_interrupt()
-        .map(losac_sim::interrupt::install);
     let _flow_span = losac_obs::span_with(
         "flow",
         vec![
@@ -349,7 +244,7 @@ pub fn layout_oriented_synthesis(
     while layout_calls < opts.max_layout_calls {
         // Cooperative stop point: between layout calls the run can be
         // cancelled or timed out without leaving partial state behind.
-        opts.control.check()?;
+        interrupt::poll()?;
         // Call the layout tool in parasitic-calculation mode.
         if losac_obs::failpoint::hit("flow.layout_call").is_some() {
             return Err(FlowError::Layout(
@@ -460,7 +355,7 @@ pub fn layout_oriented_synthesis(
 
     // Generation mode: produce the physical layout of the final sizing,
     // with the same frozen folding decisions the loop converged on.
-    opts.control.check()?;
+    interrupt::poll()?;
     let generation_start = Instant::now();
     let lplan = topology_layout_plan(tech, ota.as_ref(), &layout_opts);
     let layout = lplan.generate(tech, opts.shape)?;
@@ -660,28 +555,17 @@ mod tests {
     fn raised_stop_flag_cancels_the_run() {
         use std::sync::atomic::AtomicBool;
         let flag = Arc::new(AtomicBool::new(true));
-        let r = run_with(&FlowOptions {
-            control: FlowControl::new().with_stop(flag),
-            ..Default::default()
-        });
+        let _stop = interrupt::install(interrupt::SimInterrupt::new().with_stop(flag));
+        let r = run_with(&FlowOptions::default());
         assert!(matches!(r, Err(FlowError::Cancelled)));
     }
 
     #[test]
     fn expired_deadline_times_the_run_out() {
-        let r = run_with(&FlowOptions {
-            control: FlowControl::new().with_budget(Duration::ZERO),
-            ..Default::default()
-        });
+        let _deadline =
+            interrupt::install(interrupt::SimInterrupt::new().with_deadline(Instant::now()));
+        let r = run_with(&FlowOptions::default());
         assert!(matches!(r, Err(FlowError::TimedOut)));
-    }
-
-    #[test]
-    fn default_control_never_stops() {
-        let c = FlowControl::default();
-        assert!(!c.is_cancelled());
-        assert!(!c.is_past_deadline());
-        c.check().unwrap();
     }
 
     #[test]

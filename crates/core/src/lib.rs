@@ -53,11 +53,17 @@ pub mod report;
 pub mod telemetry;
 pub mod traditional;
 
+/// The run control: a run stops only through the
+/// [`SimInterrupt`](interrupt::SimInterrupt) installed on its thread,
+/// which the flow and the case runner poll at every phase boundary and
+/// the solvers at every Newton iteration.
+pub use losac_sim::interrupt;
+
 pub use cases::{
     prepare_case, run_case, run_case_with, same_preparation, Case, CaseError, CaseOptions,
     CaseOptionsBuilder, CaseResult, PreparationCell, Preparations, PreparedCase,
 };
-pub use flow::{layout_oriented_synthesis, FlowControl, FlowError, FlowOptions, FlowResult};
+pub use flow::{layout_oriented_synthesis, FlowError, FlowOptions, FlowResult};
 pub use layout_gen::{to_feedback, topology_layout_plan, LayoutOptions};
 pub use telemetry::FlowTelemetry;
 pub use traditional::{traditional_flow, traditional_flow_with, TraditionalResult};
@@ -83,9 +89,7 @@ pub use traditional::{traditional_flow, traditional_flow_with, TraditionalResult
 /// ```
 pub mod prelude {
     pub use crate::cases::{run_case, run_case_with, Case, CaseError, CaseOptions, CaseResult};
-    pub use crate::flow::{
-        layout_oriented_synthesis, FlowControl, FlowError, FlowOptions, FlowResult,
-    };
+    pub use crate::flow::{layout_oriented_synthesis, FlowError, FlowOptions, FlowResult};
     pub use crate::layout_gen::{topology_layout_plan, LayoutOptions};
     pub use crate::traditional::{traditional_flow, traditional_flow_with};
     pub use losac_layout::slicing::ShapeConstraint;

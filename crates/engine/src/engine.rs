@@ -5,7 +5,8 @@ use crate::job::{JobOutcome, SynthesisJob};
 use crate::pool::{panic_message, run_indexed, PoolOutcome};
 use crate::telemetry::{collect_design_points, BatchTelemetry, YieldRow};
 use losac_core::cases::{prepare_case, CaseError, Preparations};
-use losac_core::flow::{FlowControl, FlowError};
+use losac_core::flow::FlowError;
+use losac_core::interrupt::{self, SimInterrupt};
 use losac_obs::{f, Counter, Histogram, HistogramCore};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -47,7 +48,7 @@ pub struct EngineOptions {
     /// is bitwise-neutral either way.
     pub preparations: Option<Arc<Preparations>>,
     /// Batch-wide absolute deadline, merged under each job's own budget
-    /// via [`FlowControl::with_deadline_earliest`]: jobs past it stop at
+    /// via [`SimInterrupt::with_deadline_earliest`]: jobs past it stop at
     /// their next phase boundary as [`JobOutcome::TimedOut`]. `None`
     /// means no batch deadline.
     pub deadline: Option<Instant>,
@@ -255,19 +256,23 @@ impl Engine {
                 ],
             );
             let begun = Instant::now();
-            let mut control = FlowControl::new().with_stop(self.stop.clone());
+            // The job's one run control: the batch's stop flag and the
+            // earlier of the job's budget and the batch deadline. The
+            // flow, the case runner and every Newton iteration poll it.
+            let mut control = SimInterrupt::new().with_stop(self.stop.clone());
             if let Some(b) = job.budget {
                 control = control.with_deadline(begun + b);
             }
             if let Some(d) = self.opts.deadline {
                 control = control.with_deadline_earliest(d);
             }
+            let _interrupt = interrupt::install(control);
             let _fail_guard = job.fail_plan.clone().map(losac_obs::failpoint::install);
             // The job's own catch_unwind lets a panicking job reach the
             // bookkeeping below; the pool's stays as a backstop for this
             // orchestration code itself.
             let run = catch_unwind(AssertUnwindSafe(|| {
-                let mut opts = job.case_options(control);
+                let mut opts = job.options.clone();
                 opts.eval.cache = Some(eval_cache.clone());
                 let prepare = || {
                     prepared.fetch_add(1, Ordering::Relaxed);
@@ -393,7 +398,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use losac_core::prelude::{Case, OtaSpecs};
+    use losac_core::prelude::{Case, CaseOptions, OtaSpecs};
     use losac_tech::Technology;
 
     fn paper_job(case: Case) -> SynthesisJob {
@@ -404,19 +409,26 @@ mod tests {
         )
     }
 
+    /// A copy of `job` with `edit` applied to its case options.
+    fn edited(job: &SynthesisJob, edit: impl FnOnce(&mut CaseOptions)) -> SynthesisJob {
+        let mut job = job.clone();
+        edit(&mut job.options);
+        job
+    }
+
     #[test]
     fn the_memo_keys_on_every_flow_input() {
         use losac_layout::slicing::ShapeConstraint;
-        use losac_sizing::{FoldedCascodePlan, TopologyPlan};
+        use losac_sizing::FoldedCascodePlan;
         use losac_tech::{Corner, Scenario};
-        let plan: Arc<dyn TopologyPlan> = Arc::new(FoldedCascodePlan::default());
-        let base = paper_job(Case::AllParasitics).with_topology_plan(plan);
+        let base = edited(&paper_job(Case::AllParasitics), |o| {
+            o.plan = Arc::new(FoldedCascodePlan::default());
+        });
         let mut next_gbw = base.clone();
         next_gbw.specs.gbw = f64::from_bits(base.specs.gbw.to_bits() + 1);
         let jobs = vec![
             // Scenario and design-point label play no part.
-            base.clone()
-                .with_scenario(Scenario::corner(Corner::Slow))
+            edited(&base, |o| o.eval.scenario = Scenario::corner(Corner::Slow))
                 .with_design_point("a"),
             base.clone().with_design_point("b"),
             // An equal technology behind another `Arc` shares too.
@@ -429,12 +441,11 @@ mod tests {
             next_gbw,
             // Each of these differs in one flow input, or carries its
             // own budget, and shares with no other job.
-            base.clone()
-                .with_topology_plan(Arc::new(FoldedCascodePlan::default())),
+            edited(&base, |o| o.plan = Arc::new(FoldedCascodePlan::default())),
             base.clone().with_budget(Duration::from_secs(60)),
-            base.clone().with_tolerance(0.03),
-            base.clone().with_max_layout_calls(4),
-            base.clone().with_shape(ShapeConstraint::Aspect(1.0)),
+            edited(&base, |o| o.tolerance = 0.03),
+            edited(&base, |o| o.max_layout_calls = 4),
+            edited(&base, |o| o.shape = ShapeConstraint::Aspect(1.0)),
             SynthesisJob {
                 case: Case::ExactDiffusion,
                 ..base.clone()
@@ -447,8 +458,7 @@ mod tests {
             .iter()
             .map(|job| {
                 shares_preparation(job).then(|| {
-                    let opts = job.case_options(FlowControl::default());
-                    let cell = memo.cell(&job.tech, &job.specs, job.case, &opts);
+                    let cell = memo.cell(&job.tech, &job.specs, job.case, &job.options);
                     cells
                         .iter()
                         .position(|c| Arc::ptr_eq(c, &cell))

@@ -1,12 +1,9 @@
 //! The job value type: every input of one synthesis run, made explicit.
 
 use losac_core::cases::{CaseError, CaseOptions};
-use losac_core::flow::FlowControl;
-use losac_core::prelude::{Case, CaseResult, FlowOptions};
-use losac_core::LayoutOptions;
-use losac_layout::slicing::ShapeConstraint;
-use losac_sizing::{OtaSpecs, TopologyPlan};
-use losac_tech::{Scenario, Technology};
+use losac_core::prelude::{Case, CaseResult};
+use losac_sizing::OtaSpecs;
+use losac_tech::Technology;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,27 +24,18 @@ pub struct SynthesisJob {
     pub specs: OtaSpecs,
     /// Which Table-1 parasitic-awareness strategy to run.
     pub case: Case,
-    /// Topology design plan (shared across jobs of the same topology).
-    pub plan: Arc<dyn TopologyPlan>,
-    /// Layout implementation options.
-    pub layout: LayoutOptions,
-    /// Layout shape constraint.
-    pub shape: ShapeConstraint,
-    /// Convergence tolerance of the sizing↔layout loop.
-    pub tolerance: f64,
-    /// Layout-call budget of the sizing↔layout loop.
-    pub max_layout_calls: usize,
+    /// Every other input of the run: the plan, layout options, shape
+    /// constraint, flow knobs, the scenario both performance rows are
+    /// measured under (`options.eval.scenario`) and the corner-aware
+    /// acceptance set. A lone run of the job is
+    /// `run_case_with(&job.tech, &job.specs, job.case, &job.options)`;
+    /// the engine runs a clone whose `eval.cache` is the batch's
+    /// evaluation cache and changes no other field.
+    pub options: CaseOptions,
     /// Optional per-job wall-clock budget; the engine turns it into a
     /// deadline when the job starts and the run stops cooperatively at
-    /// the next phase boundary past it.
+    /// the next phase boundary or Newton iteration past it.
     pub budget: Option<Duration>,
-    /// The PVT/mismatch scenario both performance rows are measured
-    /// under. The nominal default is bitwise identical to the
-    /// scenario-free historical path.
-    pub scenario: Scenario,
-    /// Corner-aware acceptance set (see
-    /// [`CaseOptions::scenarios`]). Empty by default.
-    pub scenarios: Vec<Scenario>,
     /// The design point this job belongs to in a scenario sweep: jobs
     /// that share a `design_point` are the *same* design measured under
     /// different scenarios, and the engine aggregates their outcomes
@@ -61,24 +49,16 @@ pub struct SynthesisJob {
 }
 
 impl SynthesisJob {
-    /// A job with the historical `run_case` defaults: default plan,
-    /// default layout options, min-area shape, default flow knobs, no
-    /// budget.
+    /// A job with the historical `run_case` defaults
+    /// ([`CaseOptions::default`]) and no budget.
     pub fn new(tech: Arc<Technology>, specs: OtaSpecs, case: Case) -> Self {
-        let defaults = CaseOptions::default();
         Self {
             label: case.label().to_owned(),
             tech,
             specs,
             case,
-            plan: defaults.plan,
-            layout: defaults.layout,
-            shape: defaults.shape,
-            tolerance: defaults.tolerance,
-            max_layout_calls: defaults.max_layout_calls,
+            options: CaseOptions::default(),
             budget: None,
-            scenario: Scenario::nominal(),
-            scenarios: Vec::new(),
             design_point: None,
             fail_plan: None,
         }
@@ -91,60 +71,10 @@ impl SynthesisJob {
         self
     }
 
-    /// Set the shape constraint.
-    #[must_use]
-    pub fn with_shape(mut self, shape: ShapeConstraint) -> Self {
-        self.shape = shape;
-        self
-    }
-
-    /// Set the topology design plan.
-    #[must_use]
-    pub fn with_topology_plan(mut self, plan: Arc<dyn TopologyPlan>) -> Self {
-        self.plan = plan;
-        self
-    }
-
-    /// Set the layout implementation options.
-    #[must_use]
-    pub fn with_layout(mut self, layout: LayoutOptions) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Set the flow convergence tolerance.
-    #[must_use]
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Set the flow layout-call budget.
-    #[must_use]
-    pub fn with_max_layout_calls(mut self, calls: usize) -> Self {
-        self.max_layout_calls = calls;
-        self
-    }
-
     /// Set the per-job wall-clock budget.
     #[must_use]
     pub fn with_budget(mut self, budget: Duration) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Set the measurement scenario (see [`SynthesisJob::scenario`]).
-    #[must_use]
-    pub fn with_scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = scenario;
-        self
-    }
-
-    /// Set the corner-aware acceptance set (see
-    /// [`SynthesisJob::scenarios`]).
-    #[must_use]
-    pub fn with_scenarios(mut self, scenarios: impl IntoIterator<Item = Scenario>) -> Self {
-        self.scenarios = scenarios.into_iter().collect();
         self
     }
 
@@ -161,29 +91,6 @@ impl SynthesisJob {
     pub fn with_fail_plan(mut self, plan: losac_obs::failpoint::FailPlan) -> Self {
         self.fail_plan = Some(plan);
         self
-    }
-
-    /// The [`CaseOptions`] this job implies, with the given run control
-    /// attached. The evaluation options carry the job's scenario and no
-    /// cache; the engine attaches its per-batch evaluation cache.
-    pub fn case_options(&self, control: FlowControl) -> CaseOptions {
-        CaseOptions::builder()
-            .with_plan(self.plan.clone())
-            .with_layout(self.layout.clone())
-            .with_shape(self.shape)
-            .with_tolerance(self.tolerance)
-            .with_max_layout_calls(self.max_layout_calls)
-            .with_control(control)
-            .with_eval(losac_sizing::EvalOptions::default().with_scenario(self.scenario))
-            .with_scenarios(self.scenarios.iter().copied())
-            .build()
-    }
-
-    /// The [`FlowOptions`] this job implies (no run control), for
-    /// reference or for running the job manually.
-    pub fn flow_options(&self) -> FlowOptions {
-        self.case_options(FlowControl::default())
-            .flow_options(matches!(self.case, Case::ExactDiffusion))
     }
 }
 
@@ -235,27 +142,6 @@ impl JobOutcome {
 mod tests {
     use super::*;
     use losac_core::flow::FlowError;
-
-    #[test]
-    fn job_defaults_match_case_options_defaults() {
-        let tech = Arc::new(Technology::cmos06());
-        let job = SynthesisJob::new(tech, OtaSpecs::paper_example(), Case::AllParasitics);
-        let d = CaseOptions::default();
-        assert_eq!(job.shape, d.shape);
-        assert_eq!(job.layout, d.layout);
-        assert_eq!(job.tolerance, d.tolerance);
-        assert_eq!(job.max_layout_calls, d.max_layout_calls);
-        assert_eq!(job.label, "Case 4");
-        assert!(job.budget.is_none());
-        // Flow options derived from a case-3 job are diffusion-only.
-        let j3 = SynthesisJob::new(
-            Arc::new(Technology::cmos06()),
-            OtaSpecs::paper_example(),
-            Case::ExactDiffusion,
-        );
-        assert!(j3.flow_options().diffusion_only);
-        assert!(!job.flow_options().diffusion_only);
-    }
 
     #[test]
     fn outcome_accessors() {

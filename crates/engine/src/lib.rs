@@ -7,9 +7,9 @@
 //! exploration and layout-variant dataset generation:
 //!
 //! * [`SynthesisJob`] — every input of one run as one explicit value
-//!   (technology, specs, plan, layout options, shape constraint, case,
-//!   flow knobs, wall-clock budget), replacing the implicit defaults the
-//!   old free-function API buried in `run_case`;
+//!   (technology, specs, case, the `CaseOptions` that `run_case_with`
+//!   takes, wall-clock budget), replacing the implicit defaults the old
+//!   free-function API buried in `run_case`;
 //! * [`Engine`] / [`EngineOptions`] — a std-only scoped-thread worker
 //!   pool ([`pool`]), `workers = 0` meaning
 //!   [`std::thread::available_parallelism`];

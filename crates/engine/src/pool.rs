@@ -118,7 +118,7 @@ where
         }
         let _spans = losac_obs::span::detach();
         let _plan = losac_obs::failpoint::suspend();
-        let _interrupt = losac_sim::interrupt::suspend();
+        let _interrupt = losac_core::interrupt::suspend();
         worker(0);
     });
 
@@ -217,9 +217,9 @@ mod tests {
 
     #[test]
     fn worker_0_is_the_calling_thread_in_a_fresh_context() {
+        use losac_core::interrupt::{self, Interrupted, SimInterrupt};
         use losac_obs::failpoint::{self, FailAction, FailPlan};
         use losac_obs::{Collector, RecordKind};
-        use losac_sim::interrupt::{self, Interrupted, SimInterrupt};
         use std::sync::Arc;
 
         let collector = Collector::new();
@@ -237,7 +237,7 @@ mod tests {
                 (
                     std::thread::current().id(),
                     failpoint::hit("engine.test.caller"),
-                    interrupt::current().is_none() && interrupt::poll().is_ok(),
+                    interrupt::poll().is_ok(),
                 )
             });
             assert_eq!(stats.len(), 1);

@@ -289,10 +289,10 @@ impl SweepBuilder {
                     for (suffix, specs) in &spec_points {
                         let point = format!("{prefix}{}/{shape}{suffix}", case.label());
                         for scenario in &scenarios {
-                            let mut job = SynthesisJob::new(self.tech.clone(), *specs, *case)
-                                .with_topology_plan(plan.clone())
-                                .with_shape(*shape)
-                                .with_scenario(*scenario);
+                            let mut job = SynthesisJob::new(self.tech.clone(), *specs, *case);
+                            job.options.plan = plan.clone();
+                            job.options.shape = *shape;
+                            job.options.eval.scenario = *scenario;
                             job = if scenario_axes_set {
                                 // Jobs sharing a design point are one
                                 // design measured under many scenarios —
@@ -330,7 +330,7 @@ mod tests {
         let jobs = builder().build();
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].case, Case::AllParasitics);
-        assert_eq!(jobs[0].shape, ShapeConstraint::MinArea);
+        assert_eq!(jobs[0].options.shape, ShapeConstraint::MinArea);
     }
 
     #[test]
@@ -345,8 +345,8 @@ mod tests {
         assert!(jobs[..4].iter().all(|j| j.case == Case::NoParasitics));
         assert!(jobs[4..].iter().all(|j| j.case == Case::AllParasitics));
         // Shapes next.
-        assert_eq!(jobs[0].shape, ShapeConstraint::MinArea);
-        assert_eq!(jobs[2].shape, ShapeConstraint::Aspect(1.0));
+        assert_eq!(jobs[0].options.shape, ShapeConstraint::MinArea);
+        assert_eq!(jobs[2].options.shape, ShapeConstraint::Aspect(1.0));
         // Spec axis fastest.
         assert_eq!(jobs[0].specs.gbw, 50.0e6);
         assert_eq!(jobs[1].specs.gbw, 65.0e6);
@@ -391,7 +391,10 @@ mod tests {
         for (i, plan) in plans.iter().enumerate() {
             let want = plan.example_specs();
             assert_eq!(jobs[2 * i].specs.output_range, want.output_range);
-            assert_eq!(jobs[2 * i].plan.topology_name(), plan.topology_name());
+            assert_eq!(
+                jobs[2 * i].options.plan.topology_name(),
+                plan.topology_name()
+            );
         }
         // Without the axis, labels keep their historical form.
         let plain = builder().build();
@@ -415,12 +418,12 @@ mod tests {
         assert_eq!(jobs[0].label, "Case 1/min_area/tt/-40C/mc0");
         assert_eq!(jobs[1].label, "Case 1/min_area/tt/-40C/mc1");
         // Corners vary slowest among the scenario axes, MC fastest.
-        assert_eq!(jobs[0].scenario.pvt.corner, Corner::Typical);
-        assert_eq!(jobs[6].scenario.pvt.corner, Corner::Slow);
-        assert_eq!(jobs[12].scenario.pvt.corner, Corner::Fast);
-        assert_eq!(jobs[2].scenario.pvt.temp_c, 27.0);
+        assert_eq!(jobs[0].options.eval.scenario.pvt.corner, Corner::Typical);
+        assert_eq!(jobs[6].options.eval.scenario.pvt.corner, Corner::Slow);
+        assert_eq!(jobs[12].options.eval.scenario.pvt.corner, Corner::Fast);
+        assert_eq!(jobs[2].options.eval.scenario.pvt.temp_c, 27.0);
         assert_eq!(
-            jobs[1].scenario.mismatch,
+            jobs[1].options.eval.scenario.mismatch,
             Some(MismatchDraw { seed: 7, sample: 1 })
         );
         // Labels are unique.
@@ -429,7 +432,7 @@ mod tests {
         // Without scenario axes, jobs are nominal, unlabelled and
         // unaggregated — the historical form.
         let plain = builder().build();
-        assert!(plain[0].scenario.is_nominal());
+        assert!(plain[0].options.eval.scenario.is_nominal());
         assert!(plain[0].design_point.is_none());
         assert_eq!(plain[0].label, "Case 4/min_area");
     }
@@ -438,7 +441,7 @@ mod tests {
     fn supply_axis_scales_the_scenario_not_the_spec() {
         let jobs = builder().supplies([0.9, 1.0, 1.1]).build();
         assert_eq!(jobs.len(), 3);
-        assert_eq!(jobs[0].scenario.pvt.vdd_scale, 0.9);
+        assert_eq!(jobs[0].options.eval.scenario.pvt.vdd_scale, 0.9);
         // The specification itself is untouched: the scenario moves the
         // rails at evaluation time.
         assert_eq!(jobs[0].specs.vdd, OtaSpecs::paper_example().vdd);

@@ -78,9 +78,9 @@ fn seeded_batch(seed: u64) -> (Vec<SynthesisJob>, Vec<usize>) {
     let registry = TopologyRegistry::builtin();
     for (i, name) in registry.names().iter().enumerate() {
         let plan = registry.get(name).expect("builtin topology");
-        let j = SynthesisJob::new(tech(), plan.example_specs(), Case::AllParasitics)
-            .with_topology_plan(plan)
+        let mut j = SynthesisJob::new(tech(), plan.example_specs(), Case::AllParasitics)
             .with_label(format!("chaos-topo-{name}"));
+        j.options.plan = plan;
         let j = if i % 2 == 0 {
             j.with_fail_plan(FailPlan::new().once("sizing.evaluate", FailAction::Fail))
         } else {
@@ -97,10 +97,9 @@ fn seeded_batch(seed: u64) -> (Vec<SynthesisJob>, Vec<usize>) {
         .into_iter()
         .enumerate()
     {
-        let j = job(Case::AllParasitics)
-            .with_topology_plan(plan.clone())
-            .with_scenario(Scenario::corner(corner))
-            .with_label(format!("chaos-shared-{k}"));
+        let mut j = job(Case::AllParasitics).with_label(format!("chaos-shared-{k}"));
+        j.options.plan = plan.clone();
+        j.options.eval.scenario = Scenario::corner(corner);
         jobs.push(if k == 1 {
             j.with_fail_plan(FailPlan::new().once("sizing.evaluate", FailAction::Fail))
         } else {

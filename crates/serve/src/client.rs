@@ -120,7 +120,9 @@ impl ServeClient {
 
     /// Block until request `id`'s terminal frame arrives. Returns the
     /// result frame and every `event` frame seen for it (empty unless
-    /// the submit subscribed).
+    /// the submit subscribed). Stashed frames are read first, in arrival
+    /// order; every frame for another request, its events included, is
+    /// stashed for a later call.
     ///
     /// # Errors
     ///
@@ -129,57 +131,30 @@ impl ServeClient {
     /// surfaced as `Interrupted`).
     pub fn wait_result(&mut self, id: &str) -> io::Result<(Frame, Vec<Frame>)> {
         let mut events = Vec::new();
-        // Frames for this id may already be stashed from earlier waits.
-        let mut stashed = std::mem::take(&mut self.pending);
-        let mut terminal: Option<io::Result<Frame>> = None;
-        stashed.retain(|frame| match frame {
-            Frame::Result { id: rid, .. } if rid == id && terminal.is_none() => {
-                terminal = Some(Ok(frame.clone()));
-                false
-            }
-            Frame::Event { id: eid, .. } if eid == id => {
-                events.push(frame.clone());
-                false
-            }
-            Frame::Cancelled { id: cid } if cid == id && terminal.is_none() => {
-                terminal = Some(Err(io::Error::new(
+        let mut stashed = std::mem::take(&mut self.pending).into_iter();
+        loop {
+            let frame = match stashed.next() {
+                Some(frame) => frame,
+                None => self.read_frame()?,
+            };
+            let terminal = match frame {
+                Frame::Result { id: ref rid, .. } if rid == id => Ok(frame),
+                Frame::Event { id: ref eid, .. } if eid == id => {
+                    events.push(frame);
+                    continue;
+                }
+                Frame::Cancelled { id: cid } if cid == id => Err(io::Error::new(
                     io::ErrorKind::Interrupted,
                     format!("request {id:?} was cancelled before running"),
-                )));
-                false
-            }
-            Frame::Error(err) if err.id.as_deref() == Some(id) && terminal.is_none() => {
-                terminal = Some(Err(wire_io(err.clone())));
-                false
-            }
-            _ => true,
-        });
-        self.pending = stashed;
-        if let Some(found) = terminal {
-            return Ok((found?, events));
-        }
-        loop {
-            match self.read_frame()? {
-                frame @ Frame::Result { .. } => {
-                    if matches!(&frame, Frame::Result { id: rid, .. } if rid == id) {
-                        return Ok((frame, events));
-                    }
-                    self.pending.push_back(frame);
+                )),
+                Frame::Error(err) if err.id.as_deref() == Some(id) => Err(wire_io(err)),
+                other => {
+                    self.pending.push_back(other);
+                    continue;
                 }
-                frame @ Frame::Event { .. } => {
-                    if matches!(&frame, Frame::Event { id: eid, .. } if eid == id) {
-                        events.push(frame);
-                    }
-                }
-                Frame::Cancelled { id: cid } if cid == id => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Interrupted,
-                        format!("request {id:?} was cancelled before running"),
-                    ))
-                }
-                Frame::Error(err) if err.id.as_deref() == Some(id) => return Err(wire_io(err)),
-                other => self.pending.push_back(other),
-            }
+            };
+            self.pending.extend(stashed);
+            return terminal.map(|frame| (frame, events));
         }
     }
 
@@ -239,5 +214,39 @@ impl ServeClient {
             Frame::Error(err) => Ok(Err(wire_io(err))),
             other => Err(other),
         })?
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{frame_result, WIRE_VERSION};
+    use std::net::TcpListener;
+
+    #[test]
+    fn waiting_on_one_request_keeps_another_requests_events() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+        let addr = listener.local_addr().expect("bound address");
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("the client connects");
+            let event_b = format!(
+                r#"{{"v":{WIRE_VERSION},"type":"event","id":"b","name":"engine.job.done","fields":{{}}}}"#
+            );
+            for line in [
+                event_b,
+                frame_result("b", Vec::new(), "{}".to_owned()),
+                frame_result("a", Vec::new(), "{}".to_owned()),
+            ] {
+                writeln!(stream, "{line}").expect("write a frame");
+            }
+        });
+        let mut client = ServeClient::connect(addr).expect("connect");
+        let (_, a_events) = client.wait_result("a").expect("a's result");
+        assert!(a_events.is_empty());
+        let (b, b_events) = client.wait_result("b").expect("b's stashed result");
+        assert!(matches!(b, Frame::Result { ref id, .. } if id == "b"));
+        assert_eq!(b_events.len(), 1, "b's event was dropped");
+        assert!(matches!(&b_events[0], Frame::Event { id, .. } if id == "b"));
+        server.join().expect("the scripted server ran");
     }
 }

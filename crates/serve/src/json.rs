@@ -116,11 +116,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
 }
 
 /// A parse failure: what went wrong and the byte offset it was noticed

@@ -224,10 +224,11 @@ const MAX_SWEEP_JOBS: u64 = 65_536;
 fn check_job(job: &SynthesisJob) -> Result<(), WireError> {
     let bad = |what: String| WireError::bad_sweep(format!("job {}: {what}", job.label));
     job.specs.validate().map_err(bad)?;
-    job.flow_options()
+    job.options
+        .flow_options(false)
         .validate()
         .map_err(|e| bad(e.to_string()))?;
-    let pvt = &job.scenario.pvt;
+    let pvt = &job.options.eval.scenario.pvt;
     if !(pvt.temp_k().is_finite() && pvt.temp_k() > 0.0) {
         return Err(bad(format!(
             "temperature {} °C is not above absolute zero",
@@ -242,7 +243,7 @@ fn check_job(job: &SynthesisJob) -> Result<(), WireError> {
             pvt.vdd_scale
         )));
     }
-    let shape_ok = match job.shape {
+    let shape_ok = match job.options.shape {
         ShapeConstraint::MinArea => true,
         ShapeConstraint::MaxHeight(nm) | ShapeConstraint::MaxWidth(nm) => nm > 0,
         ShapeConstraint::Aspect(r) => r.is_finite() && r > 0.0,
@@ -250,7 +251,7 @@ fn check_job(job: &SynthesisJob) -> Result<(), WireError> {
     if !shape_ok {
         return Err(bad(format!(
             "shape {:?} needs a finite, positive bound",
-            job.shape
+            job.options.shape
         )));
     }
     Ok(())
@@ -364,10 +365,10 @@ impl SweepSpec {
         let mut jobs = b.build();
         for job in &mut jobs {
             if let Some(t) = self.tolerance {
-                job.tolerance = t;
+                job.options.tolerance = t;
             }
             if let Some(m) = self.max_layout_calls {
-                job.max_layout_calls = m;
+                job.options.max_layout_calls = m;
             }
             check_job(job)?;
         }

@@ -428,8 +428,8 @@ fn sweep_expansion_matches_offline_builder() {
     .to_jobs()
     .unwrap();
     assert_eq!(jobs.len(), 1);
-    assert_eq!(jobs[0].tolerance, 0.5);
-    assert_eq!(jobs[0].max_layout_calls, 3);
+    assert_eq!(jobs[0].options.tolerance, 0.5);
+    assert_eq!(jobs[0].options.max_layout_calls, 3);
     assert_eq!(jobs[0].budget, Some(std::time::Duration::from_secs(1)));
 }
 
@@ -476,7 +476,10 @@ fn scenario_axes_survive_the_wire_and_expand_identically() {
     for (a, b) in jobs.iter().zip(&offline) {
         assert_eq!(a.label, b.label);
         assert_eq!(a.design_point, b.design_point);
-        assert_eq!(a.scenario.label(), b.scenario.label());
+        assert_eq!(
+            a.options.eval.scenario.label(),
+            b.options.eval.scenario.label()
+        );
     }
 
     // mc_seed defaults to 0 when only the sample count travels.

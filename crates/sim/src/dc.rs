@@ -692,36 +692,7 @@ impl DcSession {
             .map_err(|e| DcError::BadNetlist(e.to_string()))?;
         let u = Unknowns::of(circuit);
         let x0 = vec![0.0; u.total];
-
-        // Ladder: plain Newton → gmin stepping → source stepping.
-        let mut total_iter = 0usize;
-        let scratch = &mut self.scratch;
-        let mode = AssembleMode::Dc { src_scale: 1.0 };
-        scratch.prepare(circuit, &u, false);
-        let attempt = newton(circuit, &u, &x0, opts.gmin, &mode, opts, scratch);
-        let x = match attempt {
-            Ok((x, it)) => {
-                total_iter += it;
-                x
-            }
-            // A singular system, or an injected one, ends the solve.
-            Err(e @ (DcError::Singular(_) | DcError::Injected(_))) => {
-                DC_FAILURES.incr();
-                return Err(e);
-            }
-            // Interruption is not a numerical failure: propagate immediately
-            // instead of burning the remaining budget on the continuation
-            // ladder (and keep it out of the failure counter).
-            Err(e @ DcError::Interrupted(_)) => return Err(e),
-            Err(_) => gmin_then_source_stepping(circuit, &u, &x0, opts, &mut total_iter, scratch)
-                .inspect_err(|e| {
-                if !matches!(e, DcError::Interrupted(_)) {
-                    DC_FAILURES.incr();
-                }
-            })?,
-        };
-
-        Ok(package(circuit, &u, x, total_iter))
+        self.ladder(circuit, &u, &x0, opts)
     }
 
     /// [`dc_from_previous`], reusing this session's cached solver state.
@@ -743,11 +714,23 @@ impl DcSession {
         for (k, i) in previous.branch_currents.iter().enumerate() {
             x0[u.nv_offset + k] = *i;
         }
+        self.ladder(circuit, &u, &x0, opts)
+    }
+
+    /// The continuation ladder from the start vector `x0`: plain Newton,
+    /// then gmin stepping, then source stepping.
+    fn ladder(
+        &mut self,
+        circuit: &Circuit,
+        u: &Unknowns,
+        x0: &[f64],
+        opts: &DcOptions,
+    ) -> Result<DcSolution, DcError> {
         let mut total_iter = 0usize;
         let scratch = &mut self.scratch;
         let mode = AssembleMode::Dc { src_scale: 1.0 };
-        scratch.prepare(circuit, &u, false);
-        let x = match newton(circuit, &u, &x0, opts.gmin, &mode, opts, scratch) {
+        scratch.prepare(circuit, u, false);
+        let x = match newton(circuit, u, x0, opts.gmin, &mode, opts, scratch) {
             Ok((x, it)) => {
                 total_iter += it;
                 x
@@ -757,15 +740,18 @@ impl DcSession {
                 DC_FAILURES.incr();
                 return Err(e);
             }
+            // Interruption is not a numerical failure: propagate immediately
+            // instead of burning the remaining budget on the continuation
+            // ladder (and keep it out of the failure counter).
             Err(e @ DcError::Interrupted(_)) => return Err(e),
-            Err(_) => gmin_then_source_stepping(circuit, &u, &x0, opts, &mut total_iter, scratch)
+            Err(_) => gmin_then_source_stepping(circuit, u, x0, opts, &mut total_iter, scratch)
                 .inspect_err(|e| {
-                if !matches!(e, DcError::Interrupted(_)) {
-                    DC_FAILURES.incr();
-                }
-            })?,
+                    if !matches!(e, DcError::Interrupted(_)) {
+                        DC_FAILURES.incr();
+                    }
+                })?,
         };
-        Ok(package(circuit, &u, x, total_iter))
+        Ok(package(circuit, u, x, total_iter))
     }
 }
 

@@ -1,14 +1,13 @@
-//! Cooperative interruption of long solver loops.
+//! Cooperative interruption of a synthesis run.
 //!
-//! The batch engine gives each job a stop flag and an optional deadline
-//! (`losac-core`'s `FlowControl`), but those used to be polled only at
-//! phase boundaries — a Newton iteration that refuses to converge, or a
-//! continuation ladder grinding through its rungs, could blow far past a
-//! job's budget. This module closes that hole without threading a control
-//! handle through every solver signature (the option structs are `Copy`
-//! and public): the controller installs a [`SimInterrupt`] in a thread
-//! local, and the inner loops call [`poll`] once per Newton iteration /
-//! transient step.
+//! A run has one control: the [`SimInterrupt`] installed on its thread, a
+//! stop flag and an optional deadline. The batch engine installs one
+//! around each job, holding the batch's stop flag, the job's budget and
+//! the batch deadline. Everything the run does polls it: the flow and the
+//! case runner at their phase boundaries, the solver loops once per
+//! Newton iteration and transient step, so a hung solve cannot outlive
+//! its budget. Living in a thread local, the control needs no handle in
+//! any options struct or solver signature.
 //!
 //! With nothing installed, [`poll`] is one thread-local read — cheap next
 //! to the LU factorisation every iteration performs anyway. Interruption
@@ -64,9 +63,14 @@ impl SimInterrupt {
         self
     }
 
-    /// Whether polling can ever fail.
-    pub fn is_armed(&self) -> bool {
-        self.stop.is_some() || self.deadline.is_some()
+    /// Interrupt at `deadline` or at the deadline already set, whichever
+    /// comes first: the merge rule for limits from different layers (a
+    /// job's budget under a batch's or a request's deadline). The order
+    /// of the calls does not matter.
+    #[must_use]
+    pub fn with_deadline_earliest(mut self, deadline: Instant) -> Self {
+        self.deadline = Some(self.deadline.map_or(deadline, |d| d.min(deadline)));
+        self
     }
 
     /// Check the flag and the clock. The stop flag wins when both apply.
@@ -122,13 +126,6 @@ pub fn suspend() -> InterruptGuard {
     }
 }
 
-/// The interrupt installed on this thread, if any — used to re-install it
-/// on worker threads a solver or evaluator spawns, so budgets follow the
-/// work across threads.
-pub fn current() -> Option<SimInterrupt> {
-    ACTIVE.with(|a| a.borrow().clone())
-}
-
 /// Poll the installed interrupt; `Ok(())` when none is installed.
 ///
 /// # Errors
@@ -168,6 +165,27 @@ mod tests {
     }
 
     #[test]
+    fn the_earliest_deadline_wins_in_either_order() {
+        let now = Instant::now();
+        let (soon, late) = (now + Duration::from_secs(1), now + Duration::from_secs(60));
+        // A job budget due before the batch deadline, then one due after.
+        for (budget, batch) in [(soon, late), (late, soon)] {
+            let budget_first = SimInterrupt::new()
+                .with_deadline_earliest(budget)
+                .with_deadline_earliest(batch);
+            let batch_first = SimInterrupt::new()
+                .with_deadline_earliest(batch)
+                .with_deadline_earliest(budget);
+            let budget_set = SimInterrupt::new()
+                .with_deadline(budget)
+                .with_deadline_earliest(batch);
+            for merged in [budget_first, batch_first, budget_set] {
+                assert_eq!(merged.deadline, Some(soon));
+            }
+        }
+    }
+
+    #[test]
     fn guard_restores_previous() {
         let flag = Arc::new(AtomicBool::new(true));
         let _outer = install(SimInterrupt::new().with_stop(flag));
@@ -183,16 +201,8 @@ mod tests {
         let _g = install(SimInterrupt::new().with_stop(Arc::new(AtomicBool::new(true))));
         {
             let _s = suspend();
-            assert!(current().is_none());
             assert_eq!(poll(), Ok(()));
         }
         assert_eq!(poll(), Err(Interrupted::Cancelled));
-    }
-
-    #[test]
-    fn current_clones_the_installed_interrupt() {
-        assert!(current().is_none());
-        let _g = install(SimInterrupt::new().with_deadline(Instant::now()));
-        assert!(current().is_some_and(|i| i.is_armed()));
     }
 }

@@ -243,11 +243,6 @@ impl SparsePattern {
         self.a_rows.len()
     }
 
-    /// Factor nonzeros (L + U + diagonal).
-    pub fn factor_nnz(&self) -> usize {
-        self.l_rows.len() + self.u_rows.len() + self.n
-    }
-
     /// Value-slot index of original entry (i, j), or `None` if the entry
     /// is not part of the pattern. Slots index the value arrays passed to
     /// [`SparsePattern::factor`].

@@ -21,17 +21,6 @@ pub struct TranOptions {
     pub newton: DcOptions,
 }
 
-impl TranOptions {
-    /// A reasonable default: 2000 steps across `tstop`.
-    pub fn with_tstop(tstop: f64) -> Self {
-        Self {
-            tstop,
-            dt: tstop / 2000.0,
-            newton: DcOptions::default(),
-        }
-    }
-}
-
 /// Transient result: node voltages over time.
 #[derive(Debug, Clone)]
 pub struct TranResult {

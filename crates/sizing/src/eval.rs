@@ -429,11 +429,6 @@ impl EvalCache {
         })))
     }
 
-    /// The backing directory, when the cache is persistent.
-    pub fn disk_dir(&self) -> Option<&std::path::Path> {
-        self.disk.as_ref().map(|d| d.dir())
-    }
-
     /// Number of distinct evaluations in memory (with a disk layer, the
     /// entries read back from disk).
     pub fn len(&self) -> usize {

@@ -29,7 +29,7 @@ use crate::eval::{EvalKey, Performance};
 use losac_obs::Counter;
 use std::fs;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Disk lookups that verified byte-for-byte and were served (also counted
@@ -110,10 +110,6 @@ impl DiskStore {
             dir,
             tmp_seq: AtomicU64::new(0),
         })
-    }
-
-    pub(crate) fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Content-addressed path of `key`'s entry.

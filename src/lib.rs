@@ -46,6 +46,11 @@
 //! `EXPERIMENTS.md` for the paper-versus-measured record of every table
 //! and figure.
 
+/// The README's code samples, compiled and run as doctests of the facade.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use losac_core as flow;
 pub use losac_device as device;
 pub use losac_engine as engine;
@@ -74,9 +79,7 @@ pub mod prelude {
     pub use losac_core::cases::{
         run_case, run_case_with, Case, CaseError, CaseOptions, CaseOptionsBuilder, CaseResult,
     };
-    pub use losac_core::flow::{
-        layout_oriented_synthesis, FlowControl, FlowError, FlowOptions, FlowResult,
-    };
+    pub use losac_core::flow::{layout_oriented_synthesis, FlowError, FlowOptions, FlowResult};
     pub use losac_core::layout_gen::LayoutOptions;
     pub use losac_engine::{
         BatchResult, CancelToken, DesignPointYield, Engine, EngineOptions, JobOutcome,

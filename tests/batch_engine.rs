@@ -88,11 +88,12 @@ fn faulty_jobs_do_not_poison_the_batch() {
     for workers in WORKER_COUNTS {
         // Job 0 times out immediately; job 1 is a quick healthy case; job
         // 2 has an invalid call budget and fails validation.
-        let jobs = vec![
+        let mut jobs = vec![
             SynthesisJob::new(tech.clone(), specs, Case::NoParasitics).with_budget(Duration::ZERO),
             SynthesisJob::new(tech.clone(), specs, Case::NoParasitics),
-            SynthesisJob::new(tech.clone(), specs, Case::AllParasitics).with_max_layout_calls(0),
+            SynthesisJob::new(tech.clone(), specs, Case::AllParasitics),
         ];
+        jobs[2].options.max_layout_calls = 0;
         let batch = Engine::new(EngineOptions::with_workers(workers)).run_batch(jobs);
         assert!(matches!(batch.outcomes[0], JobOutcome::TimedOut));
         assert!(

@@ -95,8 +95,8 @@ fn nominal_scenario_job_matches_the_historical_path_bitwise() {
     let tech = Arc::new(Technology::cmos06());
     let specs = OtaSpecs::paper_example();
     let legacy = run_case(&tech, &specs, Case::NoParasitics).expect("legacy path runs");
-    let jobs = vec![SynthesisJob::new(tech.clone(), specs, Case::NoParasitics)
-        .with_scenario(Scenario::nominal())];
+    let mut jobs = vec![SynthesisJob::new(tech.clone(), specs, Case::NoParasitics)];
+    jobs[0].options.eval.scenario = Scenario::nominal();
     let batch = Engine::new(EngineOptions::with_workers(1)).run_batch(jobs);
     let r = batch.outcomes[0].result().expect("job finishes");
     assert_eq!(
@@ -180,8 +180,7 @@ fn batch_digest(o: &JobOutcome) -> String {
 /// The digest of `job` run alone through `run_case_with`, outside any
 /// batch.
 fn alone_digest(job: &SynthesisJob) -> String {
-    let opts = job.case_options(FlowControl::default());
-    let r = run_case_with(&job.tech, &job.specs, job.case, &opts);
+    let r = run_case_with(&job.tech, &job.specs, job.case, &job.options);
     digest(r.as_ref().map_err(ToString::to_string))
 }
 
